@@ -6,36 +6,28 @@
 //! differ once a trip point actually fires — which, for well-mitigated
 //! configurations, is rarely. [`BatchSimulator`] exploits that: siblings
 //! whose observable behaviour is still identical share one
-//! **equivalence-class** [`Simulator`] (one core, one thermal solve, one
-//! pass over the trace), while each sibling keeps its own
+//! **equivalence-class** die of the stepping engine (one core, one thermal
+//! solve, one pass over the trace), while each sibling keeps its own
 //! [`ThermalManager`] so every policy still decides every window. The
-//! moment two siblings' decisions diverge, the class **forks** — the
-//! shared state is snapshotted bit-exactly into a new class and both
-//! lineages continue independently, their traces split via `Clone` (a
+//! moment two siblings' decisions diverge, the die **forks** — its state
+//! is copied bit-exactly into a new die and both lineages continue
+//! independently, their traces split via `Clone` (a
 //! [`powerbalance_isa::TraceCursor`] fork under Exact fidelity, a private
 //! generator clone under Fast).
 //!
-//! Classes that remain split still amortise the thermal solve: each
-//! sampling window ends in one structure-of-arrays backward-Euler solve
-//! across all live classes ([`BatchThermalSolver`]), reusing a single LU
-//! factorization for K right-hand sides, and one batched power
-//! accumulation ([`PowerModel::block_power_many_into`]).
-//!
-//! The engine drives the same window phases the scalar simulator's
-//! `sample` chains (`run_window` → `window_activity` → power →
-//! `sample_prepare` → thermal → consult → `sample_stats`), in the same
-//! order, with the same floating-point operation sequence — batched
-//! results are **bit-identical** to K sequential scalar runs, a contract
-//! pinned by differential tests and the fuzzer.
+//! Dies that remain split still amortise the thermal solve: each sampling
+//! window ends in one structure-of-arrays backward-Euler solve across all
+//! live dies ([`powerbalance_thermal::BatchThermalSolver`]), reusing a
+//! single LU factorization for K right-hand sides. Every lane runs the
+//! scalar floating-point sequence, so batched results are
+//! **bit-identical** to K sequential scalar runs — a contract pinned by
+//! differential tests and the fuzzer.
 
-use crate::config::Fidelity;
-use crate::simulator::{RunControl, Simulator, StopCause};
+use crate::engine::{Feed, Grid};
+use crate::simulator::{restore_single, RunControl, StopCause};
 use crate::{Error, RunResult, SimConfig, SimulatorState};
 use powerbalance_isa::TraceSource;
-use powerbalance_mitigation::{Actuation, MitigationConfig, Sensors, ThermalManager};
-use powerbalance_power::PowerModel;
-use powerbalance_thermal::{BatchThermalSolver, ThermalModel};
-use powerbalance_uarch::{ActivitySample, CoreStats};
+use powerbalance_mitigation::{MitigationConfig, ThermalManager};
 
 /// The part of a [`SimConfig`] that lockstep siblings must share: the
 /// whole configuration with `mitigation` normalized to the baseline.
@@ -47,47 +39,12 @@ pub fn batch_key(config: &SimConfig) -> SimConfig {
     SimConfig { mitigation: MitigationConfig::baseline(), ..config.clone() }
 }
 
-/// One equivalence class: a shared simulator plus the sibling indices
-/// currently riding on it, and the per-window phase scratch.
-#[derive(Debug)]
-struct BatchClass<T> {
-    sim: Simulator,
-    trace: T,
-    /// Sibling indices sharing this class, in ascending order; the first
-    /// is the representative whose manager actuates the shared core.
-    members: Vec<usize>,
-    /// The shared core finished its trace; the class no longer steps.
-    done: bool,
-    /// This window's activity, `None` while idle or between windows.
-    pending: Option<ActivitySample>,
-    /// This window's thermal step size (valid while `pending` is set).
-    dt: f64,
-    /// Whether this window performs the one-time warm-start settle.
-    settled: bool,
-    /// Core counters at the start of the current detailed Fast window.
-    before: CoreStats,
-    /// `(was_frozen, virtual_now)` captured before the consult — the
-    /// inputs `sample_stats` needs, and the marker that this class ran
-    /// (and must consult + account) this window.
-    stat_ctx: Option<(bool, u64)>,
-}
-
-/// One partition of a class's members by what their decision would do.
-#[derive(Debug)]
-struct Partition {
-    actions: Vec<Actuation>,
-    /// Post-apply dynamic-power scale, bit-packed: identical commands on
-    /// different DVFS ladders must not share a core next window.
-    scale_bits: u64,
-    members: Vec<usize>,
-}
-
 /// Steps K sibling configurations in lockstep over one shared trace.
 ///
 /// Siblings must agree on everything except [`SimConfig::mitigation`]
 /// (checked at construction; see [`batch_key`]). Results come back in
-/// sibling order and are bit-identical to K sequential [`Simulator`]
-/// runs of the same configurations.
+/// sibling order and are bit-identical to K sequential
+/// [`crate::Simulator`] runs of the same configurations.
 ///
 /// The trace type is cloned on fork: wrap a generator in a
 /// [`powerbalance_isa::TraceCursor`] to share generated ops between
@@ -113,19 +70,27 @@ struct Partition {
 #[derive(Debug)]
 pub struct BatchSimulator<T> {
     configs: Vec<SimConfig>,
-    /// Per-sibling managers: every policy observes every window even while
-    /// its sibling shares a class.
-    managers: Vec<ThermalManager>,
-    /// Sibling index → index into `classes`.
-    class_of: Vec<usize>,
-    classes: Vec<BatchClass<T>>,
-    power: PowerModel,
-    solver: BatchThermalSolver,
-    /// Scratch: per-lane `(activity, scale)` rows for the power phase.
-    rows: Vec<(ActivitySample, f64)>,
-    /// Scratch: distinct `(settled, dt_bits)` thermal groups, first-seen
-    /// order.
-    groups: Vec<(bool, u64)>,
+    /// One die per equivalence class; sibling `i` is member `i`.
+    grid: Grid,
+    /// One trace per die, in die order.
+    traces: Vec<T>,
+}
+
+impl<T: TraceSource + Clone> Feed for Vec<T> {
+    type Trace = T;
+
+    fn dispatch(&mut self, grid: &mut Grid) -> bool {
+        grid.dispatch_solo()
+    }
+
+    fn trace(&mut self, die: usize, _task: usize) -> &mut T {
+        &mut self[die]
+    }
+
+    fn fork(&mut self, die: usize) {
+        let trace = self[die].clone();
+        self.push(trace);
+    }
 }
 
 impl<T: TraceSource + Clone> BatchSimulator<T> {
@@ -134,7 +99,8 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
     /// # Errors
     ///
     /// Returns [`Error::Config`] if `configs` is empty, any configuration
-    /// is invalid, or two siblings differ outside `mitigation`.
+    /// is invalid or multi-core, or two siblings differ outside
+    /// `mitigation`.
     pub fn new(configs: Vec<SimConfig>, trace: T) -> Result<Self, Error> {
         let Some(first) = configs.first() else {
             return Err(Error::Config("a batch needs at least one sibling configuration".into()));
@@ -150,37 +116,15 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
                 )));
             }
         }
-        let energy = first.energy;
-        let frequency_hz = first.frequency_hz;
-        let sim = Simulator::new(configs[0].clone())?;
-        let mut managers = Vec::with_capacity(configs.len());
-        for c in &configs {
-            let sensors = Sensors::new(sim.floorplan()).map_err(Error::Config)?;
-            managers.push(ThermalManager::new(c.mitigation, sensors));
+        if first.cores != 1 {
+            return Err(Error::Config(format!(
+                "config requests {} cores; lockstep batches are single-core",
+                first.cores
+            )));
         }
-        let power = PowerModel::new(sim.floorplan(), energy, frequency_hz)?;
-        let before = *sim.core().stats();
-        let classes = vec![BatchClass {
-            sim,
-            trace,
-            members: (0..configs.len()).collect(),
-            done: false,
-            pending: None,
-            dt: 0.0,
-            settled: false,
-            before,
-            stat_ctx: None,
-        }];
-        Ok(BatchSimulator {
-            class_of: vec![0; configs.len()],
-            configs,
-            managers,
-            classes,
-            power,
-            solver: BatchThermalSolver::new(),
-            rows: Vec::new(),
-            groups: Vec::new(),
-        })
+        let mitigations: Vec<MitigationConfig> = configs.iter().map(|c| c.mitigation).collect();
+        let grid = Grid::new(first, &mitigations)?;
+        Ok(BatchSimulator { configs, grid, traces: vec![trace] })
     }
 
     /// The sibling configurations, in result order.
@@ -206,13 +150,13 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
     /// shares the core, up to `len()` once fully diverged.
     #[must_use]
     pub fn class_count(&self) -> usize {
-        self.classes.len()
+        self.grid.dies.len()
     }
 
     /// The mitigation manager deciding for sibling `i`.
     #[must_use]
     pub fn manager(&self, i: usize) -> &ThermalManager {
-        &self.managers[i]
+        self.grid.manager(i, 0)
     }
 
     /// Runs every sibling for up to `cycles` cycles (or until its trace
@@ -229,14 +173,14 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
         cycles: u64,
         control: &RunControl<'_>,
     ) -> (Vec<RunResult>, StopCause) {
-        let cause = self.drive(cycles, control, true);
+        let cause = self.grid.drive(&mut self.traces, cycles, control, true);
         (self.results(), cause)
     }
 
     /// Runs every sibling for up to `cycles` cycles **without consulting
-    /// any manager** — the batched mirror of [`Simulator::run_warmup`].
-    /// With no consults there is nothing to diverge on, so the batch stays
-    /// a single class throughout.
+    /// any manager** — the batched mirror of
+    /// [`crate::Simulator::run_warmup`]. With no consults there is nothing
+    /// to diverge on, so the batch stays a single class throughout.
     pub fn run_warmup(&mut self, cycles: u64) {
         let _ = self.run_warmup_controlled(cycles, &RunControl::unlimited());
     }
@@ -244,7 +188,7 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
     /// Like [`run_warmup`](Self::run_warmup), but checks `control` between
     /// sampling windows.
     pub fn run_warmup_controlled(&mut self, cycles: u64, control: &RunControl<'_>) -> StopCause {
-        self.drive(cycles, control, false)
+        self.grid.drive(&mut self.traces, cycles, control, false)
     }
 
     /// Restores a warm-start snapshot into the (unforked) batch: the
@@ -257,16 +201,12 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
     /// Returns [`Error::Config`] if the batch has already forked or the
     /// state does not fit the shared simulator's shape.
     pub fn restore_state(&mut self, state: &SimulatorState) -> Result<(), Error> {
-        if self.classes.len() != 1 {
+        if self.grid.dies.len() != 1 {
             return Err(Error::Config(
                 "restore_state requires an unforked batch (call it before running)".into(),
             ));
         }
-        self.classes[0].sim.restore_state(state)?;
-        for manager in &mut self.managers {
-            manager.restore(&state.manager);
-        }
-        Ok(())
+        restore_single(&mut self.grid, state)
     }
 
     /// The accumulated results, in sibling order: each sibling reports its
@@ -275,282 +215,11 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
     #[must_use]
     pub fn results(&self) -> Vec<RunResult> {
         (0..self.configs.len())
-            .map(|m| self.classes[self.class_of[m]].sim.result_with_stats(self.managers[m].stats()))
+            .map(|m| {
+                let die = self.grid.dies.iter().position(|d| d.members.contains(&m));
+                self.grid.result(die.expect("every sibling rides one die"), 0, m)
+            })
             .collect()
-    }
-
-    fn any_live(&self) -> bool {
-        self.classes.iter().any(|c| !c.done)
-    }
-
-    fn drive(&mut self, cycles: u64, control: &RunControl<'_>, consult: bool) -> StopCause {
-        match self.configs[0].fidelity {
-            Fidelity::Exact => self.drive_exact(cycles, control, consult),
-            Fidelity::Fast => self.drive_fast(cycles, control, consult),
-        }
-    }
-
-    /// The Exact driver: every window runs cycle-by-cycle on each live
-    /// class, then the batched power/thermal/consult/stats phases.
-    fn drive_exact(&mut self, cycles: u64, control: &RunControl<'_>, consult: bool) -> StopCause {
-        let interval = self.configs[0].sample_interval;
-        let mut elapsed = 0u64;
-        while elapsed < cycles && self.any_live() {
-            if let Some(stop) = control.stop_cause() {
-                return stop;
-            }
-            let window = interval.min(cycles - elapsed);
-            for class in &mut self.classes {
-                class.pending = None;
-                class.stat_ctx = None;
-                if class.done {
-                    continue;
-                }
-                let BatchClass { sim, trace, pending, .. } = class;
-                sim.run_window(trace, window);
-                *pending = sim.window_activity();
-            }
-            self.accumulate_power();
-            self.solve_thermal();
-            self.capture_stat_ctx();
-            if consult {
-                self.consult_and_fork();
-            }
-            self.finish_window(None);
-            elapsed += window;
-        }
-        StopCause::Completed
-    }
-
-    /// The Fast (interval-engine) driver. All classes share one phase
-    /// clock — `prefix_left`/`window_pos` evolve identically in lockstep
-    /// and are carried through forks — so a sub-interval is detailed or
-    /// skipped for every class at once.
-    fn drive_fast(&mut self, cycles: u64, control: &RunControl<'_>, consult: bool) -> StopCause {
-        let interval = self.configs[0].sample_interval;
-        let stretch = self.configs[0].fast_window / interval;
-        let mut elapsed = 0u64;
-        while elapsed < cycles && self.any_live() {
-            if let Some(stop) = control.stop_cause() {
-                return stop;
-            }
-            let sub = interval.min(cycles - elapsed);
-            let (in_prefix, detailed) = {
-                let lead = self.classes.iter().find(|c| !c.done).expect("a live class exists");
-                let in_prefix = lead.sim.fast_in_prefix();
-                (in_prefix, in_prefix || lead.sim.fast_window_pos() == 0)
-            };
-            debug_assert!(
-                self.classes
-                    .iter()
-                    .filter(|c| !c.done)
-                    .all(|c| c.sim.fast_in_prefix() == in_prefix
-                        && (in_prefix || (c.sim.fast_window_pos() == 0) == detailed)),
-                "lockstep classes drifted out of phase"
-            );
-            if detailed {
-                for class in &mut self.classes {
-                    class.pending = None;
-                    class.stat_ctx = None;
-                    if class.done {
-                        continue;
-                    }
-                    class.before = *class.sim.core().stats();
-                    let BatchClass { sim, trace, pending, .. } = class;
-                    sim.run_window(trace, sub);
-                    *pending = sim.window_activity();
-                }
-                self.accumulate_power();
-                self.solve_thermal();
-                for class in &mut self.classes {
-                    if class.pending.is_some() {
-                        let before = class.before;
-                        class.sim.fast_record_window(&before);
-                    }
-                }
-                self.capture_stat_ctx();
-            } else {
-                for class in &mut self.classes {
-                    class.pending = None;
-                    class.stat_ctx = None;
-                    if class.done {
-                        continue;
-                    }
-                    let BatchClass { sim, trace, stat_ctx, .. } = class;
-                    let frozen = sim.fast_skip_advance(trace, sub);
-                    *stat_ctx = Some((frozen, sim.virtual_now()));
-                }
-            }
-            if consult {
-                self.consult_and_fork();
-            }
-            self.finish_window(Some((in_prefix, sub, stretch)));
-            elapsed += sub;
-        }
-        StopCause::Completed
-    }
-
-    /// Power phase: one batched accumulation over every class that ran
-    /// this window, each lane scaled by its representative's current
-    /// (pre-consult) dynamic-power scale — the scale every member of the
-    /// class shares by the partition invariant.
-    fn accumulate_power(&mut self) {
-        self.rows.clear();
-        let mut outs: Vec<&mut [f64]> = Vec::with_capacity(self.classes.len());
-        for class in &mut self.classes {
-            if let Some(activity) = class.pending {
-                let scale = self.managers[class.members[0]].dynamic_power_scale();
-                debug_assert!(
-                    class.members.iter().all(|&m| self.managers[m].dynamic_power_scale() == scale),
-                    "class members disagree on dynamic power scale"
-                );
-                self.rows.push((activity, scale));
-                outs.push(class.sim.watts_mut());
-            }
-        }
-        self.power.block_power_many_into(&self.rows, &mut outs);
-    }
-
-    /// Thermal phase: group live classes by `(settled, dt)` — identical
-    /// for all in the common lockstep case — and run one SoA solve per
-    /// group, each reusing a single LU factorization across its lanes.
-    fn solve_thermal(&mut self) {
-        self.groups.clear();
-        for class in &mut self.classes {
-            if let Some(activity) = class.pending {
-                let (dt, settled) = class.sim.sample_prepare(&activity);
-                class.dt = dt;
-                class.settled = settled;
-                let key = (settled, dt.to_bits());
-                if !self.groups.contains(&key) {
-                    self.groups.push(key);
-                }
-            }
-        }
-        let groups = std::mem::take(&mut self.groups);
-        for &(settled, dt_bits) in &groups {
-            let mut lanes: Vec<(&mut ThermalModel, &[f64])> = self
-                .classes
-                .iter_mut()
-                .filter(|c| {
-                    c.pending.is_some() && c.settled == settled && c.dt.to_bits() == dt_bits
-                })
-                .map(|c| c.sim.thermal_lane())
-                .collect();
-            if settled {
-                self.solver.settle_many(&mut lanes);
-            } else {
-                self.solver.step_many(&mut lanes, f64::from_bits(dt_bits));
-            }
-        }
-        self.groups = groups;
-    }
-
-    /// Captures `(was_frozen, virtual_now)` per class after the thermal
-    /// solve and before any consult — the same instant the scalar sample
-    /// reads them.
-    fn capture_stat_ctx(&mut self) {
-        for class in &mut self.classes {
-            if class.pending.is_some() {
-                class.stat_ctx = Some((class.sim.core().is_frozen(), class.sim.virtual_now()));
-            }
-        }
-    }
-
-    /// Consult phase: every member's manager decides against its class's
-    /// shared core; members are partitioned by (commands, projected power
-    /// scale); classes whose members disagree fork **before** any command
-    /// is applied; then each partition's representative actuates its class
-    /// core and the co-members adopt the representative's post-apply
-    /// manager state (identical pre-state + identical commands ⇒ identical
-    /// post-state, without double-applying core side effects such as a
-    /// register-file restore charge).
-    fn consult_and_fork(&mut self) {
-        let original = self.classes.len();
-        for ci in 0..original {
-            let Some((_, now)) = self.classes[ci].stat_ctx else {
-                continue;
-            };
-            let (int_iq, fp_iq) = self.classes[ci].sim.window_iqs();
-            let mut partitions: Vec<Partition> = Vec::new();
-            {
-                let class = &self.classes[ci];
-                let core = class.sim.core();
-                let temps = class.sim.thermal().temperatures();
-                for &m in &class.members {
-                    self.managers[m].decide(core, temps, now, &int_iq, &fp_iq);
-                    let scale_bits = self.managers[m].projected_power_scale().to_bits();
-                    let actions = self.managers[m].decided_actions();
-                    match partitions
-                        .iter_mut()
-                        .find(|p| p.scale_bits == scale_bits && p.actions.as_slice() == actions)
-                    {
-                        Some(p) => p.members.push(m),
-                        None => partitions.push(Partition {
-                            actions: actions.to_vec(),
-                            scale_bits,
-                            members: vec![m],
-                        }),
-                    }
-                }
-            }
-            // Fork before applying anything: every child branches from the
-            // exact state the decisions were made against.
-            let mut targets = vec![ci];
-            if partitions.len() > 1 {
-                let state = self.classes[ci].sim.state();
-                for part in &partitions[1..] {
-                    let mut sim = Simulator::new(self.configs[part.members[0]].clone())
-                        .expect("sibling configs were validated at construction");
-                    sim.restore_state(&state)
-                        .expect("fork restores into an identically shaped simulator");
-                    let parent = &self.classes[ci];
-                    let child = BatchClass {
-                        sim,
-                        trace: parent.trace.clone(),
-                        members: part.members.clone(),
-                        done: parent.done,
-                        pending: None,
-                        dt: parent.dt,
-                        settled: parent.settled,
-                        before: parent.before,
-                        stat_ctx: parent.stat_ctx,
-                    };
-                    for &m in &part.members {
-                        self.class_of[m] = self.classes.len();
-                    }
-                    targets.push(self.classes.len());
-                    self.classes.push(child);
-                }
-                self.classes[ci].members = partitions[0].members.clone();
-            }
-            for (part, &target) in partitions.iter().zip(&targets) {
-                let rep = part.members[0];
-                self.managers[rep].apply_decided(self.classes[target].sim.core_mut());
-                let snap = self.managers[rep].snapshot();
-                for &m in &part.members[1..] {
-                    self.managers[m].restore(&snap);
-                }
-            }
-        }
-    }
-
-    /// Statistics phase: every class that ran this window (children
-    /// included — they inherited the parent's pre-consult context)
-    /// accumulates its temperature statistics, ticks the Fast phase clock
-    /// when `fast` carries `(in_prefix, sub, stretch)`, and refreshes its
-    /// done flag.
-    fn finish_window(&mut self, fast: Option<(bool, u64, u64)>) {
-        for class in &mut self.classes {
-            if let Some((was_frozen, now)) = class.stat_ctx.take() {
-                class.sim.sample_stats(was_frozen, now);
-                if let Some((in_prefix, sub, stretch)) = fast {
-                    class.sim.fast_tick(in_prefix, sub, stretch);
-                }
-                class.done = class.sim.core().is_done();
-            }
-            class.pending = None;
-        }
     }
 }
 
@@ -558,6 +227,7 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
 mod tests {
     use super::*;
     use crate::experiments::{self, PolicyKind};
+    use crate::{Fidelity, Simulator};
     use powerbalance_isa::TraceCursor;
     use powerbalance_thermal::ev6::FloorplanKind;
     use powerbalance_workloads::spec2000;

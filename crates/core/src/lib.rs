@@ -40,6 +40,7 @@
 
 mod batch;
 mod config;
+mod engine;
 mod error;
 pub mod experiments;
 mod multicore;
@@ -50,12 +51,10 @@ mod snapshot;
 pub use batch::{batch_key, BatchSimulator};
 pub use config::{Fidelity, SimConfig, DEFAULT_FAST_WINDOW};
 pub use error::Error;
-pub use multicore::{
-    JobCore, LaneState, MultiCoreResult, MultiCoreSimulator, MultiCoreState, TaskSet,
-};
+pub use multicore::{JobCore, MultiCoreResult, MultiCoreSimulator, MultiCoreState, TaskSet};
 pub use result::{BlockTemperature, RunResult};
 pub use simulator::{RunControl, Simulator, StopCause};
-pub use snapshot::{FastEngineState, SimulatorState, Snapshot, FORMAT_VERSION};
+pub use snapshot::{FastEngineState, LaneState, SimulatorState, Snapshot, FORMAT_VERSION};
 
 // The scheduling vocabulary rides along with the multi-core engine so
 // callers can build task queues without a direct `powerbalance-sched`

@@ -131,6 +131,27 @@ pub struct FastEngineState {
     pub extra_fetch_gated: u64,
 }
 
+/// Serialized dynamic state of one lane (core) of an engine: the
+/// per-core part of [`SimulatorState`], plus the migration stall a
+/// multi-core die charges.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct LaneState {
+    /// Full pipeline state.
+    pub core: CoreState,
+    /// Mitigation counters and any in-progress stall.
+    pub manager: ManagerState,
+    /// Bit patterns of the per-block temperature running sums.
+    pub temp_sum_bits: Vec<u64>,
+    /// Bit patterns of the per-block temperature maxima.
+    pub temp_max_bits: Vec<u64>,
+    /// Non-stalled samples behind `temp_sum_bits`.
+    pub temp_samples: u64,
+    /// Interval-engine lane state (basis + extrapolated totals).
+    pub fast: FastEngineState,
+    /// Remaining migration fetch-stall cycles.
+    pub stall_left: u64,
+}
+
 /// Encodes floats as their exact IEEE-754 bit patterns.
 pub(crate) fn encode_bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()

@@ -5,7 +5,7 @@ use crate::spec::CampaignSpec;
 use crate::warmstart::{WarmStartCache, WarmupOutcome};
 use powerbalance::{
     batch_key, spec2000, BatchSimulator, Error, Fidelity, MultiCoreSimulator, RunControl,
-    RunResult, SimConfig, Simulator, Snapshot, StopCause, Task, TaskSet, TraceCursor, TraceSource,
+    RunResult, SimConfig, Snapshot, StopCause, Task, TaskSet, TraceCursor, TraceSource,
 };
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -108,10 +108,7 @@ pub fn run_one(
     cycles: u64,
     seed: u64,
 ) -> Result<RunResult, Error> {
-    let profile = spec2000::by_name(bench)
-        .ok_or_else(|| Error::Config(format!("unknown benchmark '{bench}'")))?;
-    let mut sim = Simulator::new(config.clone())?;
-    Ok(sim.run(&mut profile.trace(seed), cycles))
+    run_one_warmed(config, bench, cycles, seed, 0, None)
 }
 
 /// Like [`run_one`], but preceded by `warmup_cycles` of mitigation-free
@@ -160,6 +157,11 @@ pub fn run_one_warmed(
 /// stop cause and an empty result, and the half-warmed state is discarded
 /// rather than cached.
 ///
+/// Multi-core configs (`cores > 1`) run the multi-core engine: one
+/// unbounded instance of the benchmark per core (seeds `seed..seed+N`),
+/// warmup inline, reporting the merged die-level result (`C{c}.`-prefixed
+/// block names).
+///
 /// # Errors
 ///
 /// Returns [`Error::Config`] if the benchmark is unknown or the config
@@ -173,87 +175,9 @@ pub fn run_one_warmed_controlled(
     cache: Option<&WarmStartCache>,
     control: &RunControl<'_>,
 ) -> Result<(RunResult, StopCause), Error> {
-    if config.cores > 1 {
-        // Multi-core dies run the multi-core engine: one unbounded
-        // instance of the benchmark per core (seeds `seed..seed+N`), the
-        // configured scheduler placing them, and the shared-die thermal
-        // solve coupling the lanes. The warm-start cache only holds
-        // scalar snapshots, so the warmup runs inline; the job reports
-        // the merged die-level result (`C{c}.`-prefixed block names).
-        return run_multicore_warmed_controlled(
-            config,
-            bench,
-            cycles,
-            seed,
-            warmup_cycles,
-            control,
-        );
-    }
-    if warmup_cycles == 0 {
-        let profile = spec2000::by_name(bench)
-            .ok_or_else(|| Error::Config(format!("unknown benchmark '{bench}'")))?;
-        let mut sim = Simulator::new(config.clone())?;
-        return Ok(sim.run_controlled(&mut profile.trace(seed), cycles, control));
-    }
-    match cache {
-        Some(cache) => {
-            let snapshot = match cache.get_or_compute_controlled(
-                bench,
-                seed,
-                warmup_cycles,
-                config,
-                control,
-            )? {
-                WarmupOutcome::Ready(snapshot) => snapshot,
-                WarmupOutcome::Stopped(cause) => {
-                    let sim = Simulator::new(config.clone())?;
-                    return Ok((sim.result(), cause));
-                }
-            };
-            let (mut sim, mut trace) = snapshot.resume_with_config(config.clone())?;
-            Ok(sim.run_controlled(&mut trace, cycles, control))
-        }
-        None => {
-            let profile = spec2000::by_name(bench)
-                .ok_or_else(|| Error::Config(format!("unknown benchmark '{bench}'")))?;
-            let mut sim = Simulator::new(config.clone())?;
-            let mut trace = profile.trace(seed);
-            let warmup_cause = sim.run_warmup_controlled(&mut trace, warmup_cycles, control);
-            if !warmup_cause.is_completed() {
-                return Ok((sim.result(), warmup_cause));
-            }
-            Ok(sim.run_controlled(&mut trace, cycles, control))
-        }
-    }
-}
-
-/// The multi-core arm of [`run_one_warmed_controlled`]: N cores on one
-/// die, each running its own seeded instance of the benchmark as an
-/// unbounded job, warmup inline (mitigation managers never consulted),
-/// then the measured window. Returns the merged die-level result.
-fn run_multicore_warmed_controlled(
-    config: &SimConfig,
-    bench: &str,
-    cycles: u64,
-    seed: u64,
-    warmup_cycles: u64,
-    control: &RunControl<'_>,
-) -> Result<(RunResult, StopCause), Error> {
-    let profile = spec2000::by_name(bench)
-        .ok_or_else(|| Error::Config(format!("unknown benchmark '{bench}'")))?;
-    let mut sim = MultiCoreSimulator::new(config.clone())?;
-    let mut tasks = TaskSet::new(
-        (0..config.cores)
-            .map(|c| Task::unbounded(c as u64, profile.trace(seed.wrapping_add(c as u64)))),
-    );
-    if warmup_cycles > 0 {
-        let cause = sim.run_warmup_controlled(&mut tasks, warmup_cycles, control);
-        if !cause.is_completed() {
-            return Ok((sim.result().merged(), cause));
-        }
-    }
-    let (result, cause) = sim.run_controlled(&mut tasks, cycles, control);
-    Ok((result.merged(), cause))
+    let (mut results, cause) =
+        run_unit(std::slice::from_ref(config), bench, cycles, seed, warmup_cycles, cache, control)?;
+    Ok((results.remove(0), cause))
 }
 
 /// Runs K batch-eligible sibling jobs in one lockstep [`BatchSimulator`]:
@@ -262,17 +186,10 @@ fn run_multicore_warmed_controlled(
 ///
 /// All `configs` must share a [`powerbalance::batch_key`] (same benchmark
 /// trace, core, floorplan, package, energy tables, cadence, fidelity —
-/// only `mitigation` may differ). Warm-start handling mirrors the scalar
-/// path exactly: with a cache, one shared snapshot (interruptibly
-/// computed) is restored into the unforked batch; without one, the batch
-/// runs the mitigation-free warmup inline. Under Exact fidelity the
-/// siblings share generated micro-ops through a [`TraceCursor`] ring;
-/// under Fast each equivalence class keeps a private generator clone so
-/// skipped intervals stay O(1).
-///
-/// Results come back in `configs` order. A stop (cancel/timeout) stops
-/// the whole batch at the same window boundary, so every sibling's
-/// partial statistics cover the same simulated span.
+/// only `mitigation` may differ). Results come back in `configs` order. A
+/// stop (cancel/timeout) stops the whole batch at the same window
+/// boundary, so every sibling's partial statistics cover the same
+/// simulated span.
 ///
 /// # Errors
 ///
@@ -287,11 +204,50 @@ pub fn run_batch_warmed_controlled(
     cache: Option<&WarmStartCache>,
     control: &RunControl<'_>,
 ) -> Result<(Vec<RunResult>, StopCause), Error> {
+    run_unit(configs, bench, cycles, seed, warmup_cycles, cache, control)
+}
+
+/// The one unit runner: K sibling configs (K = 1 for a lone job) over one
+/// seeded benchmark trace, warmed, then measured under `control`.
+///
+/// Single-core units run as a lockstep [`BatchSimulator`] — a one-sibling
+/// batch is the scalar engine. With a cache, one shared warmup snapshot
+/// (interruptibly computed) is restored into the unforked batch; without
+/// one, the batch runs the mitigation-free warmup inline. Under Exact
+/// fidelity siblings that may fork share generated micro-ops through a
+/// [`TraceCursor`] ring; otherwise each die keeps a private generator
+/// clone, so skipped intervals stay O(1). Multi-core units (one config)
+/// run the multi-core engine; the warm-start cache only holds
+/// single-core snapshots, so their warmup runs inline.
+fn run_unit(
+    configs: &[SimConfig],
+    bench: &str,
+    cycles: u64,
+    seed: u64,
+    warmup_cycles: u64,
+    cache: Option<&WarmStartCache>,
+    control: &RunControl<'_>,
+) -> Result<(Vec<RunResult>, StopCause), Error> {
     let profile = spec2000::by_name(bench)
         .ok_or_else(|| Error::Config(format!("unknown benchmark '{bench}'")))?;
     let Some(first) = configs.first() else {
         return Err(Error::Config("a batch needs at least one sibling configuration".into()));
     };
+    if first.cores > 1 {
+        if configs.len() > 1 {
+            return Err(Error::Config("multi-core jobs run one per unit".into()));
+        }
+        let mut sim = MultiCoreSimulator::new(first.clone())?;
+        let mut tasks = TaskSet::new(
+            (0..first.cores)
+                .map(|c| Task::unbounded(c as u64, profile.trace(seed.wrapping_add(c as u64)))),
+        );
+        let mut cause = sim.run_warmup_controlled(&mut tasks, warmup_cycles, control);
+        if cause.is_completed() {
+            cause = sim.run_controlled(&mut tasks, cycles, control).1;
+        }
+        return Ok((vec![sim.result().merged()], cause));
+    }
     let warm = match cache {
         Some(cache) if warmup_cycles > 0 => {
             match cache.get_or_compute_controlled(bench, seed, warmup_cycles, first, control)? {
@@ -305,44 +261,22 @@ pub fn run_batch_warmed_controlled(
         }
         _ => None,
     };
-    match warm {
-        Some(snapshot) => {
-            // `resume_with_config` validates structural compatibility and
-            // rebuilds the trace at its post-warmup position; the throwaway
-            // scalar simulator it also builds is negligible next to K
-            // measured runs.
-            let (_, trace) = snapshot.resume_with_config(first.clone())?;
-            match first.fidelity {
-                Fidelity::Exact => batch_over(
-                    configs,
-                    TraceCursor::new(trace),
-                    Some(&snapshot),
-                    0,
-                    cycles,
-                    control,
-                ),
-                Fidelity::Fast => batch_over(configs, trace, Some(&snapshot), 0, cycles, control),
-            }
-        }
-        None => {
-            let trace = profile.trace(seed);
-            match first.fidelity {
-                Fidelity::Exact => batch_over(
-                    configs,
-                    TraceCursor::new(trace),
-                    None,
-                    warmup_cycles,
-                    cycles,
-                    control,
-                ),
-                Fidelity::Fast => batch_over(configs, trace, None, warmup_cycles, cycles, control),
-            }
-        }
+    // `resume_with_config` validates structural compatibility and rebuilds
+    // the trace at its post-warmup position.
+    let trace = match &warm {
+        Some(snapshot) => snapshot.resume_with_config(first.clone())?.1,
+        None => profile.trace(seed),
+    };
+    let warmup = if warm.is_some() { 0 } else { warmup_cycles };
+    if first.fidelity == Fidelity::Exact && configs.len() > 1 {
+        batch_over(configs, TraceCursor::new(trace), warm.as_deref(), warmup, cycles, control)
+    } else {
+        batch_over(configs, trace, warm.as_deref(), warmup, cycles, control)
     }
 }
 
-/// Monomorphized batch body: build, optionally warm (restore or inline
-/// warmup), then run under `control`.
+/// Monomorphized body of [`run_unit`]: build, optionally warm (restore or
+/// inline warmup), then run under `control`.
 fn batch_over<T: TraceSource + Clone>(
     configs: &[SimConfig],
     trace: T,
@@ -354,11 +288,10 @@ fn batch_over<T: TraceSource + Clone>(
     let mut batch = BatchSimulator::new(configs.to_vec(), trace)?;
     if let Some(snapshot) = warm {
         batch.restore_state(&snapshot.state)?;
-    } else if warmup_cycles > 0 {
-        let cause = batch.run_warmup_controlled(warmup_cycles, control);
-        if !cause.is_completed() {
-            return Ok((batch.results(), cause));
-        }
+    }
+    let cause = batch.run_warmup_controlled(warmup_cycles, control);
+    if !cause.is_completed() {
+        return Ok((batch.results(), cause));
     }
     Ok(batch.run_controlled(cycles, control))
 }
@@ -588,33 +521,18 @@ pub fn run_campaign_controlled(
                 if let Some(timeout) = job_timeout {
                     run_control = run_control.with_deadline(start + timeout);
                 }
-                let (results, cause) = if unit.len() == 1 {
-                    let named = &spec.configs[unit[0] % ncfg];
-                    run_one_warmed_controlled(
-                        &named.config,
-                        bench,
-                        cycles,
-                        spec.seed,
-                        spec.warmup_cycles,
-                        cache,
-                        &run_control,
-                    )
-                    .map(|(result, cause)| (vec![result], cause))
-                    .expect("spec was validated before dispatch")
-                } else {
-                    let configs: Vec<SimConfig> =
-                        unit.iter().map(|&i| spec.configs[i % ncfg].config.clone()).collect();
-                    run_batch_warmed_controlled(
-                        &configs,
-                        bench,
-                        cycles,
-                        spec.seed,
-                        spec.warmup_cycles,
-                        cache,
-                        &run_control,
-                    )
-                    .expect("spec was validated and grouped by batch key before dispatch")
-                };
+                let configs: Vec<SimConfig> =
+                    unit.iter().map(|&i| spec.configs[i % ncfg].config.clone()).collect();
+                let (results, cause) = run_unit(
+                    &configs,
+                    bench,
+                    cycles,
+                    spec.seed,
+                    spec.warmup_cycles,
+                    cache,
+                    &run_control,
+                )
+                .expect("spec was validated and grouped by batch key before dispatch");
                 match cause {
                     StopCause::Completed => {}
                     StopCause::Cancelled => break,

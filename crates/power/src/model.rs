@@ -223,24 +223,24 @@ impl PowerModel {
     }
 
     /// Batched power accounting: converts one activity window per lane
-    /// into that lane's per-block watts, writing `outs[lane]`.
+    /// into that lane's per-block watts, writing lane `i` to
+    /// `out[i * blocks..(i + 1) * blocks]`.
     ///
-    /// The batched campaign engine collects every lockstep sibling's
-    /// window activity and its dynamic-power scale, then accounts the
-    /// whole batch in one call. Each lane runs the scalar conversion —
-    /// [`block_power_into`](Self::block_power_into) at scale 1.0, the
-    /// scaled variant otherwise — so lane `i` of the output is
-    /// bit-identical to the corresponding scalar call; the batching wins
-    /// locality (one pass over the energy tables per window) without
-    /// touching the purity contract.
+    /// The stepping engine collects every lane's window activity and its
+    /// dynamic-power scale, then accounts them in one call. Each lane runs
+    /// the scalar conversion — [`block_power_into`](Self::block_power_into)
+    /// at scale 1.0, the scaled variant otherwise — so lane `i` of the
+    /// output is bit-identical to the corresponding scalar call; the
+    /// batching wins locality (one pass over the energy tables per window)
+    /// without touching the purity contract. A lane whose window ran no
+    /// cycles gets pure leakage.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` and `outs` differ in length or any output slice
-    /// is not one entry per block.
-    pub fn block_power_many_into(&self, lanes: &[(ActivitySample, f64)], outs: &mut [&mut [f64]]) {
-        assert_eq!(lanes.len(), outs.len(), "one output slice per lane");
-        for ((sample, scale), out) in lanes.iter().zip(outs.iter_mut()) {
+    /// Panics if `out` is not one block vector per lane.
+    pub fn block_power_many_into(&self, lanes: &[(ActivitySample, f64)], out: &mut [f64]) {
+        assert_eq!(out.len(), lanes.len() * self.block_count, "one block vector per lane");
+        for ((sample, scale), out) in lanes.iter().zip(out.chunks_exact_mut(self.block_count)) {
             if *scale == 1.0 {
                 self.block_power_into(sample, out);
             } else {

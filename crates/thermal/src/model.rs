@@ -368,6 +368,23 @@ pub struct BatchThermalSolver {
     x: Vec<f64>,
 }
 
+/// One lane of a [`BatchThermalSolver`] solve: a model plus the power
+/// vector to advance it with, or `None` to sit this solve out.
+///
+/// The selection hook lets a caller hand the solver its own lane
+/// containers (and pick a subset of them) without building a slice of
+/// references every window.
+pub trait ThermalLane {
+    /// The model and its power vector, if this lane takes part.
+    fn lane(&mut self) -> Option<(&mut ThermalModel, &[f64])>;
+}
+
+impl ThermalLane for (&mut ThermalModel, &[f64]) {
+    fn lane(&mut self) -> Option<(&mut ThermalModel, &[f64])> {
+        Some((&mut *self.0, self.1))
+    }
+}
+
 impl BatchThermalSolver {
     /// A solver with empty scratch; buffers grow on first use.
     #[must_use]
@@ -375,52 +392,58 @@ impl BatchThermalSolver {
         BatchThermalSolver::default()
     }
 
-    /// Checks the lanes share one network shape and returns
+    /// Checks the taking-part lanes share one network shape and returns
     /// `(node_count, k)`. Full matrix equality is a debug assertion: the
     /// caller's eligibility rules (same floorplan + package) guarantee it,
     /// and the O(n²k) compare is too hot for release windows.
-    fn check_lanes(lanes: &[(&mut ThermalModel, &[f64])]) -> (usize, usize) {
-        let k = lanes.len();
-        let n = lanes[0].0.network.node_count();
-        for (model, watts) in lanes.iter() {
+    fn check_lanes<L: ThermalLane>(lanes: &mut [L]) -> (usize, usize) {
+        let mut taking_part = lanes.iter_mut().filter_map(L::lane);
+        let Some((first, first_watts)) = taking_part.next() else {
+            return (0, 0);
+        };
+        let first: &ThermalModel = first;
+        let n = first.network.node_count();
+        assert_eq!(first_watts.len(), first.block_count, "one power entry per block");
+        let mut k = 1;
+        for (model, watts) in taking_part {
+            k += 1;
             assert_eq!(model.network.node_count(), n, "lanes must share the network shape");
             assert_eq!(watts.len(), model.block_count, "one power entry per block");
             debug_assert_eq!(
                 model.network.conductance(),
-                lanes[0].0.network.conductance(),
+                first.network.conductance(),
                 "lanes must share one conductance matrix"
             );
             debug_assert_eq!(
                 model.network.capacitance(),
-                lanes[0].0.network.capacitance(),
+                first.network.capacitance(),
                 "lanes must share one capacitance vector"
             );
         }
         (n, k)
     }
 
-    /// Advances every `(model, watts)` lane by `dt` seconds, exactly as
-    /// `model.step(watts, dt)` would, sharing lane 0's factorization.
+    /// Advances every taking-part `(model, watts)` lane by `dt` seconds,
+    /// exactly as `model.step(watts, dt)` would, sharing the first lane's
+    /// factorization.
     ///
     /// # Panics
     ///
     /// Panics if `dt <= 0`, a power vector is the wrong length, or the
     /// lanes disagree on the network shape.
-    pub fn step_many(&mut self, lanes: &mut [(&mut ThermalModel, &[f64])], dt: f64) {
+    pub fn step_many<L: ThermalLane>(&mut self, lanes: &mut [L], dt: f64) {
         assert!(dt > 0.0, "dt must be positive");
-        if lanes.is_empty() {
-            return;
-        }
-        if lanes.len() == 1 {
-            // One lane is the scalar path; keep its own cache warm.
-            let (model, watts) = &mut lanes[0];
-            model.step(watts, dt);
-            return;
-        }
         let (n, k) = Self::check_lanes(lanes);
+        if k <= 1 {
+            // One lane is the scalar path; keep its own cache warm.
+            if let Some((model, watts)) = lanes.iter_mut().find_map(L::lane) {
+                model.step(watts, dt);
+            }
+            return;
+        }
         self.rhs.resize(n * k, 0.0);
         self.x.resize(n * k, 0.0);
-        for (lane, (model, watts)) in lanes.iter().enumerate() {
+        for (lane, (model, watts)) in lanes.iter_mut().filter_map(L::lane).enumerate() {
             let c = model.network.capacitance();
             let ambient_power = model.network.ambient_power();
             for i in 0..n {
@@ -430,37 +453,32 @@ impl BatchThermalSolver {
                 self.rhs[i * k + lane] += w;
             }
         }
-        {
-            let lu = lanes[0].0.ensure_step_lu(dt);
+        if let Some((model, _)) = lanes.iter_mut().find_map(L::lane) {
+            let lu = model.ensure_step_lu(dt);
             lu.solve_many_into(&self.rhs, &mut self.x, k);
         }
-        for (lane, (model, _)) in lanes.iter_mut().enumerate() {
-            for i in 0..n {
-                model.temps[i] = self.x[i * k + lane];
-            }
-        }
+        self.scatter(lanes, n, k);
     }
 
-    /// Jumps every `(model, watts)` lane to its steady state, exactly as
-    /// `model.settle(watts)` would, sharing lane 0's bare-`G` factors.
+    /// Jumps every taking-part `(model, watts)` lane to its steady state,
+    /// exactly as `model.settle(watts)` would, sharing the first lane's
+    /// bare-`G` factors.
     ///
     /// # Panics
     ///
     /// Panics if a power vector is the wrong length or the lanes disagree
     /// on the network shape.
-    pub fn settle_many(&mut self, lanes: &mut [(&mut ThermalModel, &[f64])]) {
-        if lanes.is_empty() {
-            return;
-        }
-        if lanes.len() == 1 {
-            let (model, watts) = &mut lanes[0];
-            model.settle(watts);
-            return;
-        }
+    pub fn settle_many<L: ThermalLane>(&mut self, lanes: &mut [L]) {
         let (n, k) = Self::check_lanes(lanes);
+        if k <= 1 {
+            if let Some((model, watts)) = lanes.iter_mut().find_map(L::lane) {
+                model.settle(watts);
+            }
+            return;
+        }
         self.rhs.resize(n * k, 0.0);
         self.x.resize(n * k, 0.0);
-        for (lane, (model, watts)) in lanes.iter().enumerate() {
+        for (lane, (model, watts)) in lanes.iter_mut().filter_map(L::lane).enumerate() {
             for (i, p) in model.network.ambient_power().iter().enumerate() {
                 self.rhs[i * k + lane] = *p;
             }
@@ -468,12 +486,17 @@ impl BatchThermalSolver {
                 self.rhs[i * k + lane] += w;
             }
         }
-        {
-            lanes[0].0.ensure_steady_lu();
-            let lu = lanes[0].0.steady_lu.as_ref().expect("factored above");
+        if let Some((model, _)) = lanes.iter_mut().find_map(L::lane) {
+            model.ensure_steady_lu();
+            let lu = model.steady_lu.as_ref().expect("factored above");
             lu.solve_many_into(&self.rhs, &mut self.x, k);
         }
-        for (lane, (model, _)) in lanes.iter_mut().enumerate() {
+        self.scatter(lanes, n, k);
+    }
+
+    /// Writes the lane-major solutions back into each model.
+    fn scatter<L: ThermalLane>(&self, lanes: &mut [L], n: usize, k: usize) {
+        for (lane, (model, _)) in lanes.iter_mut().filter_map(L::lane).enumerate() {
             for i in 0..n {
                 model.temps[i] = self.x[i * k + lane];
             }

@@ -242,12 +242,15 @@ impl Core {
             fetch_duty: DutyCycle::full(),
             clock_duty: DutyCycle::full(),
             rotation: 0,
-            fetch_queue: VecDeque::new(),
+            // The three growable buffers are sized to their bounds up front
+            // (fetch stops at `fetch_width * 8` queued ops; every in-flight
+            // op holds an active-list entry), so no cycle ever grows them.
+            fetch_queue: VecDeque::with_capacity(cfg.fetch_width * 8),
             fetch_stall: 0,
             redirect_uid: None,
             last_fetch_line: u64::MAX,
-            in_flight: Vec::new(),
-            writeback_scratch: Vec::new(),
+            in_flight: Vec::with_capacity(cfg.rob_size),
+            writeback_scratch: Vec::with_capacity(cfg.rob_size),
             fetch_log: None,
             commit_log: None,
             activity: ActivitySample::default(),
@@ -600,11 +603,13 @@ impl Core {
         self.fetch_duty = state.fetch_duty;
         self.clock_duty = state.clock_duty;
         self.rotation = state.rotation;
-        self.fetch_queue = state.fetch_queue.iter().copied().collect();
+        self.fetch_queue.clear();
+        self.fetch_queue.extend(state.fetch_queue.iter().copied());
         self.fetch_stall = state.fetch_stall;
         self.redirect_uid = state.redirect_uid;
         self.last_fetch_line = state.last_fetch_line;
-        self.in_flight = state.in_flight.clone();
+        self.in_flight.clear();
+        self.in_flight.extend_from_slice(&state.in_flight);
         self.activity = state.activity;
         self.stats = state.stats;
         Ok(())

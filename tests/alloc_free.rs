@@ -1,23 +1,23 @@
 //! Proves the steady-state simulate-sense-react loop is allocation-free.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator; after a
-//! warmup long enough for every growable structure (in-flight list, fetch
-//! queue, writeback scratch, cache/predictor arrays, thermal scratch and
-//! the cached LU factorization) to reach its steady capacity, a measured
-//! window of `Core::cycle` plus the full per-sample chain
-//! (`PowerModel::block_power_into` → `ThermalModel::step` →
-//! `ThermalManager::on_sample`) must perform exactly zero heap
-//! allocations.
+//! A counting `#[global_allocator]` wraps the system allocator. Each public
+//! engine — the scalar `Simulator`, a 2-core `MultiCoreSimulator`, and an
+//! unforked 2-sibling `BatchSimulator` — first runs a 20-window warmup, long
+//! enough for every growable structure (in-flight list, fetch queue,
+//! writeback scratch, cache/predictor arrays, thermal scratch, the cached LU
+//! factorization, the engine's per-window scratch) to reach its steady
+//! capacity. A further run of 10 sampling windows must then allocate
+//! exactly as often as a 0-cycle run, which only assembles the result: the
+//! windows themselves allocate nothing.
 //!
 //! This file intentionally holds a single `#[test]`: the counter is
 //! process-global, and a sibling test running on another thread would
 //! pollute the measured window.
 
-use powerbalance_isa::{ArchReg, BranchInfo, MemRef, MicroOp, OpClass, SliceTrace};
-use powerbalance_mitigation::{MitigationConfig, Sensors, ThermalManager};
-use powerbalance_power::{EnergyTables, PowerModel};
-use powerbalance_thermal::{ev6, PackageConfig, ThermalModel};
-use powerbalance_uarch::{Core, CoreConfig};
+use powerbalance::{
+    BatchSimulator, MultiCoreSimulator, SimConfig, Simulator, TaskSet, TraceCursor,
+};
+use powerbalance_workloads::spec2000;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -49,91 +49,57 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// A mixed trace exercising the integer issue path, the FP adders and
-/// multiplier, the data cache, and the branch predictor — every structure
-/// the hot loop touches. `SliceTrace` serves ops by index, so pulling from
-/// it never allocates.
-fn mixed_ops(count: usize) -> Vec<MicroOp> {
-    let mut x = 9u64;
-    (0..count as u64)
-        .map(|i| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            match i % 7 {
-                0 => MicroOp::new(OpClass::Load)
-                    .with_pc(0x400_000 + (i % 64) * 4)
-                    .with_dest(ArchReg::int((i % 20) as u8))
-                    .with_mem(MemRef::new(0x1000 + (x % 8192))),
-                1 => MicroOp::new(OpClass::FpAdd)
-                    .with_pc(0x400_000 + (i % 64) * 4)
-                    .with_dest(ArchReg::fp((i % 20) as u8))
-                    .with_src1(ArchReg::fp(((i + 1) % 20) as u8)),
-                2 => MicroOp::new(OpClass::FpMul)
-                    .with_pc(0x400_000 + (i % 64) * 4)
-                    .with_dest(ArchReg::fp((i % 20) as u8)),
-                3 => MicroOp::new(OpClass::Branch)
-                    .with_pc(0x400_000 + (i % 64) * 4)
-                    .with_src1(ArchReg::int(1))
-                    .with_branch(BranchInfo::new((x >> 62) & 1 == 1, 0x400_100)),
-                _ => MicroOp::new(OpClass::IntAlu)
-                    .with_pc(0x400_000 + (i % 64) * 4)
-                    .with_dest(ArchReg::int((i % 20) as u8))
-                    .with_src1(ArchReg::int(((i + 3) % 20) as u8)),
-            }
-        })
-        .collect()
+/// Heap allocations performed while `f` runs.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = allocations();
+    f();
+    allocations() - before
+}
+
+const WARMUP_WINDOWS: u64 = 20;
+const MEASURED_WINDOWS: u64 = 10;
+
+/// Warms `run` up, then checks that `MEASURED_WINDOWS` windows allocate
+/// exactly as often as a 0-cycle run.
+fn check(engine: &str, window: u64, mut run: impl FnMut(u64)) {
+    run(WARMUP_WINDOWS * window);
+    let result_only = allocations_during(|| run(0));
+    let measured = allocations_during(|| run(MEASURED_WINDOWS * window));
+    assert_eq!(
+        measured,
+        result_only,
+        "{engine}: {MEASURED_WINDOWS} steady-state windows allocated {} times beyond assembling \
+         the result",
+        measured as i64 - result_only as i64
+    );
 }
 
 #[test]
 fn steady_state_loop_allocates_nothing() {
-    const WARMUP_WINDOWS: usize = 4;
-    const MEASURED_WINDOWS: usize = 10;
-    const WINDOW: usize = 5_000;
-    const FREQUENCY_HZ: f64 = 4.2e9;
+    let gzip = spec2000::by_name("gzip").expect("known benchmark");
+    let config = SimConfig::default();
+    let window = config.sample_interval;
 
-    // Everything the loop needs is constructed (and allowed to allocate)
-    // up front, exactly as `Simulator::new` would.
-    let plan = ev6::baseline();
-    let mut core = Core::new(CoreConfig::default()).expect("valid config");
-    let power = PowerModel::new(&plan, EnergyTables::default(), FREQUENCY_HZ).expect("ev6 names");
-    let mut thermal = ThermalModel::new(&plan, PackageConfig::default());
-    let sensors = Sensors::new(&plan).expect("ev6 names");
-    let mut manager = ThermalManager::new(MitigationConfig::spatial_all(), sensors);
-    let mut watts = vec![0.0f64; plan.blocks().len()];
-    let total_cycles = (WARMUP_WINDOWS + MEASURED_WINDOWS) * WINDOW;
-    // Over-provision the trace: the core cannot commit faster than 6/cycle.
-    let mut trace = SliceTrace::new(mixed_ops(total_cycles * 6));
+    let mut sim = Simulator::new(config.clone()).expect("valid config");
+    let mut trace = gzip.trace(7);
+    check("Simulator", window, |n| {
+        sim.run(&mut trace, n);
+    });
+    assert!(!sim.core().is_done(), "trace must outlast the measurement");
 
-    let mut sample_window =
-        |core: &mut Core, thermal: &mut ThermalModel, manager: &mut ThermalManager| {
-            for _ in 0..WINDOW {
-                core.cycle(&mut trace);
-            }
-            let activity = core.take_activity();
-            power.block_power_into(&activity, &mut watts);
-            let dt = activity.cycles as f64 / FREQUENCY_HZ;
-            thermal.step(&watts, dt);
-            let now = core.stats().cycles;
-            manager.on_sample(core, thermal.temperatures(), now, &activity.int_iq, &activity.fp_iq);
-        };
+    let two = SimConfig { cores: 2, ..config.clone() };
+    let mut multi = MultiCoreSimulator::new(two).expect("valid config");
+    let mut tasks = TaskSet::one_per_job([gzip.trace(7), gzip.trace(8)]);
+    check("MultiCoreSimulator", window, |n| {
+        multi.run(&mut tasks, n);
+    });
+    assert_eq!(tasks.done(), 0, "segments must outlast the measurement");
 
-    // Warmup: growable buffers reach steady capacity, the LU factorization
-    // is computed and cached.
-    for _ in 0..WARMUP_WINDOWS {
-        sample_window(&mut core, &mut thermal, &mut manager);
-    }
-    assert!(core.stats().committed > 0, "warmup must make real progress");
-    assert!(!core.is_done(), "trace must outlast the measurement");
-
-    // Measured window: zero heap traffic allowed.
-    let before = allocations();
-    for _ in 0..MEASURED_WINDOWS {
-        sample_window(&mut core, &mut thermal, &mut manager);
-    }
-    let allocated = allocations() - before;
-
-    assert!(!core.is_done(), "trace must outlast the measurement");
-    assert_eq!(
-        allocated, 0,
-        "steady-state Core::cycle + sample loop performed {allocated} heap allocations"
-    );
+    let siblings = vec![config.clone(), config];
+    let mut batch =
+        BatchSimulator::new(siblings, TraceCursor::new(gzip.trace(7))).expect("eligible");
+    check("BatchSimulator", window, |n| {
+        batch.run(n);
+    });
+    assert_eq!(batch.class_count(), 1, "identical siblings never fork");
 }
