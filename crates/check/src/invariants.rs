@@ -239,18 +239,11 @@ impl CoreWatch {
         let cur = *core.stats();
         let cycle = cur.cycles;
 
-        // Slot accounting: the cached occupancy always matches the slots.
+        // Slot accounting: the queue's bit index (occupancy, readiness,
+        // issue state, wakeup tags) always matches the slots.
         for (label, iq) in [("int IQ", core.int_iq()), ("fp IQ", core.fp_iq())] {
-            let counted = iq.occupied_positions().count();
-            if iq.occupancy() != counted {
-                sink.report(
-                    ViolationKind::IqAccounting,
-                    cycle,
-                    format!(
-                        "{label}: cached occupancy {} != {counted} occupied slots",
-                        iq.occupancy()
-                    ),
-                );
+            if let Err(msg) = iq.audit() {
+                sink.report(ViolationKind::IqAccounting, cycle, format!("{label}: {msg}"));
             }
         }
 

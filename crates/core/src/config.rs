@@ -294,6 +294,17 @@ mod tests {
     }
 
     #[test]
+    fn oversized_issue_queue_is_a_config_error() {
+        let mut cfg = SimConfig::default();
+        cfg.core.iq_size = 128;
+        let err = crate::Simulator::new(cfg).err();
+        assert!(
+            matches!(&err, Some(crate::Error::Config(msg)) if msg.contains("limit of 64")),
+            "expected a config error naming the limit, got {err:?}"
+        );
+    }
+
+    #[test]
     fn fidelity_names_round_trip() {
         for f in Fidelity::ALL {
             assert_eq!(Fidelity::from_name(f.name()), Some(f));

@@ -203,13 +203,16 @@ impl WarmStartCache {
         let result = loop {
             // Re-fetch each iteration: an aborted computation removes the
             // entry, and waiters must migrate to the replacement slot.
-            let slot = self.slot(&key);
-            if let Some(result) = slot.cell.get() {
+            let existing = self.existing(&key);
+            if let Some(result) = existing.as_ref().and_then(|slot| slot.cell.get()) {
                 break result.clone();
             }
+            // A stopped request creates no entry: one it created after an
+            // aborted computation forgot the key would outlive them both.
             if let Some(stop) = control.stop_cause() {
                 return Ok(WarmupOutcome::Stopped(stop));
             }
+            let slot = existing.unwrap_or_else(|| self.slot(&key));
             if slot.claimed.swap(true, Ordering::AcqRel) {
                 // Another worker is computing this key. Sleep briefly and
                 // re-check both the cell and our own control.
@@ -239,6 +242,12 @@ impl WarmStartCache {
             *self.hits.lock().unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
         }
         result.map(WarmupOutcome::Ready)
+    }
+
+    /// The live slot for `key`, if there is one.
+    fn existing(&self, key: &str) -> Option<Slot> {
+        let entries = self.entries.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        entries.get(key).cloned()
     }
 
     /// The live slot for `key`, created on first request.

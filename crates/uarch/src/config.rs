@@ -1,5 +1,6 @@
 //! Core configuration.
 
+use crate::iq::MAX_IQ_SIZE;
 use serde::{Deserialize, Serialize};
 
 /// How integer ALUs are wired to register-file copies (paper Figure 4).
@@ -207,7 +208,8 @@ pub struct CoreConfig {
     pub rob_size: usize,
     /// Load/store queue entries.
     pub lsq_size: usize,
-    /// Entries in each of the integer and FP issue queues.
+    /// Entries in each of the integer and FP issue queues (an even number
+    /// from 4 to 64).
     pub iq_size: usize,
     /// Integer ALUs (arithmetic, load/store, and branch units).
     pub int_alus: usize,
@@ -286,6 +288,12 @@ impl CoreConfig {
         if self.iq_size < 4 || !self.iq_size.is_multiple_of(2) {
             return Err("issue queue size must be an even number >= 4".into());
         }
+        if self.iq_size > MAX_IQ_SIZE {
+            return Err(format!(
+                "issue queue size {} exceeds the limit of {MAX_IQ_SIZE} entries",
+                self.iq_size
+            ));
+        }
         if self.int_alus == 0 || self.fp_adders == 0 {
             return Err("need at least one unit of each kind".into());
         }
@@ -334,6 +342,15 @@ mod tests {
         assert_eq!(c.memory_latency, 250);
         assert_eq!(c.int_alus, 6);
         assert_eq!(c.fp_adders, 4);
+    }
+
+    #[test]
+    fn issue_queue_is_capped_at_64_entries() {
+        let c = CoreConfig { iq_size: 64, ..CoreConfig::default() };
+        c.validate().expect("64 entries fit the queue's bit index");
+        let c = CoreConfig { iq_size: 66, ..CoreConfig::default() };
+        let err = c.validate().expect_err("66 entries exceed the cap");
+        assert!(err.contains("limit of 64"), "message names the limit: {err}");
     }
 
     #[test]

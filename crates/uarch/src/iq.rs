@@ -14,10 +14,19 @@
 //! `S/2..S, 0..S/2`, and compaction wraps from the bottom of the queue to
 //! the topmost entries over dedicated long wires (charged separately, per
 //! Table 3's "Long Compaction" row).
+//!
+//! The slots are the only state; next to them the queue keeps a bit index
+//! derived from them (one `u64` bit per physical position, plus a per-tag
+//! table of waiting positions) so that insert, select, wakeup and
+//! compaction visit only the entries they affect. The index caps the queue
+//! at 64 entries; [`IssueQueue::audit`] checks it against the slots.
 
 use crate::activity::IqActivity;
 use crate::config::IqMode;
 use serde::{Deserialize, Serialize};
+
+/// Largest queue the bit index can hold: one `u64` bit per position.
+pub(crate) const MAX_IQ_SIZE: usize = 64;
 
 /// State of an occupied issue-queue entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -60,6 +69,12 @@ impl IqEntry {
     pub fn is_ready(&self) -> bool {
         self.state == EntryState::Waiting && self.src1_ready && self.src2_ready
     }
+
+    /// The distinct producer tags this entry's operands wait on.
+    fn tags(&self) -> impl Iterator<Item = u32> {
+        let src2 = self.src2_tag.filter(|&t| self.src1_tag != Some(t));
+        self.src1_tag.into_iter().chain(src2)
+    }
 }
 
 /// Serializable state of an [`IssueQueue`], captured by
@@ -72,6 +87,72 @@ pub struct IqState {
     pub mode: IqMode,
     /// Load-replay safety window.
     pub replay_window: u32,
+}
+
+/// Physical position of priority rank `rank` in a queue of `2 * half`
+/// entries.
+fn rank_to_position(rank: usize, half: usize, mode: IqMode) -> usize {
+    match mode {
+        IqMode::Normal => rank,
+        IqMode::Toggled if rank < half => rank + half,
+        IqMode::Toggled => rank - half,
+    }
+}
+
+/// The bit index of an [`IssueQueue`]: bit `p` of each mask describes
+/// slot `p`. Derived from the slots and kept in step with them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Masks {
+    /// Slot holds an entry.
+    occupied: u64,
+    /// Slot holds an entry with [`IqEntry::is_ready`].
+    ready: u64,
+    /// Slot holds an [`EntryState::Issued`] entry.
+    issued: u64,
+    /// Slot holds an [`EntryState::Invalid`] entry.
+    invalid: u64,
+    /// Slot holds an entry with an operand tag (listed in the waiter table).
+    tagged: u64,
+}
+
+impl Masks {
+    /// The masks describing `slots`.
+    fn of(slots: &[Option<IqEntry>]) -> Masks {
+        let mut masks = Masks::default();
+        for (pos, slot) in slots.iter().enumerate() {
+            if let Some(entry) = slot {
+                masks.set(1 << pos, entry);
+            }
+        }
+        masks
+    }
+
+    /// Sets `bit` in every mask that describes `entry`.
+    fn set(&mut self, bit: u64, entry: &IqEntry) {
+        self.occupied |= bit;
+        if entry.is_ready() {
+            self.ready |= bit;
+        }
+        match entry.state {
+            EntryState::Waiting => {}
+            EntryState::Issued { .. } => self.issued |= bit,
+            EntryState::Invalid => self.invalid |= bit,
+        }
+        if entry.src1_tag.is_some() || entry.src2_tag.is_some() {
+            self.tagged |= bit;
+        }
+    }
+
+    /// Applies `f` to every mask.
+    fn map(self, f: impl Fn(u64) -> u64) -> Masks {
+        Masks {
+            occupied: f(self.occupied),
+            ready: f(self.ready),
+            issued: f(self.issued),
+            invalid: f(self.invalid),
+            tagged: f(self.tagged),
+        }
+    }
 }
 
 /// A compacting issue queue with physical entry positions.
@@ -103,7 +184,10 @@ pub struct IssueQueue {
     slots: Vec<Option<IqEntry>>,
     mode: IqMode,
     replay_window: u32,
-    occupancy: usize,
+    /// Per-position index of the slots.
+    masks: Masks,
+    /// `waiters[t]` has bit `p` set iff slot `p` has an operand tagged `t`.
+    waiters: Vec<u64>,
 }
 
 impl IssueQueue {
@@ -111,11 +195,28 @@ impl IssueQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is odd or below 4 (the two halves must be equal).
+    /// Panics if `size` is odd, below 4 (the two halves must be equal) or
+    /// above 64 (the bit index holds one position per `u64` bit).
     #[must_use]
     pub fn new(size: usize) -> Self {
         assert!(size >= 4 && size.is_multiple_of(2), "queue size must be an even number >= 4");
-        IssueQueue { slots: vec![None; size], mode: IqMode::Normal, replay_window: 2, occupancy: 0 }
+        assert!(size <= MAX_IQ_SIZE, "queue size must be at most {MAX_IQ_SIZE}");
+        IssueQueue {
+            slots: vec![None; size],
+            mode: IqMode::Normal,
+            replay_window: 2,
+            masks: Masks::default(),
+            waiters: Vec::new(),
+        }
+    }
+
+    /// Sizes the wakeup table for producer tags `0..tags` up front, so that
+    /// inserting an entry tagged below `tags` never allocates. A larger tag
+    /// still works: the table grows to fit it.
+    pub(crate) fn reserve_tags(&mut self, tags: usize) {
+        if self.waiters.len() < tags {
+            self.waiters.resize(tags, 0);
+        }
     }
 
     /// Sets the load-replay safety window (cycles between issue and the
@@ -133,7 +234,7 @@ impl IssueQueue {
     /// Occupied entries (valid + not-yet-compacted invalid).
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.occupancy
+        self.masks.occupied.count_ones() as usize
     }
 
     /// Current head/tail mode.
@@ -155,8 +256,8 @@ impl IssueQueue {
     /// Physical position of priority rank `rank` under the current mode.
     ///
     /// Ranks are only meaningful below [`size`](IssueQueue::size); in the
-    /// toggled mode a larger rank would alias `rank - size` after the
-    /// modular wrap, so out-of-range ranks are rejected outright.
+    /// toggled mode a larger rank would alias another position, so
+    /// out-of-range ranks are rejected outright.
     ///
     /// # Panics
     ///
@@ -165,10 +266,30 @@ impl IssueQueue {
     pub fn position_of_rank(&self, rank: usize) -> usize {
         let s = self.slots.len();
         debug_assert!(rank < s, "rank {rank} out of range for queue of size {s}");
+        rank_to_position(rank, s / 2, self.mode)
+    }
+
+    /// Reorders a mask indexed by physical position into priority order:
+    /// bit `r` of the result is bit [`position_of_rank(r)`] of `mask`. In
+    /// the toggled mode that is a rotation by `S/2` within the queue's `S`
+    /// bits, which is its own inverse: the same call maps back.
+    ///
+    /// [`position_of_rank(r)`]: IssueQueue::position_of_rank
+    fn by_rank(&self, mask: u64) -> u64 {
         match self.mode {
-            IqMode::Normal => rank,
-            IqMode::Toggled => (s / 2 + rank) % s,
+            IqMode::Normal => mask,
+            IqMode::Toggled => {
+                let s = self.slots.len();
+                let half = s / 2;
+                ((mask >> half) | (mask << half)) & (u64::MAX >> (64 - s))
+            }
         }
+    }
+
+    /// One past the last occupied priority rank (0 when empty): the rank
+    /// the next insert takes.
+    fn tail_rank(&self) -> usize {
+        64 - self.by_rank(self.masks.occupied).leading_zeros() as usize
     }
 
     /// Physical half (0 = bottom, 1 = top) of a physical position.
@@ -180,15 +301,7 @@ impl IssueQueue {
     /// Whether [`insert`](IssueQueue::insert) would currently succeed.
     #[must_use]
     pub fn can_insert(&self) -> bool {
-        let s = self.slots.len();
-        if self.occupancy == s {
-            return false;
-        }
-        // The slot after the last occupied position must exist.
-        match (0..s).rev().find(|&r| self.slots[self.position_of_rank(r)].is_some()) {
-            Some(last) => last + 1 < s,
-            None => true,
-        }
+        self.tail_rank() < self.slots.len()
     }
 
     /// Inserts a new entry at the tail (lowest-priority free slot).
@@ -197,47 +310,46 @@ impl IssueQueue {
     /// the last occupied one, in priority order, is taken or the queue is
     /// full). Charges the payload-RAM write.
     pub fn insert(&mut self, entry: IqEntry, activity: &mut IqActivity) -> bool {
-        let s = self.slots.len();
-        if self.occupancy == s {
-            return false;
-        }
-        // Find the slot after the last occupied position in priority order.
-        let mut insert_rank = 0;
-        for rank in (0..s).rev() {
-            if self.slots[self.position_of_rank(rank)].is_some() {
-                insert_rank = rank + 1;
-                break;
-            }
-        }
-        if insert_rank >= s {
+        let rank = self.tail_rank();
+        if rank >= self.slots.len() {
             // Occupied run touches the lowest-priority end; dispatch must
-            // wait for compaction even though holes exist below.
+            // wait for compaction even though holes may exist below.
             return false;
         }
-        let pos = self.position_of_rank(insert_rank);
+        let pos = self.position_of_rank(rank);
         debug_assert!(self.slots[pos].is_none());
-        self.slots[pos] = Some(entry);
-        self.occupancy += 1;
+        self.place(pos, entry);
         activity.inserts += 1;
         activity.payload_accesses += 1; // payload RAM write
         true
     }
 
     /// Iterates positions of ready entries in priority order (head first).
-    pub fn ready_positions(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.slots.len()).filter_map(move |rank| self.ready_at_rank(rank))
+    ///
+    /// The iterator owns a copy of the ready set taken now, not a borrow
+    /// of the queue, so a select loop can [`mark_issued`] while walking
+    /// it: issuing an entry never changes any *other* entry's readiness
+    /// within a cycle, so the copy stays exact for every position it has
+    /// yet to yield.
+    ///
+    /// [`mark_issued`]: IssueQueue::mark_issued
+    pub fn ready_positions(&self) -> impl Iterator<Item = usize> {
+        let (half, mode) = (self.slots.len() / 2, self.mode);
+        let mut ranks = self.by_rank(self.masks.ready);
+        std::iter::from_fn(move || {
+            if ranks == 0 {
+                return None;
+            }
+            let rank = ranks.trailing_zeros() as usize;
+            ranks &= ranks - 1;
+            Some(rank_to_position(rank, half, mode))
+        })
     }
 
     /// Physical position of the entry at priority rank `rank`, if that slot
-    /// holds a ready (issuable) entry.
-    ///
-    /// This is the allocation-free building block of the select loop: the
-    /// issue stages walk ranks `0..size()` with this accessor instead of
-    /// materializing a ready list, so `mark_issued` can interleave with the
-    /// scan (issuing an entry never changes any *other* entry's readiness
-    /// within a cycle). Ranks at or past [`size`](IssueQueue::size) hold no
-    /// entry and return `None` (in the toggled mode such a rank would
-    /// otherwise alias `rank - size` after the modular wrap).
+    /// holds a ready (issuable) entry. Ranks at or past
+    /// [`size`](IssueQueue::size) hold no entry and return `None` (in the
+    /// toggled mode such a rank would otherwise alias a lower one).
     #[inline]
     #[must_use]
     pub fn ready_at_rank(&self, rank: usize) -> Option<usize> {
@@ -245,10 +357,7 @@ impl IssueQueue {
             return None;
         }
         let pos = self.position_of_rank(rank);
-        match &self.slots[pos] {
-            Some(e) if e.is_ready() => Some(pos),
-            _ => None,
-        }
+        (self.masks.ready & (1 << pos) != 0).then_some(pos)
     }
 
     /// Entry at a physical position.
@@ -267,6 +376,8 @@ impl IssueQueue {
         let entry = self.slots[position].as_mut().expect("mark_issued on empty slot");
         assert!(entry.is_ready(), "mark_issued on non-ready entry");
         entry.state = EntryState::Issued { age: 0 };
+        self.masks.ready &= !(1 << position);
+        self.masks.issued |= 1 << position;
         activity.payload_accesses += 1; // payload RAM read
         activity.selects += 1;
     }
@@ -277,7 +388,12 @@ impl IssueQueue {
     /// the power model splits it across both halves).
     pub fn broadcast(&mut self, rob_id: u32, activity: &mut IqActivity) {
         activity.broadcasts += 1;
-        for slot in self.slots.iter_mut().flatten() {
+        let Some(waiting) = self.waiters.get_mut(rob_id as usize) else { return };
+        let mut waiting = std::mem::take(waiting);
+        while waiting != 0 {
+            let pos = waiting.trailing_zeros() as usize;
+            waiting &= waiting - 1;
+            let slot = self.slots[pos].as_mut().expect("a waiter bit names an occupied slot");
             if slot.src1_tag == Some(rob_id) {
                 slot.src1_ready = true;
                 slot.src1_tag = None;
@@ -285,6 +401,12 @@ impl IssueQueue {
             if slot.src2_tag == Some(rob_id) {
                 slot.src2_ready = true;
                 slot.src2_tag = None;
+            }
+            if slot.is_ready() {
+                self.masks.ready |= 1 << pos;
+            }
+            if slot.src1_tag.is_none() && slot.src2_tag.is_none() {
+                self.masks.tagged &= !(1 << pos);
             }
         }
     }
@@ -303,88 +425,235 @@ impl IssueQueue {
     /// * the clock-gating control logic runs every cycle regardless.
     pub fn tick(&mut self, max_compact: usize, activity: &mut IqActivity) {
         activity.gating_cycles += 1;
-        if self.occupancy == 0 {
+        if self.masks.occupied == 0 {
             // Nothing to age or compact; an empty queue only clocks its
-            // gating control. Skipping the slot scans keeps an idle queue
-            // (e.g. the FP queue of an integer workload) off the critical
-            // path.
+            // gating control.
             return;
         }
 
         // Age issued entries toward invalidation.
-        for slot in self.slots.iter_mut().flatten() {
-            if let EntryState::Issued { age } = slot.state {
-                if age + 1 >= self.replay_window {
-                    slot.state = EntryState::Invalid;
-                } else {
-                    slot.state = EntryState::Issued { age: age + 1 };
-                }
+        let mut issued = self.masks.issued;
+        while issued != 0 {
+            let pos = issued.trailing_zeros() as usize;
+            issued &= issued - 1;
+            let slot = self.slots[pos].as_mut().expect("an issued bit names an occupied slot");
+            let EntryState::Issued { age } = slot.state else {
+                unreachable!("an issued bit names an issued entry")
+            };
+            if age + 1 >= self.replay_window {
+                slot.state = EntryState::Invalid;
+                self.masks.issued &= !(1 << pos);
+                self.masks.invalid |= 1 << pos;
+            } else {
+                slot.state = EntryState::Issued { age: age + 1 };
             }
         }
 
-        // Compaction: walk priority ranks from the head up to the last
-        // occupied rank. Invalid entries are removed (up to `max_compact`
-        // per cycle — the removal bandwidth of the compaction logic);
-        // holes left behind by a mode toggle count as gaps directly. Every
-        // entry then shifts down by the number of gaps below it, capped at
-        // `max_compact` positions (the reach of the entry-to-entry wires).
-        // All moves are simultaneous: gaps vacated by this cycle's moves do
-        // not cascade within the cycle.
-        let s = self.slots.len();
-        let Some(last_occ) = (0..s).rev().find(|&r| self.slots[self.position_of_rank(r)].is_some())
-        else {
+        self.compact(max_compact, activity);
+    }
+
+    /// The compaction step of [`tick`](IssueQueue::tick).
+    ///
+    /// Walks priority ranks from the head up to the last occupied rank.
+    /// Invalid entries are removed (up to `max_compact` per cycle — the
+    /// removal bandwidth of the compaction logic); holes left behind by a
+    /// mode toggle count as gaps directly. Every entry then shifts down by
+    /// the number of gaps below it, capped at `max_compact` positions (the
+    /// reach of the entry-to-entry wires). All moves are simultaneous: gaps
+    /// vacated by this cycle's moves do not cascade within the cycle.
+    ///
+    /// Gaps arise only at holes and removed entries, so the walk steps from
+    /// one such *event* to the next and moves the run of entries between
+    /// two events as one block: they all shift by the same distance.
+    /// Entries below the first event shift by zero and charge nothing.
+    fn compact(&mut self, max_compact: usize, activity: &mut IqActivity) {
+        // The walk works on rank-ordered masks, in which a run of ranks is
+        // a run of bits even where its physical positions wrap.
+        let occupied = self.by_rank(self.masks.occupied);
+        let invalid = self.by_rank(self.masks.invalid);
+        let dense = occupied & occupied.wrapping_add(1) == 0;
+        if max_compact == 0 || (dense && invalid == 0) {
             return;
-        };
+        }
+        let mut ranked = self.masks.map(|m| self.by_rank(m));
+        let half = self.slots.len() / 2;
+        // `occupied` is non-empty (checked by `tick`), so `tail >= 1`.
+        let tail = 64 - occupied.leading_zeros() as usize;
+        let holes = !occupied & (u64::MAX >> (64 - tail));
         let mut gap = 0usize;
-        let mut removed = 0usize;
+        let mut n_removed = 0usize;
         let mut wrapped = false;
-        for rank in 0..=last_occ {
-            let pos = self.position_of_rank(rank);
-            let is_invalid =
-                matches!(self.slots[pos], Some(IqEntry { state: EntryState::Invalid, .. }));
-            if self.slots[pos].is_none() {
-                gap += 1;
-                continue;
-            }
-            if is_invalid && removed < max_compact {
-                self.slots[pos] = None;
-                self.occupancy -= 1;
-                removed += 1;
-                gap += 1;
-                // The removed entry's invalids-counter stages clocked.
-                activity.counter_entries[self.half_of(pos)] += 1;
-                continue;
-            }
+        // Ranks whose entry was removed, and moved away from.
+        let mut removed = 0u64;
+        let mut moved = 0u64;
+        let mut rank = (holes | invalid).trailing_zeros() as usize;
+        while rank < tail {
+            // The next event: a hole, or an invalid entry while removal
+            // bandwidth lasts (past it, invalid entries move like any other).
+            let removable = if n_removed < max_compact { invalid } else { 0 };
+            let events = (holes | removable) & (u64::MAX << rank);
+            let event = if events == 0 { tail } else { events.trailing_zeros() as usize };
+
             let shift = gap.min(max_compact);
-            if shift == 0 {
-                continue;
-            }
-            let dest = self.position_of_rank(rank - shift);
-            // The wrap-around long wires form a single bus: at most one
-            // entry crosses the queue ends per cycle. Once used, compaction
+            // A move from a rank at or above `half` to one below it wraps
+            // over the queue ends (physically upward while logically down)
+            // on the long compaction wires. They form a single bus: at most
+            // one entry crosses per cycle, and once it is used compaction
             // stops at the boundary for this cycle.
-            if dest > pos {
-                if wrapped {
-                    break;
+            let crossing = rank.max(half)..event.min(half + shift);
+            let mut stop = None;
+            if self.mode == IqMode::Toggled && !crossing.is_empty() {
+                let allowed = usize::from(!wrapped);
+                if !wrapped {
+                    wrapped = true;
+                    let dest = rank_to_position(crossing.start - shift, half, self.mode);
+                    activity.long_moves[self.half_of(dest)] += 1;
                 }
-                wrapped = true;
+                if crossing.len() > allowed {
+                    stop = Some(crossing.start + allowed);
+                }
             }
-            let entry = self.slots[pos].take().expect("checked occupied");
-            debug_assert!(self.slots[dest].is_none(), "simultaneous moves cannot collide");
-            self.slots[dest] = Some(entry);
-            let from_half = self.half_of(pos);
-            activity.compact_moves[from_half] += 1;
-            activity.mux_selects[from_half] += 1;
-            // An entry with invalids below it also clocks its invalids
-            // counter stages; entries with none below are clock gated
-            // (the paper's per-entry gating optimization).
-            activity.counter_entries[from_half] += 1;
-            // Wrap over the queue ends = long compaction wires (physically
-            // moving upward while logically moving down).
-            if dest > pos {
-                activity.long_moves[self.half_of(dest)] += 1;
+            let run = rank..stop.unwrap_or(event);
+            if !run.is_empty() {
+                moved |= (u64::MAX >> (64 - run.len())) << run.start;
+                self.shift_run(run, shift, &mut ranked);
+            }
+            if stop.is_some() || event == tail {
+                break;
+            }
+
+            if holes & (1 << event) == 0 {
+                let pos = rank_to_position(event, half, self.mode);
+                self.clear_slot(pos);
+                ranked = ranked.map(|m| m & !(1 << event));
+                removed |= 1 << event;
+                n_removed += 1;
+            }
+            gap += 1;
+            rank = event + 1;
+        }
+        self.masks = ranked.map(|m| self.by_rank(m));
+
+        // Charge by the physical half each entry moved from or was removed
+        // in. A moved entry drives its entry-to-entry data wires and its mux
+        // select wires; it also clocks its invalids-counter stages, as does
+        // a removed one (entries with no invalids below them are clock
+        // gated: the paper's per-entry gating optimization).
+        let (moved, removed) = (self.by_rank(moved), self.by_rank(removed));
+        let bottom = (1u64 << half) - 1;
+        for (side, positions) in [bottom, !bottom].into_iter().enumerate() {
+            let moves = u64::from((moved & positions).count_ones());
+            activity.compact_moves[side] += moves;
+            activity.mux_selects[side] += moves;
+            activity.counter_entries[side] += moves + u64::from((removed & positions).count_ones());
+        }
+    }
+
+    /// Moves the entries at ranks `run` (all occupied) down by `shift`
+    /// ranks into empty slots, carrying their index bits in the
+    /// rank-ordered `ranked` and their waiter bits.
+    fn shift_run(&mut self, run: std::ops::Range<usize>, shift: usize, ranked: &mut Masks) {
+        let half = self.slots.len() / 2;
+        let bits = (u64::MAX >> (64 - run.len())) << run.start;
+        // Waiter bits are by physical position: carry them entry by entry,
+        // head first, so that each destination bit is already clear.
+        let mut tagged = ranked.tagged & bits;
+        while tagged != 0 {
+            let rank = tagged.trailing_zeros() as usize;
+            tagged &= tagged - 1;
+            let from = rank_to_position(rank, half, self.mode);
+            let to = rank_to_position(rank - shift, half, self.mode);
+            let entry = self.slots[from].as_ref().expect("a tagged bit names an occupied slot");
+            for tag in entry.tags() {
+                self.waiters[tag as usize] ^= (1 << from) | (1 << to);
             }
         }
+        *ranked = ranked.map(|m| (m & !bits) | ((m & bits) >> shift));
+
+        // The slots move in pieces whose source and destination positions
+        // are both contiguous: in the toggled mode source positions jump at
+        // rank `half` and destinations at rank `half + shift`.
+        let mut rank = run.start;
+        while rank < run.end {
+            let mut end = run.end;
+            if self.mode == IqMode::Toggled {
+                for cut in [half, half + shift] {
+                    if rank < cut && cut < end {
+                        end = cut;
+                    }
+                }
+            }
+            let len = end - rank;
+            let from = rank_to_position(rank, half, self.mode);
+            let to = rank_to_position(rank - shift, half, self.mode);
+            self.slots.copy_within(from..from + len, to);
+            // Empty the source slots the piece did not land on.
+            let vacated =
+                if to < from { from.max(to + len)..from + len } else { from..(from + len).min(to) };
+            self.slots[vacated].fill(None);
+            rank = end;
+        }
+    }
+
+    /// Writes `entry` into the empty slot `pos` and indexes it.
+    fn place(&mut self, pos: usize, entry: IqEntry) {
+        self.masks.set(1 << pos, &entry);
+        for tag in entry.tags() {
+            let tag = tag as usize;
+            if tag >= self.waiters.len() {
+                self.waiters.resize(tag + 1, 0);
+            }
+            self.waiters[tag] |= 1 << pos;
+        }
+        self.slots[pos] = Some(entry);
+    }
+
+    /// Empties the occupied slot `pos` and drops it from the waiter table;
+    /// the caller clears its mask bits.
+    fn clear_slot(&mut self, pos: usize) {
+        let entry = self.slots[pos].take().expect("clearing an occupied slot");
+        for tag in entry.tags() {
+            self.waiters[tag as usize] &= !(1 << pos);
+        }
+    }
+
+    /// Checks the index against the slots: each mask holds exactly the
+    /// positions whose slot it describes, and each waiter bit exactly the
+    /// positions with an operand waiting on its tag.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first disagreement.
+    pub fn audit(&self) -> Result<(), String> {
+        let derived = Masks::of(&self.slots);
+        if self.masks != derived {
+            return Err(format!("index {:x?} != {derived:x?} derived from the slots", self.masks));
+        }
+        for (pos, slot) in self.slots.iter().enumerate() {
+            for tag in slot.iter().flat_map(IqEntry::tags) {
+                if self.waiters.get(tag as usize).is_none_or(|w| w & (1 << pos) == 0) {
+                    return Err(format!(
+                        "slot {pos} waits on tag {tag} but is not listed under it"
+                    ));
+                }
+            }
+        }
+        for (tag, &waiting) in self.waiters.iter().enumerate() {
+            let mut waiting = waiting;
+            while waiting != 0 {
+                let pos = waiting.trailing_zeros() as usize;
+                waiting &= waiting - 1;
+                let waits = self
+                    .slots
+                    .get(pos)
+                    .and_then(Option::as_ref)
+                    .is_some_and(|e| e.tags().any(|t| t as usize == tag));
+                if !waits {
+                    return Err(format!("tag {tag} lists slot {pos}, which does not wait on it"));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Captures the queue's full state for snapshotting.
@@ -393,7 +662,14 @@ impl IssueQueue {
         IqState { slots: self.slots.clone(), mode: self.mode, replay_window: self.replay_window }
     }
 
-    /// Restores state captured by [`snapshot`](IssueQueue::snapshot).
+    /// Restores state captured by [`snapshot`](IssueQueue::snapshot) and
+    /// rebuilds the index from the restored slots.
+    ///
+    /// Operand tags size the waiter table, so state from outside the
+    /// program must have its tags bounded first ([`Core::restore`] checks
+    /// them against the active list).
+    ///
+    /// [`Core::restore`]: crate::Core::restore
     ///
     /// # Errors
     ///
@@ -408,20 +684,26 @@ impl IssueQueue {
                 self.slots.len()
             ));
         }
-        self.slots = state.slots.clone();
         self.mode = state.mode;
         self.replay_window = state.replay_window;
-        self.occupancy = self.slots.iter().filter(|s| s.is_some()).count();
+        self.slots.fill(None);
+        self.masks = Masks::default();
+        self.waiters.fill(0);
+        for (pos, slot) in state.slots.iter().enumerate() {
+            if let Some(entry) = slot {
+                self.place(pos, *entry);
+            }
+        }
         Ok(())
     }
 
     /// Removes every trace of instruction `rob_id` (used only by tests and
     /// draining; normal entries leave via compaction).
     pub fn evict(&mut self, rob_id: u32) {
-        for slot in self.slots.iter_mut() {
-            if matches!(slot, Some(e) if e.rob_id == rob_id) {
-                *slot = None;
-                self.occupancy -= 1;
+        for pos in 0..self.slots.len() {
+            if matches!(self.slots[pos], Some(e) if e.rob_id == rob_id) {
+                self.clear_slot(pos);
+                self.masks = self.masks.map(|m| m & !(1 << pos));
             }
         }
     }
@@ -759,6 +1041,12 @@ mod tests {
         iq.set_mode(IqMode::Normal);
         assert_eq!(iq.position_of_rank(0), 0);
         assert_eq!(iq.half_of(iq.position_of_rank(0)), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn queue_is_capped_at_64_entries() {
+        let _ = IssueQueue::new(66);
     }
 
     #[test]

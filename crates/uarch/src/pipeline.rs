@@ -138,6 +138,49 @@ pub struct CoreState {
     stats: CoreStats,
 }
 
+/// Checks every active-list index a snapshot carries against an active
+/// list of `rob_size` entries: the pipeline indexes the list with them, and
+/// the issue queues size their wakeup tables by them. Waiting and
+/// executing instructions must also name occupied slots of the captured
+/// list.
+fn check_ids(state: &CoreState, rob_size: usize) -> Result<(), String> {
+    let in_range = |what: std::fmt::Arguments, id: u32| {
+        if (id as usize) < rob_size {
+            Ok(())
+        } else {
+            Err(format!("{what} {id} is outside the {rob_size}-entry active list"))
+        }
+    };
+    let live = |id: u32| state.rob.entries.get(id as usize).is_some_and(Option::is_some);
+    for (label, iq) in [("int iq", &state.int_iq), ("fp iq", &state.fp_iq)] {
+        for entry in iq.slots.iter().flatten() {
+            in_range(format_args!("{label}: rob_id"), entry.rob_id)?;
+            for tag in [entry.src1_tag, entry.src2_tag].into_iter().flatten() {
+                in_range(format_args!("{label}: operand tag"), tag)?;
+            }
+            if entry.state == EntryState::Waiting && !live(entry.rob_id) {
+                return Err(format!(
+                    "{label}: waiting entry names free active-list slot {}",
+                    entry.rob_id
+                ));
+            }
+        }
+    }
+    for f in &state.in_flight {
+        in_range(format_args!("in-flight rob_id"), f.rob_id)?;
+        if !live(f.rob_id) {
+            return Err(format!("in-flight op names free active-list slot {}", f.rob_id));
+        }
+        if f.remaining == 0 {
+            return Err(format!("in-flight op {} has no cycles remaining", f.rob_id));
+        }
+    }
+    for id in state.rename.producers() {
+        in_range(format_args!("rename producer"), id)?;
+    }
+    Ok(())
+}
+
 /// The simulated 6-wide out-of-order core.
 ///
 /// Drive it with [`Core::cycle`] (one clock) or [`Core::run`]; inspect
@@ -226,8 +269,12 @@ impl Core {
         }
         let mut int_iq = IssueQueue::new(cfg.iq_size);
         let mut fp_iq = IssueQueue::new(cfg.iq_size);
-        int_iq.set_replay_window(cfg.replay_window);
-        fp_iq.set_replay_window(cfg.replay_window);
+        for iq in [&mut int_iq, &mut fp_iq] {
+            iq.set_replay_window(cfg.replay_window);
+            // Wakeup tags are active-list indices: size the queues' tag
+            // tables once so no dispatch ever grows them.
+            iq.reserve_tags(cfg.rob_size);
+        }
         Ok(Core {
             bpred: BranchPredictor::new(cfg.bpred_history_bits, cfg.btb_entries),
             mem: MemoryHierarchy::new(cfg.l1i, cfg.l1d, cfg.l2, cfg.memory_latency),
@@ -578,8 +625,11 @@ impl Core {
     /// # Errors
     ///
     /// Returns a message naming the first structure whose captured shape
-    /// does not fit this core's configuration.
+    /// does not fit this core's configuration, or the first active-list
+    /// index that could not name a live entry of this core. The indices
+    /// are checked before anything is restored.
     pub fn restore(&mut self, state: &CoreState) -> Result<(), String> {
+        check_ids(state, self.cfg.rob_size)?;
         if state.lsq_used > self.cfg.lsq_size {
             return Err(format!(
                 "core snapshot uses {} LSQ entries, config has {}",
@@ -777,14 +827,13 @@ impl Core {
         }
         let mut unit_idx = 0usize;
         let mut mem_issued = 0usize;
-        // Walk ranks directly instead of materializing the ready list:
-        // issuing an entry never changes another entry's readiness within a
-        // cycle, so the scan sees the same positions the collected list did.
-        for rank in 0..self.int_iq.size() {
+        // The ready set is copied once, in priority order: issuing an entry
+        // never changes another entry's readiness within a cycle, so the
+        // copy stays exact while the loop marks entries issued.
+        for pos in self.int_iq.ready_positions() {
             if unit_idx == n_units {
                 break;
             }
-            let Some(pos) = self.int_iq.ready_at_rank(rank) else { continue };
             let entry = *self.int_iq.entry(pos).expect("ready position is occupied");
             if entry.is_mem && mem_issued == self.cfg.dcache_ports {
                 continue; // cache ports exhausted; tree masks this request
@@ -842,8 +891,7 @@ impl Core {
         }
         let mut adder_idx = 0usize;
         let mut mul_used = false;
-        for rank in 0..self.fp_iq.size() {
-            let Some(pos) = self.fp_iq.ready_at_rank(rank) else { continue };
+        for pos in self.fp_iq.ready_positions() {
             let entry = *self.fp_iq.entry(pos).expect("ready position is occupied");
             let unit: Option<(UnitKind, usize)> = if entry.needs_fp_mul {
                 if !mul_used && self.pool.is_available(UnitKind::FpMul, 0) {
@@ -1377,44 +1425,42 @@ mod tests {
         assert_eq!(empty.cycles, 0);
     }
 
+    /// A mixed workload with branches, loads and dependent ALU ops.
+    fn mixed_ops() -> Vec<MicroOp> {
+        let mut x = 3u64;
+        (0..4000)
+            .map(|i| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                match i % 5 {
+                    0 => MicroOp::new(OpClass::Load)
+                        .with_pc(0x400_000 + (i % 64) * 4)
+                        .with_dest(ArchReg::int((i % 20) as u8))
+                        .with_mem(MemRef::new(0x1000 + (x % 4096))),
+                    3 => MicroOp::new(OpClass::Branch)
+                        .with_pc(0x400_000 + (i % 64) * 4)
+                        .with_src1(ArchReg::int(1))
+                        .with_branch(BranchInfo::new((x >> 62) & 1 == 1, 0x400_100)),
+                    _ => MicroOp::new(OpClass::IntAlu)
+                        .with_pc(0x400_000 + (i % 64) * 4)
+                        .with_dest(ArchReg::int((i % 20) as u8))
+                        .with_src1(ArchReg::int(((i + 1) % 20) as u8)),
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn snapshot_midstream_resumes_bit_identically() {
-        // A mixed workload with branches and loads, interrupted mid-flight:
-        // the restored core must finish with the exact stats of the
-        // uninterrupted one.
-        let x = 3u64;
-        let mk_ops = || {
-            let mut x2 = x;
-            let ops: Vec<MicroOp> = (0..4000)
-                .map(|i| {
-                    x2 = x2.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    match i % 5 {
-                        0 => MicroOp::new(OpClass::Load)
-                            .with_pc(0x400_000 + (i % 64) * 4)
-                            .with_dest(ArchReg::int((i % 20) as u8))
-                            .with_mem(MemRef::new(0x1000 + (x2 % 4096))),
-                        3 => MicroOp::new(OpClass::Branch)
-                            .with_pc(0x400_000 + (i % 64) * 4)
-                            .with_src1(ArchReg::int(1))
-                            .with_branch(BranchInfo::new((x2 >> 62) & 1 == 1, 0x400_100)),
-                        _ => MicroOp::new(OpClass::IntAlu)
-                            .with_pc(0x400_000 + (i % 64) * 4)
-                            .with_dest(ArchReg::int((i % 20) as u8))
-                            .with_src1(ArchReg::int(((i + 1) % 20) as u8)),
-                    }
-                })
-                .collect();
-            ops
-        };
-
+        // The mixed workload, interrupted mid-flight: the restored core
+        // must finish with the exact stats of the uninterrupted one.
         let mut straight = Core::new(CoreConfig::default()).expect("valid config");
-        let mut trace_a = SliceTrace::new(mk_ops());
+        let mut trace_a = SliceTrace::new(mixed_ops());
         while !straight.is_done() {
             straight.cycle(&mut trace_a);
         }
 
         let mut first = Core::new(CoreConfig::default()).expect("valid config");
-        let mut trace_b = SliceTrace::new(mk_ops());
+        let mut trace_b = SliceTrace::new(mixed_ops());
         for _ in 0..500 {
             first.cycle(&mut trace_b);
         }
@@ -1430,7 +1476,7 @@ mod tests {
         resumed.restore(&parsed).expect("same config");
         // The trace must also be positioned where the snapshot was taken —
         // here we replay by consuming the same number of fetched ops.
-        let mut trace_c = SliceTrace::new(mk_ops());
+        let mut trace_c = SliceTrace::new(mixed_ops());
         for _ in 0..first.stats().fetched {
             let _ = trace_c.next_op();
         }
@@ -1440,6 +1486,92 @@ mod tests {
         assert_eq!(resumed.stats(), straight.stats(), "resumed run must be bit-identical");
         assert_eq!(resumed.bpred().mispredicts(), straight.bpred().mispredicts());
         assert_eq!(resumed.memory().l1d().misses(), straight.memory().l1d().misses());
+    }
+
+    /// A real mid-run state of the mixed workload, taken once an operation
+    /// is executing and a queued entry waits on a first operand.
+    fn mid_run_state() -> CoreState {
+        let mut core = Core::new(CoreConfig::default()).expect("valid config");
+        let mut trace = SliceTrace::new(mixed_ops());
+        let waiting = |core: &Core| core.int_iq().entries().any(|(_, e)| e.src1_tag.is_some());
+        while core.now() < 200 || core.in_flight.is_empty() || !waiting(&core) {
+            assert!(!core.is_done(), "the workload never reached the wanted state");
+            core.cycle(&mut trace);
+        }
+        core.snapshot()
+    }
+
+    /// Replaces the first number that directly follows `key` in `json`.
+    fn edit_first_number(json: &str, key: &str, value: u64) -> String {
+        let mut from = 0;
+        loop {
+            let at = from + json[from..].find(key).expect("the snapshot has the key") + key.len();
+            let digits = json[at..].bytes().take_while(u8::is_ascii_digit).count();
+            if digits > 0 {
+                return format!("{}{value}{}", &json[..at], &json[at + digits..]);
+            }
+            from = at;
+        }
+    }
+
+    /// Restores `state` into a fresh core, which must refuse it and keep
+    /// its own state; returns the refusal.
+    fn restore_rejected(state: &CoreState) -> String {
+        let mut core = Core::new(CoreConfig::default()).expect("valid config");
+        let before = core.snapshot();
+        let err = core.restore(state).expect_err("the edited state must be refused");
+        assert_eq!(core.snapshot(), before, "a refused restore leaves the core untouched");
+        err
+    }
+
+    /// Restores snapshot text with one number edited.
+    fn restore_edited(key: &str, value: u64) -> String {
+        let json = edit_first_number(&serde::json::to_string(&mid_run_state()), key, value);
+        let state: CoreState = serde::json::from_str(&json).expect("the edit keeps the layout");
+        restore_rejected(&state)
+    }
+
+    #[test]
+    fn restore_rejects_an_out_of_range_in_flight_id() {
+        // Accepted, this id would index past the active list on the next
+        // cycle's writeback.
+        let err = restore_edited("\"in_flight\":[{\"rob_id\":", 9999);
+        assert!(err.contains("in-flight rob_id 9999"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_an_out_of_range_operand_tag() {
+        // Accepted, this tag would never be broadcast (the entry would
+        // never wake), and the queue would size its wakeup table by it.
+        let err = restore_edited("\"src1_tag\":", u64::from(u32::MAX));
+        assert!(err.contains("operand tag 4294967295"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_ids_that_name_no_live_entry() {
+        let state = mid_run_state();
+        let free = state.rob.entries.iter().position(Option::is_none).expect("a free slot");
+        let free = u32::try_from(free).expect("small index");
+
+        let mut executing_freed = state.clone();
+        executing_freed.in_flight[0].rob_id = free;
+        let mut finished = state.clone();
+        finished.in_flight[0].remaining = 0;
+        let mut waiting_freed = state.clone();
+        let waiting = waiting_freed.int_iq.slots.iter_mut().flatten();
+        waiting.filter(|e| e.state == EntryState::Waiting).for_each(|e| e.rob_id = free);
+        let mut renamed = state;
+        renamed.rename.claim(ArchReg::int(3), 9999);
+
+        for (state, expected) in [
+            (executing_freed, "in-flight op names free active-list slot"),
+            (finished, "has no cycles remaining"),
+            (waiting_freed, "waiting entry names free active-list slot"),
+            (renamed, "rename producer 9999"),
+        ] {
+            let err = restore_rejected(&state);
+            assert!(err.contains(expected), "expected '{expected}', got '{err}'");
+        }
     }
 
     #[test]

@@ -234,6 +234,14 @@ impl RenameMap {
         }
     }
 
+    /// Active-list indices of every in-flight producer the map names.
+    pub(crate) fn producers(&self) -> impl Iterator<Item = u32> + '_ {
+        self.map.iter().filter_map(|p| match p {
+            Producer::Ready => None,
+            Producer::InFlight(id) => Some(*id),
+        })
+    }
+
     /// Records `rob_id` as the latest producer of `reg`.
     pub fn claim(&mut self, reg: ArchReg, rob_id: u32) {
         self.map[reg.flat_index()] = Producer::InFlight(rob_id);

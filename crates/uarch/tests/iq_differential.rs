@@ -1,0 +1,379 @@
+//! Differential test of the bit-indexed issue queue against a reference
+//! model: the scan-based queue it replaced, kept here verbatim in logic.
+//!
+//! Both queues are driven through the same random operation sequences;
+//! after every operation their slots, mode, ready order, insert
+//! admission, occupancy and activity counters must agree exactly, and the
+//! indexed queue's bit index must audit clean against its slots.
+
+use powerbalance_uarch::{EntryState, IqActivity, IqEntry, IqMode, IssueQueue};
+use proptest::prelude::*;
+
+/// The scan-based compacting issue queue: every operation walks the slots.
+mod reference {
+    use powerbalance_uarch::{EntryState, IqActivity, IqEntry, IqMode, IqState};
+
+    #[derive(Debug, Clone)]
+    pub struct ReferenceQueue {
+        slots: Vec<Option<IqEntry>>,
+        mode: IqMode,
+        replay_window: u32,
+        occupancy: usize,
+    }
+
+    impl ReferenceQueue {
+        pub fn new(size: usize) -> Self {
+            ReferenceQueue {
+                slots: vec![None; size],
+                mode: IqMode::Normal,
+                replay_window: 2,
+                occupancy: 0,
+            }
+        }
+
+        pub fn set_replay_window(&mut self, cycles: u32) {
+            self.replay_window = cycles;
+        }
+
+        pub fn occupancy(&self) -> usize {
+            self.occupancy
+        }
+
+        pub fn set_mode(&mut self, mode: IqMode) {
+            self.mode = mode;
+        }
+
+        pub fn position_of_rank(&self, rank: usize) -> usize {
+            let s = self.slots.len();
+            match self.mode {
+                IqMode::Normal => rank,
+                IqMode::Toggled => (s / 2 + rank) % s,
+            }
+        }
+
+        fn half_of(&self, position: usize) -> usize {
+            usize::from(position >= self.slots.len() / 2)
+        }
+
+        pub fn can_insert(&self) -> bool {
+            let s = self.slots.len();
+            if self.occupancy == s {
+                return false;
+            }
+            match (0..s).rev().find(|&r| self.slots[self.position_of_rank(r)].is_some()) {
+                Some(last) => last + 1 < s,
+                None => true,
+            }
+        }
+
+        pub fn insert(&mut self, entry: IqEntry, activity: &mut IqActivity) -> bool {
+            let s = self.slots.len();
+            if self.occupancy == s {
+                return false;
+            }
+            let mut insert_rank = 0;
+            for rank in (0..s).rev() {
+                if self.slots[self.position_of_rank(rank)].is_some() {
+                    insert_rank = rank + 1;
+                    break;
+                }
+            }
+            if insert_rank >= s {
+                return false;
+            }
+            let pos = self.position_of_rank(insert_rank);
+            self.slots[pos] = Some(entry);
+            self.occupancy += 1;
+            activity.inserts += 1;
+            activity.payload_accesses += 1;
+            true
+        }
+
+        pub fn ready_positions(&self) -> impl Iterator<Item = usize> + '_ {
+            (0..self.slots.len()).filter_map(move |rank| self.ready_at_rank(rank))
+        }
+
+        pub fn ready_at_rank(&self, rank: usize) -> Option<usize> {
+            if rank >= self.slots.len() {
+                return None;
+            }
+            let pos = self.position_of_rank(rank);
+            match &self.slots[pos] {
+                Some(e) if e.is_ready() => Some(pos),
+                _ => None,
+            }
+        }
+
+        pub fn mark_issued(&mut self, position: usize, activity: &mut IqActivity) {
+            let entry = self.slots[position].as_mut().expect("mark_issued on empty slot");
+            assert!(entry.is_ready(), "mark_issued on non-ready entry");
+            entry.state = EntryState::Issued { age: 0 };
+            activity.payload_accesses += 1;
+            activity.selects += 1;
+        }
+
+        pub fn broadcast(&mut self, rob_id: u32, activity: &mut IqActivity) {
+            activity.broadcasts += 1;
+            for slot in self.slots.iter_mut().flatten() {
+                if slot.src1_tag == Some(rob_id) {
+                    slot.src1_ready = true;
+                    slot.src1_tag = None;
+                }
+                if slot.src2_tag == Some(rob_id) {
+                    slot.src2_ready = true;
+                    slot.src2_tag = None;
+                }
+            }
+        }
+
+        pub fn tick(&mut self, max_compact: usize, activity: &mut IqActivity) {
+            activity.gating_cycles += 1;
+            if self.occupancy == 0 {
+                return;
+            }
+            for slot in self.slots.iter_mut().flatten() {
+                if let EntryState::Issued { age } = slot.state {
+                    if age + 1 >= self.replay_window {
+                        slot.state = EntryState::Invalid;
+                    } else {
+                        slot.state = EntryState::Issued { age: age + 1 };
+                    }
+                }
+            }
+            let s = self.slots.len();
+            let Some(last_occ) =
+                (0..s).rev().find(|&r| self.slots[self.position_of_rank(r)].is_some())
+            else {
+                return;
+            };
+            let mut gap = 0usize;
+            let mut removed = 0usize;
+            let mut wrapped = false;
+            for rank in 0..=last_occ {
+                let pos = self.position_of_rank(rank);
+                let is_invalid =
+                    matches!(self.slots[pos], Some(IqEntry { state: EntryState::Invalid, .. }));
+                if self.slots[pos].is_none() {
+                    gap += 1;
+                    continue;
+                }
+                if is_invalid && removed < max_compact {
+                    self.slots[pos] = None;
+                    self.occupancy -= 1;
+                    removed += 1;
+                    gap += 1;
+                    activity.counter_entries[self.half_of(pos)] += 1;
+                    continue;
+                }
+                let shift = gap.min(max_compact);
+                if shift == 0 {
+                    continue;
+                }
+                let dest = self.position_of_rank(rank - shift);
+                if dest > pos {
+                    if wrapped {
+                        break;
+                    }
+                    wrapped = true;
+                }
+                let entry = self.slots[pos].take().expect("checked occupied");
+                assert!(self.slots[dest].is_none(), "simultaneous moves cannot collide");
+                self.slots[dest] = Some(entry);
+                let from_half = self.half_of(pos);
+                activity.compact_moves[from_half] += 1;
+                activity.mux_selects[from_half] += 1;
+                activity.counter_entries[from_half] += 1;
+                if dest > pos {
+                    activity.long_moves[self.half_of(dest)] += 1;
+                }
+            }
+        }
+
+        pub fn snapshot(&self) -> IqState {
+            IqState {
+                slots: self.slots.clone(),
+                mode: self.mode,
+                replay_window: self.replay_window,
+            }
+        }
+
+        pub fn restore(&mut self, state: &IqState) {
+            assert_eq!(state.slots.len(), self.slots.len());
+            self.slots = state.slots.clone();
+            self.mode = state.mode;
+            self.replay_window = state.replay_window;
+            self.occupancy = self.slots.iter().filter(|s| s.is_some()).count();
+        }
+
+        pub fn evict(&mut self, rob_id: u32) {
+            for slot in self.slots.iter_mut() {
+                if matches!(slot, Some(e) if e.rob_id == rob_id) {
+                    *slot = None;
+                    self.occupancy -= 1;
+                }
+            }
+        }
+    }
+}
+
+use reference::ReferenceQueue;
+
+/// One operand as drawn: a producer tag (from a small range, so tags
+/// repeat and both operands often wait on the same producer) and whether
+/// the ready flag disagrees with the tag (a state the pipeline never
+/// builds, but the queue's API accepts).
+#[derive(Debug, Clone, Copy)]
+struct Operand {
+    tag: Option<u32>,
+    odd_ready: bool,
+}
+
+impl Operand {
+    fn ready(self) -> bool {
+        self.tag.is_none() != self.odd_ready
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Insert(Operand, Operand, bool),
+    IssueNth(usize),
+    Broadcast(u32),
+    Tick(usize),
+    ReplayWindow(u32),
+    Toggle,
+    Evict(u32),
+    SnapshotRestore,
+}
+
+fn operand() -> impl Strategy<Value = Operand> {
+    (0u32..16, 0u32..10)
+        .prop_map(|(t, odd)| Operand { tag: (t < 10).then_some(t), odd_ready: odd == 0 })
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        6 => (operand(), operand(), any::<bool>()).prop_map(|(a, b, m)| Op::Insert(a, b, m)),
+        4 => (0usize..64).prop_map(Op::IssueNth),
+        3 => (0u32..12).prop_map(Op::Broadcast),
+        5 => (0usize..=6).prop_map(Op::Tick),
+        1 => (1u32..=3).prop_map(Op::ReplayWindow),
+        1 => Just(Op::Toggle),
+        1 => (0u32..64).prop_map(Op::Evict),
+        1 => Just(Op::SnapshotRestore),
+    ]
+}
+
+fn size() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(4usize), Just(8), Just(32), Just(64)]
+}
+
+/// Asserts that the two queues are indistinguishable.
+fn agree(
+    iq: &IssueQueue,
+    reference: &ReferenceQueue,
+    act: &IqActivity,
+    ref_act: &IqActivity,
+    step: usize,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(iq.snapshot(), reference.snapshot(), "slots differ after step {}", step);
+    let ready: Vec<usize> = iq.ready_positions().collect();
+    let ref_ready: Vec<usize> = reference.ready_positions().collect();
+    prop_assert_eq!(ready, ref_ready, "ready order differs after step {}", step);
+    for rank in 0..=iq.size() {
+        prop_assert_eq!(iq.ready_at_rank(rank), reference.ready_at_rank(rank));
+    }
+    prop_assert_eq!(
+        iq.can_insert(),
+        reference.can_insert(),
+        "admission differs after step {}",
+        step
+    );
+    prop_assert_eq!(iq.occupancy(), reference.occupancy(), "occupancy differs after step {}", step);
+    prop_assert_eq!(*act, *ref_act, "activity differs after step {}", step);
+    if let Err(msg) = iq.audit() {
+        return Err(TestCaseError::fail(format!("index audit after step {step}: {msg}")));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every operation leaves the indexed queue exactly where the scan-based
+    /// reference leaves it, including every activity counter the power
+    /// model reads.
+    #[test]
+    fn indexed_queue_matches_the_scan_based_reference(
+        size in size(),
+        window in 1u32..=3,
+        ops in prop::collection::vec(op(), 1..300),
+    ) {
+        let mut iq = IssueQueue::new(size);
+        let mut reference = ReferenceQueue::new(size);
+        iq.set_replay_window(window);
+        reference.set_replay_window(window);
+        let (mut act, mut ref_act) = (IqActivity::default(), IqActivity::default());
+        let mut mode = IqMode::Normal;
+        let mut next_id = 0u32;
+
+        for (step, op) in ops.into_iter().enumerate() {
+            match op {
+                Op::Insert(a, b, is_mem) => {
+                    let entry = IqEntry {
+                        rob_id: next_id,
+                        state: EntryState::Waiting,
+                        src1_ready: a.ready(),
+                        src2_ready: b.ready(),
+                        src1_tag: a.tag,
+                        src2_tag: b.tag,
+                        is_mem,
+                        needs_fp_mul: false,
+                    };
+                    next_id += 1;
+                    let inserted = iq.insert(entry, &mut act);
+                    prop_assert_eq!(inserted, reference.insert(entry, &mut ref_act));
+                }
+                Op::IssueNth(n) => {
+                    let ready: Vec<usize> = iq.ready_positions().collect();
+                    if !ready.is_empty() {
+                        let pos = ready[n % ready.len()];
+                        iq.mark_issued(pos, &mut act);
+                        reference.mark_issued(pos, &mut ref_act);
+                    }
+                }
+                Op::Broadcast(tag) => {
+                    iq.broadcast(tag, &mut act);
+                    reference.broadcast(tag, &mut ref_act);
+                }
+                Op::Tick(max_compact) => {
+                    iq.tick(max_compact, &mut act);
+                    reference.tick(max_compact, &mut ref_act);
+                }
+                Op::ReplayWindow(cycles) => {
+                    iq.set_replay_window(cycles);
+                    reference.set_replay_window(cycles);
+                }
+                Op::Toggle => {
+                    mode = mode.flipped();
+                    iq.set_mode(mode);
+                    reference.set_mode(mode);
+                }
+                Op::Evict(rob_id) => {
+                    iq.evict(rob_id);
+                    reference.evict(rob_id);
+                }
+                Op::SnapshotRestore => {
+                    // Resume both from the captured state in fresh queues:
+                    // the index must rebuild from the slots alone.
+                    let state = iq.snapshot();
+                    iq = IssueQueue::new(size);
+                    iq.restore(&state).expect("same capacity");
+                    reference = ReferenceQueue::new(size);
+                    reference.restore(&state);
+                }
+            }
+            agree(&iq, &reference, &act, &ref_act, step)?;
+        }
+    }
+}
