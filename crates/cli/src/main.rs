@@ -89,17 +89,8 @@ USAGE:
                             mitigation); 1 disables batching    [6]
       --journal-dir <d>     append campaign lifecycle records to a
                             crash-safe journal under <d>; on restart,
-                            unfinished campaigns are re-queued
-
-  powerbalance worker [FLAGS]
-      Run a worker node for a `serve` coordinator: registers, long-polls
-      for shard leases, runs them with the ordinary campaign runner, and
-      posts results back. Stop with SIGINT/SIGTERM.
-      --coordinator <h:p>   coordinator address          [127.0.0.1:8484]
-      --name <s>            node name for /metrics       [worker-<pid>]
-      --threads <n>         worker threads inside each shard
-                            [POWERBALANCE_THREADS or all cores]
-      --max-batch <n>       lockstep-batch width cap within a shard [6]
+                            unfinished campaigns within the limits
+                            are re-queued, the rest marked Failed
 
 EXAMPLES:
   powerbalance run --bench eon --floorplan issue --toggling
@@ -109,46 +100,31 @@ EXAMPLES:
   powerbalance run --bench eon --cores 4 --scheduler coolest-first
   powerbalance serve --addr 127.0.0.1:0 --queue-depth 8 --workers 1
   powerbalance serve --addr 127.0.0.1:8484 --journal-dir /var/lib/powerbalance
-  powerbalance worker --coordinator 127.0.0.1:8484 --name rack3-node1
 ";
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Parses the verb and its flags, then runs it.
+fn dispatch(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("list") => {
             for name in spec2000::ALL {
                 println!("{name}");
             }
-            ExitCode::SUCCESS
+            Ok(())
         }
-        Some("run") => match parse_run(&args[1..]).and_then(run) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!();
-                eprintln!("{USAGE}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("serve") => match parse_serve(&args[1..]).and_then(serve) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!();
-                eprintln!("{USAGE}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("worker") => match parse_worker(&args[1..]).and_then(worker) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!();
-                eprintln!("{USAGE}");
-                ExitCode::FAILURE
-            }
-        },
-        _ => {
+        Some("run") => parse_run(&args[1..]).and_then(run),
+        Some("serve") => parse_serve(&args[1..]).and_then(serve),
+        Some(other) => Err(format!("unknown command '{other}'")),
+        None => Err("no command given".to_string()),
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match dispatch(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            eprintln!();
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
@@ -492,63 +468,6 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, String> {
     Ok(ServeArgs { config })
 }
 
-struct WorkerArgs {
-    options: powerbalance_server::worker::WorkerOptions,
-}
-
-fn parse_worker(args: &[String]) -> Result<WorkerArgs, String> {
-    let mut coordinator = "127.0.0.1:8484".to_string();
-    let mut name = None;
-    let mut threads = None;
-    let mut max_batch = 6usize;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--coordinator" => coordinator = value("--coordinator")?,
-            "--name" => name = Some(value("--name")?),
-            "--threads" => {
-                threads = Some(value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?)
-            }
-            "--max-batch" => {
-                max_batch =
-                    value("--max-batch")?.parse().map_err(|e| format!("--max-batch: {e}"))?;
-                if max_batch == 0 {
-                    return Err("--max-batch must be at least 1".to_string());
-                }
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    let addr = coordinator
-        .parse()
-        .map_err(|e| format!("--coordinator '{coordinator}' is not host:port — {e}"))?;
-    let mut options = powerbalance_server::worker::WorkerOptions::new(addr);
-    if let Some(name) = name {
-        options.name = name;
-    }
-    options.threads = threads;
-    options.max_batch = max_batch;
-    Ok(WorkerArgs { options })
-}
-
-fn worker(args: WorkerArgs) -> Result<(), String> {
-    powerbalance_server::signal::install();
-    let coordinator = args.options.coordinator;
-    let name = args.options.name.clone();
-    let handle = powerbalance_server::worker::WorkerNode::start(args.options);
-    eprintln!("powerbalance worker '{name}' polling coordinator http://{coordinator}");
-    eprintln!("stop with SIGINT/SIGTERM");
-    while !powerbalance_server::signal::triggered() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
-    eprintln!("stopping: finishing the current shard (if any)");
-    handle.stop();
-    eprintln!("bye");
-    Ok(())
-}
-
 fn serve(args: ServeArgs) -> Result<(), String> {
     powerbalance_server::signal::install();
     let handle = powerbalance_server::Server::start(args.config)
@@ -692,30 +611,12 @@ mod tests {
     }
 
     #[test]
-    fn worker_flags_parse() {
-        let a = parse_worker(&strs(&[
-            "--coordinator",
-            "10.0.0.7:9000",
-            "--name",
-            "rack3-node1",
-            "--threads",
-            "2",
-            "--max-batch",
-            "4",
-        ]))
-        .expect("valid worker command line");
-        assert_eq!(a.options.coordinator.to_string(), "10.0.0.7:9000");
-        assert_eq!(a.options.name, "rack3-node1");
-        assert_eq!(a.options.threads, Some(2));
-        assert_eq!(a.options.max_batch, 4);
-
-        let b = parse_worker(&[]).expect("defaults are valid");
-        assert_eq!(b.options.coordinator.to_string(), "127.0.0.1:8484");
-        assert!(b.options.name.starts_with("worker-"));
-
-        assert!(parse_worker(&strs(&["--coordinator", "not-an-addr"])).is_err());
-        assert!(parse_worker(&strs(&["--max-batch", "0"])).is_err());
-        assert!(parse_worker(&strs(&["--frobnicate"])).is_err());
+    fn worker_is_an_unknown_command() {
+        assert_eq!(
+            dispatch(&strs(&["worker", "--coordinator", "127.0.0.1:8484"])),
+            Err("unknown command 'worker'".to_string())
+        );
+        assert!(!USAGE.contains("powerbalance worker"));
     }
 
     #[test]

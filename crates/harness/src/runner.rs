@@ -374,22 +374,6 @@ impl CampaignControl {
         self.finished.lock().expect("no recorder panics holding this lock").push(progress);
         self.completed.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Records one finished job from an external executor (a remote shard
-    /// completing on a worker node) so observers see live progress exactly
-    /// as they would for a local run.
-    pub fn record_external(&self, progress: JobProgress) {
-        self.record(progress);
-    }
-
-    /// Clears recorded progress (completed count and finished-job log)
-    /// while leaving the total and cancel flag alone. Used when a campaign
-    /// falls back from distributed to local execution so jobs are not
-    /// double-counted.
-    pub fn reset_progress(&self) {
-        self.finished.lock().expect("no recorder panics holding this lock").clear();
-        self.completed.store(0, Ordering::Relaxed);
-    }
 }
 
 /// How a controlled campaign ended.
@@ -645,10 +629,6 @@ pub fn run_campaign_controlled(
 /// `max_batch`; singleton groups fall through to the scalar path. With
 /// `max_batch <= 1` every job is its own unit — the pre-batching
 /// scheduler, verbatim.
-///
-/// Public so distributed schedulers (the campaign fabric's coordinator)
-/// can shard a spec along the exact same unit boundaries the local pool
-/// uses, keeping batch-eligible groups intact on whichever node runs them.
 pub fn plan_units(spec: &CampaignSpec, max_batch: usize) -> Vec<Vec<usize>> {
     let ncfg = spec.configs.len();
     let max = max_batch.max(1);

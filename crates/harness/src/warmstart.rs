@@ -270,29 +270,6 @@ impl WarmStartCache {
         }
     }
 
-    /// Publishes an externally produced snapshot under `key`, so a node
-    /// that received a shipped warm-start checkpoint serves it to local
-    /// jobs without recomputing. A snapshot already resolved for `key`
-    /// (computed, loaded, or previously inserted) wins — `OnceLock`
-    /// semantics — keeping results independent of insertion races.
-    pub fn insert(&self, key: &str, snapshot: Snapshot) {
-        let slot = self.slot(key);
-        let _ = slot.cell.set(Ok(Arc::new(snapshot)));
-    }
-
-    /// The resolved snapshot for `key`, if one has been computed, loaded,
-    /// or inserted. Never blocks and never triggers a computation; an
-    /// in-flight or failed slot reads as `None`.
-    #[must_use]
-    pub fn lookup(&self, key: &str) -> Option<Arc<Snapshot>> {
-        let entries = self.entries.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let slot = entries.get(key)?;
-        match slot.cell.get() {
-            Some(Ok(snapshot)) => Some(Arc::clone(snapshot)),
-            _ => None,
-        }
-    }
-
     /// Cache statistics: `(computed, loaded from disk, in-memory hits)`.
     #[must_use]
     pub fn stats(&self) -> (u64, u64, u64) {

@@ -75,9 +75,9 @@ pub enum Event {
         /// The submitted spec.
         spec: CampaignSpec,
     },
-    /// The campaign left the queue and began executing (locally or as
-    /// leased shards). Informational for replay: a started-but-unfinished
-    /// campaign is re-queued exactly like a never-started one.
+    /// The campaign left the queue and began executing. Informational
+    /// for replay: a started-but-unfinished campaign is re-queued exactly
+    /// like a never-started one.
     Started {
         /// Campaign id.
         id: u64,
@@ -130,8 +130,8 @@ pub enum TerminalKind {
 #[derive(Debug, Default)]
 pub struct Recovery {
     /// Campaigns with no terminal record, in ascending id order:
-    /// re-queue these. Started-but-unfinished (leased) campaigns appear
-    /// here too — that is the crash-recovery re-queue.
+    /// re-queue these. Started-but-unfinished campaigns appear here too —
+    /// that is the crash-recovery re-queue.
     pub pending: Vec<(u64, CampaignSpec)>,
     /// Campaigns that did reach a terminal state, as tombstones: id, how
     /// they ended, and the spec when its `Submitted` record survived.

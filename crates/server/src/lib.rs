@@ -16,10 +16,6 @@
 //! | `GET /healthz`                | liveness probe (+ journal status when enabled) |
 //! | `GET /metrics`                | Prometheus text exposition                     |
 //! | `POST /v1/shutdown`           | request graceful shutdown                      |
-//! | `POST /v1/nodes`              | register a worker node (distributed fabric)    |
-//! | `POST /v1/nodes/<id>/heartbeat` | worker liveness ping                         |
-//! | `POST /v1/nodes/<id>/lease?wait=<s>` | long-poll for a shard lease             |
-//! | `POST /v1/leases/<id>/result` | deliver a shard outcome                        |
 //!
 //! `GET /v1/campaigns/<id>/result?wait=<secs>` long-polls: the handler
 //! parks on the service's terminal condvar instead of making the client
@@ -27,8 +23,9 @@
 //!
 //! The architecture is three layers, each independently testable:
 //! [`http`] (wire parsing with hard limits and deadlines), [`service`]
-//! (the transport-free job queue + worker pool), and this module's accept
-//! loop gluing them together. Backpressure is end-to-end: the submission
+//! (the transport-free job queue + worker pool, made crash-safe by the
+//! optional [`journal`]), and this module's accept loop gluing them
+//! together. Backpressure is end-to-end: the submission
 //! queue is a bounded `sync_channel`, a full queue turns into `429` +
 //! `Retry-After`, and a connection cap sheds load before a handler thread
 //! is even spawned.
@@ -41,16 +38,13 @@
 
 pub mod client;
 pub mod http;
+pub mod journal;
 pub mod metrics;
 pub mod service;
 pub mod signal;
-pub mod worker;
-
-pub use powerbalance_fabric as fabric;
 
 use http::{Limits, RecvError, Request, Response};
 use metrics::Endpoint;
-use powerbalance_fabric::{Acquire, NodeHello, ShardOutcome};
 use powerbalance_harness::CampaignSpec;
 use service::{JobService, JobState, ServiceConfig, SubmitError};
 use std::io;
@@ -362,7 +356,7 @@ fn route(shared: &Shared, request: &Request) -> (Endpoint, Response) {
             let text = shared
                 .service
                 .metrics()
-                .render(shared.service.cache_stats(), shared.service.fabric_gauges());
+                .render(shared.service.cache_stats(), shared.service.journal_depth());
             (Endpoint::Metrics, Response::text(200, text))
         }
         ("POST", "/v1/shutdown") => {
@@ -370,43 +364,8 @@ fn route(shared: &Shared, request: &Request) -> (Endpoint, Response) {
             (Endpoint::Shutdown, Response::json(202, "{\"shutting_down\":true}"))
         }
         ("POST", "/v1/campaigns") => (Endpoint::Submit, submit(shared, request)),
-        ("POST", "/v1/nodes") => (Endpoint::Register, register(shared, request)),
-        (_, "/healthz" | "/metrics" | "/v1/shutdown" | "/v1/campaigns" | "/v1/nodes") => {
+        (_, "/healthz" | "/metrics" | "/v1/shutdown" | "/v1/campaigns") => {
             (Endpoint::Other, Response::error(405, &format!("method {method} not allowed here")))
-        }
-        (_, _) if path.starts_with("/v1/nodes/") => {
-            let rest = &path["/v1/nodes/".len()..];
-            let Some((id_part, action)) = rest.split_once('/') else {
-                return (Endpoint::Other, Response::error(404, "no such route"));
-            };
-            let Ok(node) = id_part.parse::<u64>() else {
-                return (Endpoint::Other, Response::error(404, "no such route"));
-            };
-            match (method, action) {
-                ("POST", "heartbeat") => (Endpoint::Heartbeat, heartbeat(shared, node)),
-                ("POST", "lease") => (Endpoint::Lease, lease(shared, request, node)),
-                (_, "heartbeat" | "lease") => (
-                    Endpoint::Other,
-                    Response::error(405, &format!("method {method} not allowed here")),
-                ),
-                _ => (Endpoint::Other, Response::error(404, "no such route")),
-            }
-        }
-        (_, _) if path.starts_with("/v1/leases/") => {
-            let rest = &path["/v1/leases/".len()..];
-            let Some(id_part) = rest.strip_suffix("/result") else {
-                return (Endpoint::Other, Response::error(404, "no such route"));
-            };
-            let Ok(lease_id) = id_part.parse::<u64>() else {
-                return (Endpoint::Other, Response::error(404, "no such route"));
-            };
-            if method != "POST" {
-                return (
-                    Endpoint::Other,
-                    Response::error(405, &format!("method {method} not allowed here")),
-                );
-            }
-            (Endpoint::ShardResult, shard_result(shared, request, lease_id))
         }
         (_, _) if path.starts_with("/v1/campaigns/") => {
             let rest = &path["/v1/campaigns/".len()..];
@@ -531,8 +490,8 @@ fn result(shared: &Shared, request: &Request, id: u64) -> Response {
 }
 
 /// Parses a `wait=<secs>` query parameter (used by the long-poll result
-/// and lease routes). Capped at [`MAX_WAIT_SECS`] so a client cannot park
-/// a handler thread arbitrarily long; malformed values are an error.
+/// route). Capped at [`MAX_WAIT_SECS`] so a client cannot park a handler
+/// thread arbitrarily long; malformed values are an error.
 fn parse_wait(path: &str) -> Result<Option<u64>, String> {
     let Some((_, query)) = path.split_once('?') else {
         return Ok(None);
@@ -550,7 +509,7 @@ fn parse_wait(path: &str) -> Result<Option<u64>, String> {
     Ok(wait)
 }
 
-/// Upper bound on `?wait=` long-polls, result and lease alike.
+/// Upper bound on `?wait=` result long-polls.
 const MAX_WAIT_SECS: u64 = 30;
 
 /// Bounded jitter for `Retry-After` on 429s: a Weyl-style counter hashed
@@ -560,52 +519,6 @@ fn retry_after_jitter() -> u64 {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
     1 + (n.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % 3
-}
-
-fn register(shared: &Shared, request: &Request) -> Response {
-    let Ok(text) = std::str::from_utf8(&request.body) else {
-        return Response::error(400, "request body is not valid UTF-8");
-    };
-    let hello: NodeHello = match serde::json::from_str(text) {
-        Ok(hello) => hello,
-        Err(e) => return Response::error(400, &format!("invalid registration JSON: {e}")),
-    };
-    let id = shared.service.coordinator().register(&hello.name);
-    Response::json(201, format!("{{\"id\":{id}}}"))
-}
-
-fn heartbeat(shared: &Shared, node: u64) -> Response {
-    if shared.service.coordinator().heartbeat(node) {
-        Response::json(200, "{\"ok\":true}")
-    } else {
-        Response::error(404, &format!("no node with id {node}; re-register"))
-    }
-}
-
-fn lease(shared: &Shared, request: &Request, node: u64) -> Response {
-    let wait = match parse_wait(&request.path) {
-        Ok(wait) => wait.unwrap_or(0),
-        Err(detail) => return Response::error(400, &detail),
-    };
-    match shared.service.coordinator().acquire(node, Duration::from_secs(wait)) {
-        Acquire::Granted(lease) => Response::json(200, serde::json::to_string(&*lease)),
-        Acquire::Empty => Response::text(204, ""),
-        Acquire::UnknownNode => {
-            Response::error(404, &format!("no node with id {node}; re-register"))
-        }
-    }
-}
-
-fn shard_result(shared: &Shared, request: &Request, lease_id: u64) -> Response {
-    let Ok(text) = std::str::from_utf8(&request.body) else {
-        return Response::error(400, "request body is not valid UTF-8");
-    };
-    let outcome: ShardOutcome = match serde::json::from_str(text) {
-        Ok(outcome) => outcome,
-        Err(e) => return Response::error(400, &format!("invalid shard outcome JSON: {e}")),
-    };
-    let accepted = shared.service.coordinator().complete(lease_id, outcome);
-    Response::json(200, format!("{{\"accepted\":{accepted}}}"))
 }
 
 fn cancel(shared: &Shared, id: u64) -> Response {

@@ -40,21 +40,13 @@ pub enum Endpoint {
     Metrics,
     /// `POST /v1/shutdown`
     Shutdown,
-    /// `POST /v1/nodes` (worker registration)
-    Register,
-    /// `POST /v1/nodes/<id>/heartbeat`
-    Heartbeat,
-    /// `POST /v1/nodes/<id>/lease`
-    Lease,
-    /// `POST /v1/leases/<id>/result`
-    ShardResult,
     /// Anything else (unknown routes, protocol errors).
     Other,
 }
 
 impl Endpoint {
     /// Every endpoint, in render order.
-    pub const ALL: [Endpoint; 12] = [
+    pub const ALL: [Endpoint; 8] = [
         Endpoint::Submit,
         Endpoint::Status,
         Endpoint::Result,
@@ -62,10 +54,6 @@ impl Endpoint {
         Endpoint::Healthz,
         Endpoint::Metrics,
         Endpoint::Shutdown,
-        Endpoint::Register,
-        Endpoint::Heartbeat,
-        Endpoint::Lease,
-        Endpoint::ShardResult,
         Endpoint::Other,
     ];
 
@@ -80,10 +68,6 @@ impl Endpoint {
             Endpoint::Healthz => "healthz",
             Endpoint::Metrics => "metrics",
             Endpoint::Shutdown => "shutdown",
-            Endpoint::Register => "register",
-            Endpoint::Heartbeat => "heartbeat",
-            Endpoint::Lease => "lease",
-            Endpoint::ShardResult => "shard_result",
             Endpoint::Other => "other",
         }
     }
@@ -134,28 +118,6 @@ impl Histogram {
         let _ = writeln!(out, "{name}_sum{{endpoint=\"{endpoint}\"}} {sum}");
         let _ = writeln!(out, "{name}_count{{endpoint=\"{endpoint}\"}} {cumulative}");
     }
-}
-
-/// Point-in-time distributed-fabric gauges, gathered by the service right
-/// before rendering (coordinator lease/node state plus journal state).
-/// Plain data so the metrics module stays dependency-free.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FabricGauges {
-    /// Worker nodes ever registered with this coordinator incarnation.
-    pub workers_registered: u64,
-    /// Worker nodes with a fresh heartbeat.
-    pub workers_alive: u64,
-    /// Shard leases currently outstanding.
-    pub leases_outstanding: u64,
-    /// Shards queued and not yet leased.
-    pub pending_shards: u64,
-    /// Shards re-queued after a lease expired or failed (counter).
-    pub shards_retried: u64,
-    /// Submitted-but-not-terminal campaigns in the journal (gauge); 0
-    /// when no journal is configured.
-    pub journal_depth: u64,
-    /// Campaigns re-queued from the journal at startup (counter).
-    pub journal_replayed: u64,
 }
 
 /// All counters and histograms for one server instance.
@@ -232,11 +194,12 @@ impl Metrics {
 
     /// Renders everything in Prometheus text exposition format.
     /// `warm_cache` is the shared [`WarmStartCache`]'s `(computed, loaded,
-    /// hits)` triple; `fabric` is the coordinator/journal gauge snapshot.
+    /// hits)` triple; `journal_depth` is the crash journal's count of
+    /// submitted-but-not-terminal campaigns (0 without a journal).
     ///
     /// [`WarmStartCache`]: powerbalance_harness::WarmStartCache
     #[must_use]
-    pub fn render(&self, warm_cache: (u64, u64, u64), fabric: FabricGauges) -> String {
+    pub fn render(&self, warm_cache: (u64, u64, u64), journal_depth: u64) -> String {
         let mut out = String::with_capacity(4096);
         let counter = |out: &mut String, name: &str, help: &str, v: u64| {
             let _ = writeln!(out, "# HELP {name} {help}");
@@ -354,39 +317,9 @@ impl Metrics {
         );
         gauge(
             &mut out,
-            "powerbalance_fabric_workers_registered",
-            "Worker nodes registered with this coordinator incarnation.",
-            fabric.workers_registered,
-        );
-        gauge(
-            &mut out,
-            "powerbalance_fabric_workers_alive",
-            "Worker nodes with a fresh heartbeat.",
-            fabric.workers_alive,
-        );
-        gauge(
-            &mut out,
-            "powerbalance_fabric_leases_outstanding",
-            "Shard leases currently held by worker nodes.",
-            fabric.leases_outstanding,
-        );
-        gauge(
-            &mut out,
-            "powerbalance_fabric_pending_shards",
-            "Shards queued at the coordinator and not yet leased.",
-            fabric.pending_shards,
-        );
-        counter(
-            &mut out,
-            "powerbalance_fabric_shards_retried_total",
-            "Shards re-queued after a lease expired or a worker failed.",
-            fabric.shards_retried,
-        );
-        gauge(
-            &mut out,
             "powerbalance_journal_depth",
             "Submitted-but-not-terminal campaigns recorded in the journal.",
-            fabric.journal_depth,
+            journal_depth,
         );
 
         let _ = writeln!(
@@ -448,10 +381,7 @@ mod tests {
         m.observe(Endpoint::Submit, 202, Duration::from_micros(250));
         m.observe(Endpoint::Submit, 429, Duration::from_micros(80));
         m.campaigns_replayed.fetch_add(1, Ordering::Relaxed);
-        let text = m.render(
-            (4, 0, 9),
-            FabricGauges { workers_alive: 2, journal_depth: 5, ..FabricGauges::default() },
-        );
+        let text = m.render((4, 0, 9), 5);
         assert!(text.contains("powerbalance_campaigns_submitted_total 3"));
         assert!(text.contains("powerbalance_campaigns_completed_total 2"));
         assert!(text.contains("powerbalance_campaigns_rejected_total 1"));
@@ -464,7 +394,6 @@ mod tests {
         assert!(text
             .contains("powerbalance_http_request_duration_seconds_count{endpoint=\"submit\"} 2"));
         assert!(text.contains("powerbalance_campaigns_replayed_total 1"));
-        assert!(text.contains("powerbalance_fabric_workers_alive 2"));
         assert!(text.contains("powerbalance_journal_depth 5"));
     }
 }

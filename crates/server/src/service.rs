@@ -5,8 +5,8 @@
 //! The HTTP layer is a thin adapter over this; tests and the
 //! `serve_and_query` example drive it directly, with no sockets involved.
 
-use crate::metrics::{FabricGauges, Metrics};
-use powerbalance_fabric::{Coordinator, Event, FabricConfig, FabricOutcome, Journal, TerminalKind};
+use crate::journal::{Event, Journal, Recovery, TerminalKind};
+use crate::metrics::Metrics;
 use powerbalance_harness::{
     run_campaign_controlled, CampaignControl, CampaignOutcome, CampaignResult, CampaignSpec,
     JobProgress, RunnerOptions, WarmStartCache,
@@ -47,8 +47,6 @@ pub struct ServiceConfig {
     /// default) keeps the PR-5 in-memory behavior; `Some` makes every
     /// submission durable and replays unfinished campaigns on restart.
     pub journal_dir: Option<PathBuf>,
-    /// Lease/heartbeat tuning for the distributed fabric coordinator.
-    pub fabric: FabricConfig,
 }
 
 impl Default for ServiceConfig {
@@ -62,7 +60,6 @@ impl Default for ServiceConfig {
             max_cycles_per_job: 100_000_000,
             max_batch: 6,
             journal_dir: None,
-            fabric: FabricConfig::default(),
         }
     }
 }
@@ -76,7 +73,8 @@ pub enum JobState {
     Running,
     /// Every job finished; the result is available.
     Completed,
-    /// The campaign failed (currently only per-job timeouts).
+    /// The campaign failed: a per-job timeout, or a replayed spec that
+    /// exceeds this server's admission limits.
     Failed,
     /// Cancelled before or during execution.
     Cancelled,
@@ -158,7 +156,6 @@ pub struct JobService {
     metrics: Arc<Metrics>,
     cache: Arc<WarmStartCache>,
     journal: Option<Journal>,
-    coordinator: Arc<Coordinator>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -192,7 +189,6 @@ impl JobService {
             }
             None => (None, None),
         };
-        let fabric = config.fabric.clone();
         let (sender, receiver) = std::sync::mpsc::sync_channel::<u64>(config.queue_depth.max(1));
         let receiver = Arc::new(Mutex::new(receiver));
         let service = Arc::new(JobService {
@@ -205,7 +201,6 @@ impl JobService {
             metrics: Arc::new(Metrics::new()),
             cache: Arc::new(WarmStartCache::in_memory()),
             journal,
-            coordinator: Arc::new(Coordinator::new(fabric)),
             workers: Mutex::new(Vec::new()),
         });
         let mut handles = Vec::new();
@@ -232,8 +227,10 @@ impl JobService {
     /// campaigns, queued records for pending ones, and a replayer thread
     /// that feeds the pending ids into the bounded queue (a blocking
     /// sender, so recovery depth can exceed the queue capacity without
-    /// deadlocking startup).
-    fn recover(&self, recovery: powerbalance_fabric::Recovery) -> Option<JoinHandle<()>> {
+    /// deadlocking startup). A pending spec goes through the same
+    /// admission checks as a fresh submission, against this incarnation's
+    /// limits; one that fails them is journaled `Failed` and never runs.
+    fn recover(&self, recovery: Recovery) -> Option<JoinHandle<()>> {
         self.next_id.store(recovery.max_id + 1, Ordering::Relaxed);
         let mut jobs = self.jobs.lock().expect("no holder panics");
         for (id, kind, spec) in recovery.terminal {
@@ -253,12 +250,13 @@ impl JobService {
             jobs.insert(id, record);
         }
         let mut pending_ids = Vec::with_capacity(recovery.pending.len());
+        let mut refused = Vec::new();
         for (id, spec) in recovery.pending {
-            let is_fast = spec
-                .configs
-                .iter()
-                .any(|named| named.config.fidelity == powerbalance::Fidelity::Fast);
-            let record = JobRecord {
+            // Replayed campaigns count as submitted so the reconciliation
+            // invariant keeps holding across a restart.
+            self.count_submitted(&spec);
+            let admitted = self.admit(&spec);
+            let mut record = JobRecord {
                 spec: Arc::new(spec),
                 state: JobState::Queued,
                 error: None,
@@ -266,21 +264,25 @@ impl JobService {
                 control: Arc::new(CampaignControl::new()),
             };
             record.control.set_total(record.spec.job_count());
+            match admitted {
+                Ok(()) => {
+                    pending_ids.push(id);
+                    self.metrics.campaigns_replayed.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(error) => {
+                    record.state = JobState::Failed;
+                    record.error = Some(error.clone());
+                    self.metrics.campaigns_failed.fetch_add(1, Ordering::Relaxed);
+                    refused.push(Event::Failed { id, error });
+                }
+            }
             jobs.insert(id, record);
-            pending_ids.push(id);
-            // Replayed campaigns count as submitted so the reconciliation
-            // invariant keeps holding across a restart.
-            self.metrics.campaigns_submitted.fetch_add(1, Ordering::Relaxed);
-            let per_fidelity = if is_fast {
-                &self.metrics.campaigns_submitted_fast
-            } else {
-                &self.metrics.campaigns_submitted_exact
-            };
-            per_fidelity.fetch_add(1, Ordering::Relaxed);
-            self.metrics.campaigns_replayed.fetch_add(1, Ordering::Relaxed);
-            self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
         }
         drop(jobs);
+        for event in refused {
+            self.journal_append(event);
+        }
         if pending_ids.is_empty() {
             return None;
         }
@@ -304,12 +306,6 @@ impl JobService {
         )
     }
 
-    /// The distributed-fabric coordinator (worker registration, leases).
-    #[must_use]
-    pub fn coordinator(&self) -> &Arc<Coordinator> {
-        &self.coordinator
-    }
-
     /// `(journal depth, campaigns replayed at startup)`, or `None` when
     /// no journal is configured.
     #[must_use]
@@ -319,20 +315,11 @@ impl JobService {
         })
     }
 
-    /// Point-in-time fabric + journal gauges for `/metrics`.
+    /// Submitted-but-not-terminal campaigns in the journal, for
+    /// `/metrics`; 0 when no journal is configured.
     #[must_use]
-    pub fn fabric_gauges(&self) -> FabricGauges {
-        let stats = self.coordinator.stats();
-        let (journal_depth, journal_replayed) = self.journal_status().unwrap_or((0, 0));
-        FabricGauges {
-            workers_registered: stats.workers_registered,
-            workers_alive: stats.workers_alive,
-            leases_outstanding: stats.leases_outstanding,
-            pending_shards: stats.pending_shards,
-            shards_retried: stats.shards_retried,
-            journal_depth,
-            journal_replayed,
-        }
+    pub fn journal_depth(&self) -> u64 {
+        self.journal.as_ref().map_or(0, Journal::depth)
     }
 
     /// Appends `event` to the journal, if one is configured. Journal
@@ -386,41 +373,7 @@ impl JobService {
         if self.is_draining() {
             return Err(SubmitError::Draining);
         }
-        spec.validate().map_err(|e| SubmitError::Invalid(e.to_string()))?;
-        if spec.job_count() > self.config.max_jobs_per_campaign {
-            return Err(SubmitError::Invalid(format!(
-                "campaign has {} jobs; this server accepts at most {}",
-                spec.job_count(),
-                self.config.max_jobs_per_campaign
-            )));
-        }
-        let worst_cycles = (0..spec.configs.len())
-            .map(|ci| spec.cycles_for(ci))
-            .max()
-            .unwrap_or(0)
-            .saturating_add(spec.warmup_cycles);
-        if worst_cycles > self.config.max_cycles_per_job {
-            return Err(SubmitError::Invalid(format!(
-                "a job would simulate {worst_cycles} cycles (budget + warmup); \
-                 this server accepts at most {}",
-                self.config.max_cycles_per_job
-            )));
-        }
-
-        // Classify before `spec` moves into the record: the per-fidelity
-        // counter must move in lockstep with `campaigns_submitted` on
-        // both the accepted and queue-full outcomes below.
-        let is_fast =
-            spec.configs.iter().any(|named| named.config.fidelity == powerbalance::Fidelity::Fast);
-        let note_submitted = || {
-            self.metrics.campaigns_submitted.fetch_add(1, Ordering::Relaxed);
-            let per_fidelity = if is_fast {
-                &self.metrics.campaigns_submitted_fast
-            } else {
-                &self.metrics.campaigns_submitted_exact
-            };
-            per_fidelity.fetch_add(1, Ordering::Relaxed);
-        };
+        self.admit(&spec).map_err(SubmitError::Invalid)?;
 
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let spec_arc = Arc::new(spec);
@@ -441,7 +394,7 @@ impl JobService {
         };
         match sender.try_send(id) {
             Ok(()) => {
-                note_submitted();
+                self.count_submitted(&spec_arc);
                 self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
                 // Journal after the id is committed to the queue: a
                 // rejected submission must leave no durable trace. The
@@ -452,7 +405,7 @@ impl JobService {
             }
             Err(TrySendError::Full(_)) => {
                 self.jobs.lock().expect("no holder panics").remove(&id);
-                note_submitted();
+                self.count_submitted(&spec_arc);
                 self.metrics.campaigns_rejected.fetch_add(1, Ordering::Relaxed);
                 Err(SubmitError::QueueFull)
             }
@@ -461,6 +414,50 @@ impl JobService {
                 Err(SubmitError::Draining)
             }
         }
+    }
+
+    /// The admission checks every campaign passes before it may run, at
+    /// submission and again at journal replay: the spec validates, and it
+    /// stays within [`ServiceConfig::max_jobs_per_campaign`] and
+    /// [`ServiceConfig::max_cycles_per_job`].
+    fn admit(&self, spec: &CampaignSpec) -> Result<(), String> {
+        spec.validate().map_err(|e| e.to_string())?;
+        if spec.job_count() > self.config.max_jobs_per_campaign {
+            return Err(format!(
+                "campaign has {} jobs; this server accepts at most {}",
+                spec.job_count(),
+                self.config.max_jobs_per_campaign
+            ));
+        }
+        let worst_cycles = (0..spec.configs.len())
+            .map(|ci| spec.cycles_for(ci))
+            .max()
+            .unwrap_or(0)
+            .saturating_add(spec.warmup_cycles);
+        if worst_cycles > self.config.max_cycles_per_job {
+            return Err(format!(
+                "a job would simulate {worst_cycles} cycles (budget + warmup); \
+                 this server accepts at most {}",
+                self.config.max_cycles_per_job
+            ));
+        }
+        Ok(())
+    }
+
+    /// Counts one well-formed submission under `campaigns_submitted` and
+    /// exactly one per-fidelity counter: `campaigns_submitted_fast` when
+    /// any config uses the interval engine, `campaigns_submitted_exact`
+    /// otherwise.
+    fn count_submitted(&self, spec: &CampaignSpec) {
+        let is_fast =
+            spec.configs.iter().any(|named| named.config.fidelity == powerbalance::Fidelity::Fast);
+        self.metrics.campaigns_submitted.fetch_add(1, Ordering::Relaxed);
+        let per_fidelity = if is_fast {
+            &self.metrics.campaigns_submitted_fast
+        } else {
+            &self.metrics.campaigns_submitted_exact
+        };
+        per_fidelity.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The status snapshot for `id`, or `None` for an unknown id.
@@ -547,9 +544,6 @@ impl JobService {
         for handle in handles {
             let _ = handle.join();
         }
-        // Only after the last in-flight campaign finished: a distributed
-        // campaign still needs the coordinator to collect its shards.
-        self.coordinator.shutdown();
     }
 
     /// Like [`drain`](JobService::drain), but first cancels everything
@@ -617,9 +611,8 @@ impl JobService {
                 self.metrics.campaigns_failed.fetch_add(1, Ordering::Relaxed);
                 Event::Failed { id, error }
             }
-            // Validation already passed at submit; a failure here is a
-            // shard exhausting its retries or a harness bug, and either
-            // way must not wedge the record in `Running`.
+            // Admission already passed; a failure here is a harness bug,
+            // and must not wedge the record in `Running`.
             Err(error) => {
                 record.state = JobState::Failed;
                 record.error = Some(error.clone());
@@ -632,23 +625,13 @@ impl JobService {
         self.terminal.notify_all();
     }
 
-    /// Runs one campaign, preferring the distributed fabric when live
-    /// worker nodes are registered and falling back to the local pool
-    /// when there are none (or they all vanish before finishing — the
-    /// progress log is reset so jobs are not double-counted).
+    /// Runs one campaign on the local worker pool, sharing the service's
+    /// warm-start cache.
     fn execute_campaign(
         &self,
         spec: &Arc<CampaignSpec>,
         control: &Arc<CampaignControl>,
     ) -> Result<CampaignOutcome, String> {
-        if self.coordinator.live_workers() > 0 {
-            match self.coordinator.execute(spec, control, self.config.max_batch) {
-                FabricOutcome::Completed(result) => return Ok(CampaignOutcome::Completed(*result)),
-                FabricOutcome::Cancelled => return Ok(CampaignOutcome::Cancelled),
-                FabricOutcome::Failed(error) => return Err(error),
-                FabricOutcome::NoWorkers => control.reset_progress(),
-            }
-        }
         let options = RunnerOptions {
             threads: self.config.campaign_threads,
             progress: false,

@@ -59,7 +59,7 @@ fn main() {
         "\nwarm-start cache: {computed} warmup(s) computed, {hits} hit(s) \
          (4 jobs, 2 distinct warmups)"
     );
-    let text = service.metrics().render(service.cache_stats(), service.fabric_gauges());
+    let text = service.metrics().render(service.cache_stats(), service.journal_depth());
     let completed_line = text
         .lines()
         .find(|l| l.starts_with("powerbalance_campaigns_completed_total"))

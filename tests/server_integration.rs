@@ -1,14 +1,16 @@
 //! End-to-end integration tests for the simulation service: concurrent
 //! load against a bounded queue, cancellation over the wire, metrics
-//! reconciliation, and graceful shutdown.
+//! reconciliation, graceful shutdown, and crash-journal recovery.
 
 use powerbalance::experiments;
-use powerbalance_harness::CampaignSpec;
+use powerbalance_harness::{CampaignResult, CampaignSpec};
 use powerbalance_server::client::Client;
-use powerbalance_server::service::ServiceConfig;
+use powerbalance_server::journal::{Event, Journal, TerminalKind};
+use powerbalance_server::service::{JobState, ServiceConfig};
 use powerbalance_server::{Server, ServerConfig, ServerHandle};
+use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start_server(service: ServiceConfig) -> ServerHandle {
     Server::start(ServerConfig {
@@ -55,6 +57,43 @@ fn poll_terminal(client: &mut Client, id: u64) -> String {
         std::thread::sleep(Duration::from_millis(5));
     }
     panic!("campaign {id} never reached a terminal state");
+}
+
+/// A fresh scratch directory under the system temp dir.
+fn tempdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "powerbalance-server-{tag}-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id(),
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir is creatable");
+    dir
+}
+
+fn submit(client: &mut Client, spec: &CampaignSpec) -> u64 {
+    let body = serde::json::to_string(spec);
+    let response =
+        client.request("POST", "/v1/campaigns", Some(&body)).expect("submission round-trips");
+    assert_eq!(response.status, 202, "submit failed: {}", response.text());
+    extract_id(&response.text())
+}
+
+/// Long-polls `GET /v1/campaigns/{id}/result?wait=5` until 200.
+fn await_result(client: &mut Client, id: u64) -> CampaignResult {
+    let path = format!("/v1/campaigns/{id}/result?wait=5");
+    let deadline = Instant::now() + Duration::from_secs(300);
+    loop {
+        let response = client.request("GET", &path, None).expect("result poll round-trips");
+        match response.status {
+            200 => {
+                return serde::json::from_str(&response.text())
+                    .expect("result body is a CampaignResult")
+            }
+            409 => assert!(Instant::now() < deadline, "campaign {id} never completed"),
+            other => panic!("result poll got status {other}: {}", response.text()),
+        }
+    }
 }
 
 /// The acceptance-criteria scenario: 32 concurrent connections hammer a
@@ -371,4 +410,132 @@ fn graceful_shutdown_drains_and_refuses() {
         std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
         "the listener must be closed after shutdown"
     );
+}
+
+/// A journal holding a submitted-and-started (but unfinished) campaign is
+/// replayed on startup: the campaign re-queues under its original id and
+/// completes without resubmission.
+#[test]
+fn journal_recovery_completes_pending() {
+    let dir = tempdir("recovery");
+    let spec = CampaignSpec::new("interrupted")
+        .config("base", experiments::issue_queue(false))
+        .benchmark("gzip")
+        .cycles(2_000)
+        .seed(3);
+    {
+        let (journal, recovery) = Journal::open(&dir).expect("journal opens in an empty dir");
+        assert_eq!(recovery.pending.len(), 0);
+        journal.append(Event::Submitted { id: 5, spec: spec.clone() }).expect("append works");
+        journal.append(Event::Started { id: 5 }).expect("append works");
+        // Dropped here without a terminal record — the "crash".
+    }
+
+    let handle = start_server(ServiceConfig {
+        workers: 1,
+        journal_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    });
+    let mut client = Client::new(handle.addr(), Duration::from_secs(30));
+    let result = await_result(&mut client, 5);
+    assert_eq!(result.jobs.len(), 1, "replayed campaign runs to completion");
+    assert_eq!(result.spec, spec, "the journaled spec is what ran");
+
+    // Recovery preserves id allocation: the next submission must not
+    // collide with the replayed id.
+    let next = submit(&mut client, &spec);
+    assert!(next > 5, "fresh ids continue past the replayed maximum, got {next}");
+
+    let healthz = client.request("GET", "/healthz", None).expect("healthz round-trips");
+    assert!(
+        healthz.text().contains("journal:"),
+        "healthz reports journal status when journalling is on"
+    );
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A campaign that reached a terminal state before the crash comes back
+/// as a tombstone: status is preserved, but the result (which is not
+/// journaled) answers 410 Gone rather than 404 or a hang.
+#[test]
+fn journal_tombstone_survives_restart() {
+    let dir = tempdir("tombstone");
+    let spec = CampaignSpec::new("done-before-crash")
+        .config("base", experiments::issue_queue(false))
+        .benchmark("gzip")
+        .cycles(2_000)
+        .seed(3);
+    {
+        let (journal, _) = Journal::open(&dir).expect("journal opens");
+        journal.append(Event::Submitted { id: 2, spec }).expect("append works");
+        journal.append(Event::Started { id: 2 }).expect("append works");
+        journal.append(Event::Completed { id: 2 }).expect("append works");
+    }
+
+    let handle = start_server(ServiceConfig {
+        workers: 1,
+        journal_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    });
+    let mut client = Client::new(handle.addr(), Duration::from_secs(30));
+
+    let status = client.request("GET", "/v1/campaigns/2", None).expect("status round-trips");
+    assert_eq!(status.status, 200);
+    assert!(status.text().contains("\"Completed\""), "tombstone keeps its terminal state");
+
+    let result = client.request("GET", "/v1/campaigns/2/result", None).expect("result round-trips");
+    assert_eq!(result.status, 410, "results are not retained across restarts: {}", result.text());
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Replay re-applies admission under the restarted server's limits: a
+/// journaled campaign over the new per-job cycle budget comes back
+/// `Failed` with the budget message, journals that outcome, and never
+/// runs.
+#[test]
+fn replayed_campaign_over_the_cycle_budget_fails_admission() {
+    let dir = tempdir("admission");
+    let spec = CampaignSpec::new("over-budget")
+        .config("base", experiments::issue_queue(false))
+        .benchmark("gzip")
+        .cycles(200_000)
+        .seed(3);
+    {
+        let (journal, _) = Journal::open(&dir).expect("journal opens in an empty dir");
+        journal.append(Event::Submitted { id: 4, spec }).expect("append works");
+    }
+
+    let handle = start_server(ServiceConfig {
+        workers: 1,
+        max_cycles_per_job: 100_000,
+        journal_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    });
+    let status = handle.service().status(4).expect("the replayed id is known");
+    assert_eq!(status.state, JobState::Failed);
+    let error = status.error.expect("the failure carries the admission error");
+    assert!(error.contains("200000 cycles") && error.contains("at most 100000"), "{error}");
+    assert_eq!(status.completed_jobs, 0, "the over-budget campaign never ran");
+
+    let mut client = Client::new(handle.addr(), Duration::from_secs(30));
+    let result = client.request("GET", "/v1/campaigns/4/result", None).expect("result answers");
+    assert_eq!(result.status, 500);
+    assert!(result.text().contains("at most 100000"), "{}", result.text());
+
+    let m = handle.service().metrics();
+    assert_eq!(m.campaigns_submitted.load(Ordering::Relaxed), 1);
+    assert_eq!(m.campaigns_failed.load(Ordering::Relaxed), 1);
+    assert_eq!(m.campaigns_replayed.load(Ordering::Relaxed), 0);
+    assert_eq!(handle.service().journal_status(), Some((0, 0)), "Failed is journaled");
+    handle.shutdown();
+
+    let (_, recovery) = Journal::open(&dir).expect("journal reopens");
+    assert!(recovery.pending.is_empty(), "the refused campaign is not replayed again");
+    assert_eq!(recovery.terminal.len(), 1);
+    assert_eq!(recovery.terminal[0].1, TerminalKind::Failed(error));
+    let _ = std::fs::remove_dir_all(&dir);
 }

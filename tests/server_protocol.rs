@@ -113,6 +113,19 @@ fn unknown_routes_get_404() {
     assert_still_serving(&server);
 }
 
+/// Nothing answers the worker-node paths: a client still expecting a
+/// coordinator there gets a prompt 404 rather than waiting on a lease.
+#[test]
+fn worker_node_routes_get_404() {
+    let server = start_test_server();
+    let mut c = client(&server);
+    for path in ["/v1/nodes", "/v1/leases/1/result"] {
+        let response = c.request("POST", path, Some("{}")).expect("a response comes back");
+        assert_eq!(response.status, 404, "POST {path}");
+    }
+    assert_still_serving(&server);
+}
+
 #[test]
 fn wrong_methods_get_405() {
     let server = start_test_server();
