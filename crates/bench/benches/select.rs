@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use powerbalance_uarch::{
-    EntryState, FuPool, IqActivity, IqEntry, IssueQueue, MappingPolicy, RegFileWiring,
+    units_in_order, EntryState, FuPool, IqActivity, IqEntry, IssueQueue, MappingPolicy,
+    RegFileWiring, UnitKind,
 };
 
 fn ready_entry(rob_id: u32, is_mem: bool) -> IqEntry {
@@ -30,15 +31,15 @@ fn select_scan(c: &mut Criterion) {
             }
             let pool = FuPool::new(6, 4);
             let wiring = RegFileWiring::new(MappingPolicy::Balanced, 6, 2);
+            let usable = pool.enabled_mask(UnitKind::IntAlu) & wiring.usable_mask();
             b.iter(|| {
                 // The serialized tree walk: units in priority order pick
                 // ready entries in age order, respecting cache ports.
-                let units: Vec<usize> =
-                    pool.int_units_in_order(0).filter(|&u| wiring.alu_usable(u)).collect();
+                let (_, n_units) = units_in_order(usable, 6, 0);
                 let mut picked = 0usize;
                 let mut mem = 0usize;
                 for pos in iq.ready_positions() {
-                    if picked == units.len() {
+                    if picked == n_units {
                         break;
                     }
                     let e = iq.entry(pos).expect("ready position occupied");
@@ -58,15 +59,13 @@ fn select_scan(c: &mut Criterion) {
 }
 
 fn unit_ordering(c: &mut Criterion) {
-    let pool = FuPool::new(6, 4);
-    c.bench_function("unit_order_static", |b| {
-        b.iter(|| pool.int_units_in_order(0).collect::<Vec<_>>())
-    });
+    let usable = FuPool::new(6, 4).enabled_mask(UnitKind::IntAlu);
+    c.bench_function("unit_order_static", |b| b.iter(|| units_in_order(usable, 6, 0)));
     c.bench_function("unit_order_rotated", |b| {
         let mut rot = 0usize;
         b.iter(|| {
             rot = rot.wrapping_add(1);
-            pool.int_units_in_order(rot % 6).collect::<Vec<_>>()
+            units_in_order(usable, 6, rot % 6)
         })
     });
 }

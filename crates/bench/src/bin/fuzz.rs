@@ -13,6 +13,13 @@
 //! same configuration, trace, and verdict, so a failing seed from CI is
 //! reproducible locally with `--start-seed <seed> --seeds 1`.
 //!
+//! Every seed also runs its case a second time with no checker armed and
+//! compares the two `RunResult`s and final `SimulatorState`s (every core
+//! counter included) bit for bit. The checker steps the core one cycle at
+//! a time; unchecked, the engine applies each quiet span (a run of cycles
+//! that only count stalls) in one step, so the pair exercises the
+//! fast-forward across the whole random config space.
+//!
 //! Seeds that draw `Fidelity::Fast` additionally cross-check the interval
 //! engine against a ground-truth `Exact` run of the same case: the hottest
 //! block's final temperature must agree within [`FAST_FINAL_EPS`], so an
@@ -160,6 +167,26 @@ fn run_case(
         let result = sim.run(&mut profile.trace(trace_seed), cycles);
         let mut failures: Vec<String> =
             sim.finish_checking().iter().take(8).map(|v| v.to_string()).collect();
+        if failures.is_empty() {
+            let mut unchecked = Simulator::new(config.clone()).map_err(|e| e.to_string())?;
+            let skipped = unchecked.run(&mut profile.trace(trace_seed), cycles);
+            if json::to_string(&skipped) != json::to_string(&result) {
+                failures.push(format!(
+                    "unchecked run (quiet spans skipped) diverged from the checked run \
+                     (committed {} vs {}, hottest {:.3} K vs {:.3} K)",
+                    skipped.committed,
+                    result.committed,
+                    skipped.hottest().last,
+                    result.hottest().last,
+                ));
+            } else if json::to_string(&unchecked.state()) != json::to_string(&sim.state()) {
+                failures.push(
+                    "unchecked run (quiet spans skipped) ended in a different simulator state \
+                     than the checked run"
+                        .to_string(),
+                );
+            }
+        }
         if config.fidelity == Fidelity::Fast && failures.is_empty() {
             let exact_cfg = SimConfig { fidelity: Fidelity::Exact, ..config.clone() };
             let mut exact_sim = Simulator::new(exact_cfg).map_err(|e| e.to_string())?;

@@ -2,7 +2,7 @@
 //! loops every experiment pays for.
 //!
 //! Measures wall-clock throughput of (a) the bare core loop
-//! (`Core::cycle` only — `core_only`) and (b) the full
+//! (`Core::run` only — `core_only`) and (b) the full
 //! simulate-sense-react stack (`Simulator::run`: core + power + thermal +
 //! mitigation — `full_stack`) across a few representative benchmarks, and
 //! writes the results to a JSON artifact (`BENCH_throughput.json` by
@@ -55,7 +55,7 @@ OPTIONS:
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct WorkloadThroughput {
     benchmark: String,
-    /// `core_only` (bare `Core::cycle` loop) or `full_stack`
+    /// `core_only` (bare `Core::run` loop) or `full_stack`
     /// (`Simulator::run`: power + thermal + mitigation sampling too).
     mode: String,
     /// Simulated cycles executed.

@@ -178,27 +178,26 @@ impl Lane {
         self.core.stats().cycles + self.fast.extra_cycles
     }
 
-    /// Cycles the core up to `budget` times, bracketed by the checker when
-    /// one is armed; stops early when the trace drains.
+    /// Cycles the core up to `budget` times; stops early when the trace
+    /// drains. Unchecked, [`Core::advance`] applies quiet spans in one
+    /// step; an armed checker instead brackets every single cycle, so it
+    /// observes each one.
     fn cycle<T: TraceSource>(&mut self, trace: &mut T, budget: u64) -> u64 {
-        let mut ran = 0u64;
-        for _ in 0..budget {
-            #[cfg(feature = "check")]
-            if let Some(checker) = &mut self.checker {
+        #[cfg(feature = "check")]
+        if let Some(checker) = &mut self.checker {
+            let mut ran = 0u64;
+            for _ in 0..budget {
                 checker.before_cycle(&self.core);
                 self.core.cycle(trace);
                 checker.after_cycle(&mut self.core);
-            } else {
-                self.core.cycle(trace);
+                ran += 1;
+                if self.core.is_done() {
+                    break;
+                }
             }
-            #[cfg(not(feature = "check"))]
-            self.core.cycle(trace);
-            ran += 1;
-            if self.core.is_done() {
-                break;
-            }
+            return ran;
         }
-        ran
+        self.core.advance(trace, budget)
     }
 
     /// Records the detailed window that just ended (core counters at its

@@ -117,6 +117,16 @@ impl DutyCycle {
         self.on < self.period && now % u64::from(self.period) >= u64::from(self.on)
     }
 
+    /// Number of consecutive ungated cycles starting at cycle `now` (0 when
+    /// `now` is gated; `u64::MAX` when the duty cycle never gates).
+    #[must_use]
+    pub fn ungated_run(self, now: u64) -> u64 {
+        if self.on >= self.period {
+            return u64::MAX;
+        }
+        u64::from(self.on).saturating_sub(now % u64::from(self.period))
+    }
+
     /// The fraction of cycles that run.
     #[must_use]
     pub fn fraction(self) -> f64 {

@@ -132,6 +132,12 @@ impl FuPool {
         self.fp_mul_busy = self.fp_mul_busy.saturating_sub(1);
     }
 
+    /// Advances busy countdowns by `cycles` cycles at once: the same as
+    /// `cycles` calls to [`tick`](FuPool::tick).
+    pub(crate) fn tick_by(&mut self, cycles: u64) {
+        self.fp_mul_busy -= self.fp_mul_busy.min(u32::try_from(cycles).unwrap_or(u32::MAX));
+    }
+
     /// Captures the pool's full state for snapshotting.
     #[must_use]
     pub fn snapshot(&self) -> FuPoolState {
@@ -162,19 +168,52 @@ impl FuPool {
         Ok(())
     }
 
-    /// Indices of enabled integer ALUs, in select-priority order starting
-    /// at `rotation` (0 for static priority).
-    pub fn int_units_in_order(&self, rotation: usize) -> impl Iterator<Item = usize> + '_ {
-        let n = self.int_enabled.len();
-        (0..n).map(move |i| (i + rotation) % n).filter(move |&u| self.int_enabled[u])
+    /// Bit `u` set iff unit `u` of the `kind` bank is enabled, ignoring
+    /// transient busy state.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`UnitKind::FpMul`], which is a single unit, not a bank.
+    #[must_use]
+    pub fn enabled_mask(&self, kind: UnitKind) -> u8 {
+        let units = match kind {
+            UnitKind::IntAlu => &self.int_enabled,
+            UnitKind::FpAdd => &self.fp_add_enabled,
+            UnitKind::FpMul => unreachable!("the FP multiplier is not a bank"),
+        };
+        units.iter().enumerate().fold(0, |mask, (u, &on)| mask | (u8::from(on) << u))
     }
+}
 
-    /// Indices of enabled FP adders, in select-priority order starting at
-    /// `rotation`.
-    pub fn fp_add_units_in_order(&self, rotation: usize) -> impl Iterator<Item = usize> + '_ {
-        let n = self.fp_add_enabled.len();
-        (0..n).map(move |i| (i + rotation) % n).filter(move |&u| self.fp_add_enabled[u])
+/// The units of a bank of `n` whose bit is set in `usable`, in
+/// select-priority order `start, start + 1, …, n - 1, 0, …, start - 1`
+/// (`start` is 0 for static priority), packed at the front of the array;
+/// returns them with their count. A bank holds at most 8 units.
+///
+/// # Examples
+///
+/// ```
+/// use powerbalance_uarch::units_in_order;
+///
+/// let (units, len) = units_in_order(0b1011, 4, 1);
+/// assert_eq!(&units[..len], &[1, 3, 0]);
+/// ```
+#[must_use]
+pub fn units_in_order(usable: u8, n: usize, start: usize) -> ([usize; 8], usize) {
+    let mut units = [0; 8];
+    let mut len = 0;
+    let mut u = start;
+    for _ in 0..n {
+        if usable & (1 << u) != 0 {
+            units[len] = u;
+            len += 1;
+        }
+        u += 1;
+        if u == n {
+            u = 0;
+        }
     }
+    (units, len)
 }
 
 /// Serializable state of a [`RegFileWiring`], captured by
@@ -278,6 +317,14 @@ impl RegFileWiring {
         Ok(())
     }
 
+    /// Bit `a` set iff ALU `a` can issue ([`alu_usable`]).
+    ///
+    /// [`alu_usable`]: RegFileWiring::alu_usable
+    #[must_use]
+    pub fn usable_mask(&self) -> u8 {
+        (0..self.alus).fold(0, |mask, alu| mask | (u8::from(self.alu_usable(alu)) << alu))
+    }
+
     /// Whether `alu` can issue, i.e. every copy it reads from is enabled.
     #[must_use]
     pub fn alu_usable(&self, alu: usize) -> bool {
@@ -369,15 +416,18 @@ mod tests {
     fn static_order_skips_disabled_units() {
         let mut p = FuPool::new(4, 4);
         p.set_enabled(UnitKind::IntAlu, 0, false);
-        let order: Vec<usize> = p.int_units_in_order(0).collect();
-        assert_eq!(order, vec![1, 2, 3]);
+        let (units, len) = units_in_order(p.enabled_mask(UnitKind::IntAlu), 4, 0);
+        assert_eq!(&units[..len], &[1, 2, 3]);
     }
 
     #[test]
     fn round_robin_order_rotates() {
-        let p = FuPool::new(4, 4);
-        let order: Vec<usize> = p.int_units_in_order(2).collect();
-        assert_eq!(order, vec![2, 3, 0, 1]);
+        let mut p = FuPool::new(4, 4);
+        let (units, len) = units_in_order(p.enabled_mask(UnitKind::FpAdd), 4, 2);
+        assert_eq!(&units[..len], &[2, 3, 0, 1]);
+        p.set_enabled(UnitKind::FpAdd, 3, false);
+        let (units, len) = units_in_order(p.enabled_mask(UnitKind::FpAdd), 4, 2);
+        assert_eq!(&units[..len], &[2, 0, 1], "the walk wraps past a disabled unit");
     }
 
     #[test]
@@ -391,6 +441,11 @@ mod tests {
         assert!(!p.is_available(UnitKind::FpMul, 0));
         p.tick();
         assert!(p.is_available(UnitKind::FpMul, 0));
+        p.occupy_fp_mul(5);
+        p.tick_by(4);
+        assert!(!p.is_available(UnitKind::FpMul, 0));
+        p.tick_by(u64::MAX);
+        assert!(p.is_available(UnitKind::FpMul, 0));
     }
 
     #[test]
@@ -399,6 +454,7 @@ mod tests {
         w.set_copy_enabled(0, false);
         let usable: Vec<bool> = (0..6).map(|a| w.alu_usable(a)).collect();
         assert_eq!(usable, vec![false, false, false, true, true, true]);
+        assert_eq!(w.usable_mask(), 0b11_1000);
     }
 
     #[test]

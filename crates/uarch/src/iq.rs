@@ -16,10 +16,20 @@
 //! Table 3's "Long Compaction" row).
 //!
 //! The slots are the only state; next to them the queue keeps a bit index
-//! derived from them (one `u64` bit per physical position, plus a per-tag
-//! table of waiting positions) so that insert, select, wakeup and
+//! derived from them (one `u64` bit per physical position, plus a wakeup
+//! table keyed by active-list id) so that insert, select, wakeup and
 //! compaction visit only the entries they affect. The index caps the queue
 //! at 64 entries; [`IssueQueue::audit`] checks it against the slots.
+//!
+//! The wakeup table lists, per producer tag, the active-list ids of the
+//! entries waiting on it, and maps each such id to its entry's position.
+//! Compaction therefore moves no table bits: it rewrites the position of
+//! each moved entry that still waits. Only entries with a pending operand
+//! (the `tagged` mask) own an id's position: an issued or invalid entry
+//! can outlive its active-list slot, whose id a new waiting entry may then
+//! reuse. Two waiting entries never share an id, since each holds a live
+//! active-list slot; [`IssueQueue::restore`] refuses state in which two
+//! tagged entries do.
 
 use crate::activity::IqActivity;
 use crate::config::IqMode;
@@ -87,6 +97,22 @@ pub struct IqState {
     pub mode: IqMode,
     /// Load-replay safety window.
     pub replay_window: u32,
+}
+
+/// Checks that no two entries of `slots` with a pending operand share an
+/// active-list id: each such entry owns its id's wakeup position.
+///
+/// # Errors
+///
+/// Returns a message naming the shared id.
+pub(crate) fn check_tagged_ids(slots: &[Option<IqEntry>]) -> Result<(), String> {
+    let tagged = |slot: &Option<IqEntry>| slot.filter(|e| e.tags().next().is_some());
+    for (i, a) in slots.iter().enumerate().filter_map(|(i, s)| tagged(s).map(|e| (i, e))) {
+        if slots[i + 1..].iter().filter_map(tagged).any(|b| b.rob_id == a.rob_id) {
+            return Err(format!("two waiting entries share active-list id {}", a.rob_id));
+        }
+    }
+    Ok(())
 }
 
 /// Physical position of priority rank `rank` in a queue of `2 * half`
@@ -186,8 +212,16 @@ pub struct IssueQueue {
     replay_window: u32,
     /// Per-position index of the slots.
     masks: Masks,
-    /// `waiters[t]` has bit `p` set iff slot `p` has an operand tagged `t`.
+    /// Row `t` (`stride` words from `t * stride`) has bit `i` set iff the
+    /// tagged entry with active-list id `i` has an operand tagged `t`.
     waiters: Vec<u64>,
+    /// Words per row of `waiters`: ids `0..stride * 64` fit.
+    stride: usize,
+    /// Rows of `waiters`: tags `0..tags` fit.
+    tags: usize,
+    /// `position[i]` is the physical position of the tagged entry with
+    /// active-list id `i`; stale for ids no tagged entry holds.
+    position: Vec<u8>,
 }
 
 impl IssueQueue {
@@ -207,16 +241,40 @@ impl IssueQueue {
             replay_window: 2,
             masks: Masks::default(),
             waiters: Vec::new(),
+            stride: 0,
+            tags: 0,
+            position: Vec::new(),
         }
     }
 
-    /// Sizes the wakeup table for producer tags `0..tags` up front, so that
-    /// inserting an entry tagged below `tags` never allocates. A larger tag
-    /// still works: the table grows to fit it.
-    pub(crate) fn reserve_tags(&mut self, tags: usize) {
-        if self.waiters.len() < tags {
-            self.waiters.resize(tags, 0);
+    /// Sizes the wakeup table for active-list ids and producer tags
+    /// `0..ids` up front, so that inserting such an entry never allocates.
+    /// A larger id or tag still works: the table grows to fit it.
+    pub(crate) fn reserve_tags(&mut self, ids: usize) {
+        self.grow(ids, ids);
+    }
+
+    /// Grows the wakeup table to hold at least ids `0..ids` and tags
+    /// `0..tags`, keeping its contents.
+    fn grow(&mut self, ids: usize, tags: usize) {
+        let stride = ids.div_ceil(64).max(self.stride);
+        let tags = tags.max(self.tags);
+        if stride != self.stride {
+            let mut rows = vec![0; tags * stride];
+            if self.stride > 0 {
+                for (row, old) in
+                    rows.chunks_exact_mut(stride).zip(self.waiters.chunks_exact(self.stride))
+                {
+                    row[..old.len()].copy_from_slice(old);
+                }
+            }
+            self.waiters = rows;
+            self.stride = stride;
+        } else {
+            self.waiters.resize(tags * stride, 0);
         }
+        self.tags = tags;
+        self.position.resize(stride * 64, 0);
     }
 
     /// Sets the load-replay safety window (cycles between issue and the
@@ -290,6 +348,17 @@ impl IssueQueue {
     /// the next insert takes.
     fn tail_rank(&self) -> usize {
         64 - self.by_rank(self.masks.occupied).leading_zeros() as usize
+    }
+
+    /// Whether the queue is idle: select finds nothing to issue, and a
+    /// [`tick`](IssueQueue::tick) changes nothing but the gating count (no
+    /// entry is ready, issued or invalid, and the occupied priority ranks
+    /// run unbroken from the head, so compaction has nothing to move).
+    #[must_use]
+    pub(crate) fn is_idle(&self) -> bool {
+        let Masks { occupied, ready, issued, invalid, .. } = self.masks;
+        let occupied = self.by_rank(occupied);
+        ready | issued | invalid == 0 && occupied & occupied.wrapping_add(1) == 0
     }
 
     /// Physical half (0 = bottom, 1 = top) of a physical position.
@@ -388,26 +457,45 @@ impl IssueQueue {
     /// the power model splits it across both halves).
     pub fn broadcast(&mut self, rob_id: u32, activity: &mut IqActivity) {
         activity.broadcasts += 1;
-        let Some(waiting) = self.waiters.get_mut(rob_id as usize) else { return };
-        let mut waiting = std::mem::take(waiting);
-        while waiting != 0 {
-            let pos = waiting.trailing_zeros() as usize;
-            waiting &= waiting - 1;
-            let slot = self.slots[pos].as_mut().expect("a waiter bit names an occupied slot");
-            if slot.src1_tag == Some(rob_id) {
-                slot.src1_ready = true;
-                slot.src1_tag = None;
+        let tag = rob_id as usize;
+        if tag >= self.tags {
+            return;
+        }
+        for word in tag * self.stride..(tag + 1) * self.stride {
+            let base = (word - tag * self.stride) * 64;
+            let mut waiting = std::mem::take(&mut self.waiters[word]);
+            while waiting != 0 {
+                let id = base + waiting.trailing_zeros() as usize;
+                waiting &= waiting - 1;
+                self.wake(id, rob_id);
             }
-            if slot.src2_tag == Some(rob_id) {
-                slot.src2_ready = true;
-                slot.src2_tag = None;
-            }
-            if slot.is_ready() {
-                self.masks.ready |= 1 << pos;
-            }
-            if slot.src1_tag.is_none() && slot.src2_tag.is_none() {
-                self.masks.tagged &= !(1 << pos);
-            }
+        }
+    }
+
+    /// Marks the operands tagged `rob_id` of the entry with id `id`
+    /// available.
+    fn wake(&mut self, id: usize, rob_id: u32) {
+        let pos = usize::from(self.position[id]);
+        // The pipeline never reuses an id a waiting entry holds, so the
+        // mapping is exact. Restored state that breaks that invariant in a
+        // way `restore` cannot see (an executing op retiring a waiting
+        // entry's id early) can leave it stale: wake nothing then.
+        let Some(slot) = self.slots[pos].as_mut().filter(|e| e.rob_id as usize == id) else {
+            return;
+        };
+        if slot.src1_tag == Some(rob_id) {
+            slot.src1_ready = true;
+            slot.src1_tag = None;
+        }
+        if slot.src2_tag == Some(rob_id) {
+            slot.src2_ready = true;
+            slot.src2_tag = None;
+        }
+        if slot.is_ready() {
+            self.masks.ready |= 1 << pos;
+        }
+        if slot.src1_tag.is_none() && slot.src2_tag.is_none() {
+            self.masks.tagged &= !(1 << pos);
         }
     }
 
@@ -551,12 +639,10 @@ impl IssueQueue {
 
     /// Moves the entries at ranks `run` (all occupied) down by `shift`
     /// ranks into empty slots, carrying their index bits in the
-    /// rank-ordered `ranked` and their waiter bits.
+    /// rank-ordered `ranked` and the wakeup positions of the tagged ones.
     fn shift_run(&mut self, run: std::ops::Range<usize>, shift: usize, ranked: &mut Masks) {
         let half = self.slots.len() / 2;
         let bits = (u64::MAX >> (64 - run.len())) << run.start;
-        // Waiter bits are by physical position: carry them entry by entry,
-        // head first, so that each destination bit is already clear.
         let mut tagged = ranked.tagged & bits;
         while tagged != 0 {
             let rank = tagged.trailing_zeros() as usize;
@@ -564,9 +650,7 @@ impl IssueQueue {
             let from = rank_to_position(rank, half, self.mode);
             let to = rank_to_position(rank - shift, half, self.mode);
             let entry = self.slots[from].as_ref().expect("a tagged bit names an occupied slot");
-            for tag in entry.tags() {
-                self.waiters[tag as usize] ^= (1 << from) | (1 << to);
-            }
+            self.position[entry.rob_id as usize] = to as u8;
         }
         *ranked = ranked.map(|m| (m & !bits) | ((m & bits) >> shift));
 
@@ -598,28 +682,40 @@ impl IssueQueue {
     /// Writes `entry` into the empty slot `pos` and indexes it.
     fn place(&mut self, pos: usize, entry: IqEntry) {
         self.masks.set(1 << pos, &entry);
-        for tag in entry.tags() {
-            let tag = tag as usize;
-            if tag >= self.waiters.len() {
-                self.waiters.resize(tag + 1, 0);
+        let id = entry.rob_id as usize;
+        if let Some(top) = entry.tags().max() {
+            if id >= self.position.len() || top as usize >= self.tags {
+                self.grow(id + 1, top as usize + 1);
             }
-            self.waiters[tag] |= 1 << pos;
+            self.position[id] = pos as u8;
+            for tag in entry.tags() {
+                self.waiters[tag as usize * self.stride + id / 64] |= 1 << (id % 64);
+            }
         }
         self.slots[pos] = Some(entry);
     }
 
-    /// Empties the occupied slot `pos` and drops it from the waiter table;
+    /// Empties the occupied slot `pos` and drops it from the wakeup table;
     /// the caller clears its mask bits.
     fn clear_slot(&mut self, pos: usize) {
         let entry = self.slots[pos].take().expect("clearing an occupied slot");
+        let id = entry.rob_id as usize;
         for tag in entry.tags() {
-            self.waiters[tag as usize] &= !(1 << pos);
+            self.waiters[tag as usize * self.stride + id / 64] &= !(1 << (id % 64));
         }
     }
 
+    /// Whether row `tag` of the wakeup table lists id `id`.
+    fn listed(&self, tag: usize, id: usize) -> bool {
+        tag < self.tags
+            && id < self.stride * 64
+            && self.waiters[tag * self.stride + id / 64] & (1 << (id % 64)) != 0
+    }
+
     /// Checks the index against the slots: each mask holds exactly the
-    /// positions whose slot it describes, and each waiter bit exactly the
-    /// positions with an operand waiting on its tag.
+    /// positions whose slot it describes; each wakeup row lists exactly the
+    /// ids of the entries with an operand waiting on its tag, and each such
+    /// id maps to its entry's position.
     ///
     /// # Errors
     ///
@@ -629,27 +725,37 @@ impl IssueQueue {
         if self.masks != derived {
             return Err(format!("index {:x?} != {derived:x?} derived from the slots", self.masks));
         }
-        for (pos, slot) in self.slots.iter().enumerate() {
-            for tag in slot.iter().flat_map(IqEntry::tags) {
-                if self.waiters.get(tag as usize).is_none_or(|w| w & (1 << pos) == 0) {
+        for (pos, entry) in self.entries() {
+            let id = entry.rob_id as usize;
+            for tag in entry.tags() {
+                if !self.listed(tag as usize, id) {
                     return Err(format!(
-                        "slot {pos} waits on tag {tag} but is not listed under it"
+                        "slot {pos} (id {id}) waits on tag {tag} but is not listed under it"
+                    ));
+                }
+                if usize::from(self.position[id]) != pos {
+                    return Err(format!(
+                        "slot {pos} waits under id {id}, which maps to position {}",
+                        self.position[id]
                     ));
                 }
             }
         }
-        for (tag, &waiting) in self.waiters.iter().enumerate() {
-            let mut waiting = waiting;
-            while waiting != 0 {
-                let pos = waiting.trailing_zeros() as usize;
-                waiting &= waiting - 1;
-                let waits = self
-                    .slots
-                    .get(pos)
-                    .and_then(Option::as_ref)
-                    .is_some_and(|e| e.tags().any(|t| t as usize == tag));
-                if !waits {
-                    return Err(format!("tag {tag} lists slot {pos}, which does not wait on it"));
+        for (tag, row) in self.waiters.chunks_exact(self.stride.max(1)).enumerate() {
+            for (word, &bits) in row.iter().enumerate() {
+                let mut waiting = bits;
+                while waiting != 0 {
+                    let id = word * 64 + waiting.trailing_zeros() as usize;
+                    waiting &= waiting - 1;
+                    let pos = usize::from(self.position[id]);
+                    let waits = self.slots[pos].as_ref().is_some_and(|e| {
+                        e.rob_id as usize == id && e.tags().any(|t| t as usize == tag)
+                    });
+                    if !waits {
+                        return Err(format!(
+                            "tag {tag} lists id {id} at slot {pos}, which does not wait on it"
+                        ));
+                    }
                 }
             }
         }
@@ -665,8 +771,8 @@ impl IssueQueue {
     /// Restores state captured by [`snapshot`](IssueQueue::snapshot) and
     /// rebuilds the index from the restored slots.
     ///
-    /// Operand tags size the waiter table, so state from outside the
-    /// program must have its tags bounded first ([`Core::restore`] checks
+    /// Ids and operand tags size the wakeup table, so state from outside
+    /// the program must have them bounded first ([`Core::restore`] checks
     /// them against the active list).
     ///
     /// [`Core::restore`]: crate::Core::restore
@@ -675,7 +781,8 @@ impl IssueQueue {
     ///
     /// Returns a message if the captured slot count does not match this
     /// queue's capacity (i.e. the snapshot was taken under a different
-    /// configuration).
+    /// configuration), or if two entries with a pending operand share an
+    /// active-list id. The queue is left untouched on error.
     pub fn restore(&mut self, state: &IqState) -> Result<(), String> {
         if state.slots.len() != self.slots.len() {
             return Err(format!(
@@ -684,6 +791,7 @@ impl IssueQueue {
                 self.slots.len()
             ));
         }
+        check_tagged_ids(&state.slots)?;
         self.mode = state.mode;
         self.replay_window = state.replay_window;
         self.slots.fill(None);
@@ -875,6 +983,45 @@ mod tests {
         iq.broadcast(88, &mut act);
         assert_eq!(iq.ready_positions().count(), 2);
         assert_eq!(act.broadcasts, 2);
+    }
+
+    #[test]
+    fn waiting_entry_may_reuse_the_id_of_a_lingering_issued_one() {
+        // The active list can free and reuse an id while the issued entry
+        // that held it still sits out its replay window.
+        let mut iq = IssueQueue::new(8);
+        iq.set_replay_window(3);
+        let mut act = IqActivity::default();
+        assert!(iq.insert(entry(0), &mut act));
+        assert!(iq.insert(entry(5), &mut act));
+        iq.mark_issued(1, &mut act);
+        assert!(iq.insert(waiting_on(5, 9), &mut act));
+        iq.audit().expect("the reused id indexes the waiting entry");
+        iq.mark_issued(0, &mut act);
+        for _ in 0..4 {
+            iq.tick(6, &mut act);
+            iq.audit().expect("compaction keeps the index");
+        }
+        assert_eq!(iq.occupancy(), 1, "both issued entries compacted away");
+        assert_eq!(iq.entry(0).map(|e| (e.rob_id, e.src1_tag)), Some((5, Some(9))));
+        iq.broadcast(9, &mut act);
+        assert_eq!(iq.ready_positions().collect::<Vec<_>>(), vec![0]);
+        iq.audit().expect("the woken entry leaves the table");
+    }
+
+    #[test]
+    fn restore_rejects_two_waiting_entries_with_one_id() {
+        let mut state = IssueQueue::new(8).snapshot();
+        state.slots[0] = Some(waiting_on(3, 1));
+        state.slots[1] = Some(waiting_on(3, 2));
+        let mut iq = IssueQueue::new(8);
+        let err = iq.restore(&state).expect_err("shared id refused");
+        assert!(err.contains("share active-list id 3"), "{err}");
+        assert_eq!(iq.occupancy(), 0, "a refused restore changes nothing");
+        // Once one of them has no pending operand, the id may be shared.
+        state.slots[0] = Some(entry(3));
+        iq.restore(&state).expect("one tagged holder");
+        iq.audit().expect("restored index");
     }
 
     #[test]

@@ -53,7 +53,9 @@ pub use activity::{ActivitySample, IqActivity};
 pub use bpred::{BranchPredictor, BranchPredictorState};
 pub use cache::{Cache, CacheOutcome, CacheState, MemAccess, MemoryHierarchy, MemoryState};
 pub use config::{CacheConfig, CoreConfig, DutyCycle, IqMode, MappingPolicy, SelectPolicy};
-pub use exec::{FuPool, FuPoolState, ReadCharges, RegFileWiring, UnitKind, WiringState};
+pub use exec::{
+    units_in_order, FuPool, FuPoolState, ReadCharges, RegFileWiring, UnitKind, WiringState,
+};
 pub use iq::{EntryState, IqEntry, IqState, IssueQueue};
 pub use pipeline::{Core, CoreState, CoreStats};
 pub use rob::{ActiveList, ActiveListState, RenameMap, RobEntry, RobState};

@@ -4,8 +4,8 @@ use crate::activity::ActivitySample;
 use crate::bpred::{BranchPredictor, BranchPredictorState};
 use crate::cache::{MemoryHierarchy, MemoryState};
 use crate::config::{CoreConfig, DutyCycle, IqMode, SelectPolicy};
-use crate::exec::{FuPool, FuPoolState, RegFileWiring, UnitKind, WiringState};
-use crate::iq::{EntryState, IqEntry, IqState, IssueQueue};
+use crate::exec::{units_in_order, FuPool, FuPoolState, RegFileWiring, UnitKind, WiringState};
+use crate::iq::{check_tagged_ids, EntryState, IqEntry, IqState, IssueQueue};
 use crate::rob::{ActiveList, ActiveListState, RenameMap, RobState};
 use powerbalance_isa::{ExecDomain, MicroOp, OpClass, RegClass, TraceSource};
 use serde::{Deserialize, Serialize};
@@ -153,6 +153,7 @@ fn check_ids(state: &CoreState, rob_size: usize) -> Result<(), String> {
     };
     let live = |id: u32| state.rob.entries.get(id as usize).is_some_and(Option::is_some);
     for (label, iq) in [("int iq", &state.int_iq), ("fp iq", &state.fp_iq)] {
+        check_tagged_ids(&iq.slots).map_err(|e| format!("{label}: {e}"))?;
         for entry in iq.slots.iter().flatten() {
             in_range(format_args!("{label}: rob_id"), entry.rob_id)?;
             for tag in [entry.src1_tag, entry.src2_tag].into_iter().flatten() {
@@ -183,7 +184,8 @@ fn check_ids(state: &CoreState, rob_size: usize) -> Result<(), String> {
 
 /// The simulated 6-wide out-of-order core.
 ///
-/// Drive it with [`Core::cycle`] (one clock) or [`Core::run`]; inspect
+/// Drive it with [`Core::cycle`] (one clock), [`Core::advance`] (a cycle
+/// budget, quiet spans applied in one step) or [`Core::run`]; inspect
 /// progress with [`Core::stats`]; drain per-window activity with
 /// [`Core::take_activity`]. Mitigation controllers steer the core through
 /// [`Core::set_iq_mode`], [`Core::set_unit_enabled`],
@@ -219,6 +221,12 @@ pub struct Core {
     lsq_used: usize,
     pool: FuPool,
     wiring: RegFileWiring,
+    /// Bit `u` set iff integer ALU `u` is enabled and its register-file
+    /// copies are: derived from `pool` and `wiring` by
+    /// [`refresh_usable`](Core::refresh_usable) whenever either changes.
+    int_usable: u8,
+    /// Bit `u` set iff FP adder `u` is enabled; derived like `int_usable`.
+    fp_add_usable: u8,
     /// Write-port gating per integer register-file copy (the paper's
     /// second staleness solution disables writes into a cooling copy).
     rf_writes_enabled: [bool; 2],
@@ -275,7 +283,7 @@ impl Core {
             // tables once so no dispatch ever grows them.
             iq.reserve_tags(cfg.rob_size);
         }
-        Ok(Core {
+        let mut core = Core {
             bpred: BranchPredictor::new(cfg.bpred_history_bits, cfg.btb_entries),
             mem: MemoryHierarchy::new(cfg.l1i, cfg.l1d, cfg.l2, cfg.memory_latency),
             int_iq,
@@ -285,6 +293,8 @@ impl Core {
             lsq_used: 0,
             pool: FuPool::new(cfg.int_alus, cfg.fp_adders),
             wiring: RegFileWiring::new(cfg.mapping, cfg.int_alus, cfg.int_rf_copies),
+            int_usable: 0,
+            fp_add_usable: 0,
             rf_writes_enabled: [true; 2],
             fetch_duty: DutyCycle::full(),
             clock_duty: DutyCycle::full(),
@@ -307,7 +317,15 @@ impl Core {
             frozen: false,
             trace_done: false,
             next_uid: 0,
-        })
+        };
+        core.refresh_usable();
+        Ok(core)
+    }
+
+    /// Rederives the usable-unit masks select reads every cycle.
+    fn refresh_usable(&mut self) {
+        self.int_usable = self.pool.enabled_mask(UnitKind::IntAlu) & self.wiring.usable_mask();
+        self.fp_add_usable = self.pool.enabled_mask(UnitKind::FpAdd);
     }
 
     /// The configuration the core was built with.
@@ -371,6 +389,7 @@ impl Core {
     /// Enables or disables a functional unit (fine-grain turnoff).
     pub fn set_unit_enabled(&mut self, kind: UnitKind, index: usize, enabled: bool) {
         self.pool.set_enabled(kind, index, enabled);
+        self.refresh_usable();
     }
 
     /// Whether a functional unit is enabled.
@@ -391,6 +410,7 @@ impl Core {
     /// turnoff via busy-marking the ALUs wired to it).
     pub fn set_rf_copy_enabled(&mut self, copy: usize, enabled: bool) {
         self.wiring.set_copy_enabled(copy, enabled);
+        self.refresh_usable();
     }
 
     /// Whether an integer register-file copy is enabled.
@@ -643,6 +663,7 @@ impl Core {
         self.rob.restore(&state.rob).map_err(|e| format!("active list: {e}"))?;
         self.pool.restore(&state.pool).map_err(|e| format!("functional units: {e}"))?;
         self.wiring.restore(&state.wiring).map_err(|e| format!("regfile wiring: {e}"))?;
+        self.refresh_usable();
         self.rename = state.rename.clone();
         self.now = state.now;
         self.frozen = state.frozen;
@@ -666,13 +687,113 @@ impl Core {
     }
 
     /// Runs until the trace drains or `max_cycles` elapse; returns cycles
-    /// executed by this call.
+    /// executed by this call. An already drained core runs no cycle.
     pub fn run<T: TraceSource>(&mut self, trace: &mut T, max_cycles: u64) -> u64 {
-        let start = self.now;
-        while !self.is_done() && self.now - start < max_cycles {
-            self.cycle(trace);
+        if self.is_done() {
+            0
+        } else {
+            self.advance(trace, max_cycles)
         }
-        self.now - start
+    }
+
+    /// Advances the core by up to `budget` cycles, stopping after the first
+    /// cycle that leaves it [done](Core::is_done); returns the cycles run.
+    ///
+    /// The result is exactly that of calling [`cycle`](Core::cycle) in such
+    /// a loop, but a *quiet span* — a run of cycles in which the pipeline
+    /// can change nothing but its counters, typically while a cache miss is
+    /// outstanding — is applied in one step.
+    pub fn advance<T: TraceSource>(&mut self, trace: &mut T, budget: u64) -> u64 {
+        let mut ran = 0;
+        while ran < budget {
+            let quiet = self.quiet_span(budget - ran);
+            if quiet > 0 {
+                self.skip_quiet(quiet);
+                ran += quiet;
+            } else {
+                self.cycle(trace);
+                ran += 1;
+            }
+            if self.is_done() {
+                break;
+            }
+        }
+        ran
+    }
+
+    /// How many of the next cycles, up to `max`, would change nothing but
+    /// counters; 0 when the next cycle may do work (or the core is done, so
+    /// a stepping loop stops after one cycle).
+    ///
+    /// Such a cycle runs unfrozen and ungated, completes no in-flight op,
+    /// finds no completed head to commit, has neither queue able to issue,
+    /// age or compact, and has dispatch and fetch both blocked. None of
+    /// those conditions can change within the span, except the ones that
+    /// bound it: the in-flight countdowns, the I-cache stall, the front
+    /// op's front-end delay and the duty-cycle gate edges.
+    fn quiet_span(&self, max: u64) -> u64 {
+        if self.frozen || !self.int_iq.is_idle() || !self.fp_iq.is_idle() || self.is_done() {
+            return 0;
+        }
+        if self.rob.commit_ready().is_some() {
+            return 0;
+        }
+        let mut span = max;
+        for f in &self.in_flight {
+            span = span.min(u64::from(f.remaining) - 1);
+        }
+        let next = self.now + 1;
+        if self.dispatch_blocked(next).is_none() {
+            return 0;
+        }
+        if let Some(front) = self.fetch_queue.front() {
+            if front.ready_at > next {
+                span = span.min(front.ready_at - next);
+            }
+        }
+        if self.redirect_uid.is_none() {
+            if self.fetch_stall > 0 {
+                span = span.min(u64::from(self.fetch_stall));
+            } else if !self.trace_done && self.fetch_queue.len() < self.fetch_capacity() {
+                return 0;
+            }
+        }
+        span.min(self.clock_duty.ungated_run(next)).min(self.fetch_duty.ungated_run(next))
+    }
+
+    /// Applies a quiet span of `span` cycles found by
+    /// [`quiet_span`](Core::quiet_span): exactly the counter updates that
+    /// stepping each of its cycles would make.
+    fn skip_quiet(&mut self, span: u64) {
+        let stall = self.dispatch_blocked(self.now + 1).expect("a quiet span blocks dispatch");
+        self.now += span;
+        self.stats.cycles += span;
+        self.activity.cycles += span;
+        for f in &mut self.in_flight {
+            // The span is shorter than every countdown, so it fits a u32.
+            f.remaining -= span as u32;
+        }
+        self.activity.int_iq.gating_cycles += span;
+        self.activity.fp_iq.gating_cycles += span;
+        self.pool.tick_by(span);
+        self.stats.dispatch_stalls[stall] += span;
+        if self.redirect_uid.is_some() {
+            self.stats.redirect_stall_cycles += span;
+        } else if self.fetch_stall > 0 {
+            // The span is at most the stall, so it fits a u32.
+            self.fetch_stall -= span as u32;
+            self.stats.icache_stall_cycles += span;
+        }
+        if self.cfg.select_policy == SelectPolicy::RoundRobin {
+            self.rotation = self.rotation.wrapping_add(span as usize);
+        }
+        self.stats.issue_histogram[0] += span;
+        if self.int_iq.occupancy() > 0 {
+            self.stats.int_iq_blocked_cycles += span;
+        }
+        self.stats.int_iq_occupancy_sum += self.int_iq.occupancy() as u64 * span;
+        self.stats.fp_iq_occupancy_sum += self.fp_iq.occupancy() as u64 * span;
+        self.stats.rob_occupancy_sum += self.rob.len() as u64 * span;
     }
 
     /// Advances the core by one clock cycle.
@@ -812,16 +933,7 @@ impl Core {
             SelectPolicy::Static => 0,
             SelectPolicy::RoundRobin => self.rotation % self.cfg.int_alus,
         };
-        // At most 6 ALUs by construction (checked in `Core::new`), so the
-        // usable-unit list fits a fixed inline array: no per-cycle heap.
-        let mut units = [0usize; 6];
-        let mut n_units = 0usize;
-        for u in self.pool.int_units_in_order(rotation) {
-            if self.wiring.alu_usable(u) {
-                units[n_units] = u;
-                n_units += 1;
-            }
-        }
+        let (units, n_units) = units_in_order(self.int_usable, self.cfg.int_alus, rotation);
         if n_units == 0 {
             return;
         }
@@ -882,13 +994,7 @@ impl Core {
             SelectPolicy::Static => 0,
             SelectPolicy::RoundRobin => self.rotation % self.cfg.fp_adders,
         };
-        // At most 4 FP adders by construction: fixed inline array again.
-        let mut adders = [0usize; 4];
-        let mut n_adders = 0usize;
-        for u in self.pool.fp_add_units_in_order(rotation) {
-            adders[n_adders] = u;
-            n_adders += 1;
-        }
+        let (adders, n_adders) = units_in_order(self.fp_add_usable, self.cfg.fp_adders, rotation);
         let mut adder_idx = 0usize;
         let mut mul_used = false;
         for pos in self.fp_iq.ready_positions() {
@@ -939,36 +1045,36 @@ impl Core {
         }
     }
 
+    /// Why dispatch cannot take the front fetched op in cycle `now`, as an
+    /// index into [`CoreStats::dispatch_stalls`]; `None` when it can.
+    fn dispatch_blocked(&self, now: u64) -> Option<usize> {
+        let Some(front) = self.fetch_queue.front() else { return Some(3) };
+        if front.ready_at > now {
+            return Some(3);
+        }
+        let op = front.op;
+        if self.rob.is_full() {
+            return Some(0);
+        }
+        if op.class().is_mem() && self.lsq_used == self.cfg.lsq_size {
+            return Some(1);
+        }
+        let queue_ok = match op.class().domain() {
+            ExecDomain::Int => self.int_iq.can_insert(),
+            ExecDomain::Fp => self.fp_iq.can_insert(),
+        };
+        (!queue_ok).then_some(2)
+    }
+
     /// Renames and dispatches fetched instructions into the back end.
     fn dispatch(&mut self) {
         for _ in 0..self.cfg.dispatch_width {
-            let Some(front) = self.fetch_queue.front() else {
-                self.stats.dispatch_stalls[3] += 1;
-                break;
-            };
-            if front.ready_at > self.now {
-                self.stats.dispatch_stalls[3] += 1;
+            if let Some(stall) = self.dispatch_blocked(self.now) {
+                self.stats.dispatch_stalls[stall] += 1;
                 break;
             }
-            let op = front.op;
-            if self.rob.is_full() {
-                self.stats.dispatch_stalls[0] += 1;
-                break;
-            }
-            if op.class().is_mem() && self.lsq_used == self.cfg.lsq_size {
-                self.stats.dispatch_stalls[1] += 1;
-                break;
-            }
-            let queue_ok = match op.class().domain() {
-                ExecDomain::Int => self.int_iq.can_insert(),
-                ExecDomain::Fp => self.fp_iq.can_insert(),
-            };
-            if !queue_ok {
-                self.stats.dispatch_stalls[2] += 1;
-                break;
-            }
-
             let fetched = self.fetch_queue.pop_front().expect("checked non-empty");
+            let op = fetched.op;
             let rob_id =
                 self.rob.alloc(fetched.uid, op, fetched.is_redirect).expect("checked not full");
 
@@ -1003,6 +1109,11 @@ impl Core {
         }
     }
 
+    /// Fetch stops once this many micro-ops are queued.
+    fn fetch_capacity(&self) -> usize {
+        self.cfg.fetch_width * 8
+    }
+
     /// Pulls correct-path micro-ops from the trace into the fetch queue.
     fn fetch<T: TraceSource>(&mut self, trace: &mut T) {
         if self.fetch_duty.gates(self.now) {
@@ -1023,9 +1134,8 @@ impl Core {
         if self.trace_done {
             return;
         }
-        let capacity = self.cfg.fetch_width * 8;
         for _ in 0..self.cfg.fetch_width {
-            if self.fetch_queue.len() >= capacity {
+            if self.fetch_queue.len() >= self.fetch_capacity() {
                 break;
             }
             let Some(op) = trace.next_op() else {
@@ -1450,6 +1560,37 @@ mod tests {
     }
 
     #[test]
+    fn advance_stops_after_the_cycle_that_drains_the_core() {
+        // Cold-missing loads open quiet spans; the run then drains.
+        let cold = (0..200u64).map(|i| {
+            MicroOp::new(OpClass::Load)
+                .with_pc(0x400_000 + (i % 64) * 4)
+                .with_dest(ArchReg::int((i % 20) as u8))
+                .with_mem(MemRef::new(0x4000_0000 + i * 4096))
+        });
+        let ops: Vec<MicroOp> = cold.chain(mixed_ops()).collect();
+        let mut fast = Core::new(CoreConfig::default()).expect("valid config");
+        let mut slow = Core::new(CoreConfig::default()).expect("valid config");
+        let (mut fast_trace, mut slow_trace) = (SliceTrace::new(ops.clone()), SliceTrace::new(ops));
+        while !fast.is_done() {
+            let ran = fast.advance(&mut fast_trace, 777);
+            let mut stepped = 0;
+            for _ in 0..777 {
+                slow.cycle(&mut slow_trace);
+                stepped += 1;
+                if slow.is_done() {
+                    break;
+                }
+            }
+            assert_eq!(ran, stepped);
+            assert_eq!(fast.snapshot(), slow.snapshot());
+        }
+        // A drained core still runs one cycle per call, as the loop does.
+        assert_eq!(fast.advance(&mut fast_trace, 1_000), 1);
+        assert_eq!(fast.advance(&mut fast_trace, 0), 0);
+    }
+
+    #[test]
     fn snapshot_midstream_resumes_bit_identically() {
         // The mixed workload, interrupted mid-flight: the restored core
         // must finish with the exact stats of the uninterrupted one.
@@ -1572,6 +1713,19 @@ mod tests {
             let err = restore_rejected(&state);
             assert!(err.contains(expected), "expected '{expected}', got '{err}'");
         }
+    }
+
+    #[test]
+    fn restore_rejects_two_waiting_entries_with_one_id() {
+        // Each waiting entry owns its id's wakeup position; a second one
+        // would leave the first unwakeable.
+        let mut state = mid_run_state();
+        let slots = &mut state.int_iq.slots;
+        let waiting = slots.iter().flatten().find(|e| e.src1_tag.is_some()).copied();
+        let free = slots.iter().position(Option::is_none).expect("a free slot");
+        slots[free] = waiting;
+        let err = restore_rejected(&state);
+        assert!(err.contains("int iq: two waiting entries share active-list id"), "{err}");
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! after every operation their slots, mode, ready order, insert
 //! admission, occupancy and activity counters must agree exactly, and the
 //! indexed queue's bit index must audit clean against its slots.
+//!
+//! Entry ids are recycled the way the pipeline's active list recycles
+//! them, so a new waiting entry often shares its id with an issued or
+//! invalid entry still lingering in the queue.
 
 use powerbalance_uarch::{EntryState, IqActivity, IqEntry, IqMode, IssueQueue};
 use proptest::prelude::*;
@@ -218,6 +222,44 @@ mod reference {
 
 use reference::ReferenceQueue;
 
+/// Active-list ids as the pipeline hands them out: a ring of `size` slots
+/// allocated at the tail and freed in order at the head. An instruction
+/// retires once it has completed, which needs it issued; its queue entry
+/// may linger after that, issued or invalid, while its id is reused.
+#[derive(Debug, Clone, Copy)]
+struct ActiveList {
+    size: u32,
+    head: u32,
+    len: u32,
+}
+
+impl ActiveList {
+    fn alloc(&mut self) -> Option<u32> {
+        (self.len < self.size).then(|| {
+            self.len += 1;
+            (self.head + self.len - 1) % self.size
+        })
+    }
+
+    /// Undoes the last `alloc` (dispatch allocates only what it inserts).
+    fn unalloc(&mut self) {
+        self.len -= 1;
+    }
+
+    /// Frees the oldest id unless its entry still waits: on an operand, or
+    /// to issue.
+    fn retire(&mut self, iq: &IssueQueue) {
+        let head = self.head;
+        let waits = |e: &IqEntry| {
+            e.state == EntryState::Waiting || e.src1_tag.is_some() || e.src2_tag.is_some()
+        };
+        if self.len > 0 && !iq.entries().any(|(_, e)| e.rob_id == head && waits(e)) {
+            self.head = (self.head + 1) % self.size;
+            self.len -= 1;
+        }
+    }
+}
+
 /// One operand as drawn: a producer tag (from a small range, so tags
 /// repeat and both operands often wait on the same producer) and whether
 /// the ready flag disagrees with the tag (a state the pipeline never
@@ -237,6 +279,7 @@ impl Operand {
 #[derive(Debug, Clone)]
 enum Op {
     Insert(Operand, Operand, bool),
+    Retire,
     IssueNth(usize),
     Broadcast(u32),
     Tick(usize),
@@ -254,18 +297,25 @@ fn operand() -> impl Strategy<Value = Operand> {
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         6 => (operand(), operand(), any::<bool>()).prop_map(|(a, b, m)| Op::Insert(a, b, m)),
+        4 => Just(Op::Retire),
         4 => (0usize..64).prop_map(Op::IssueNth),
         3 => (0u32..12).prop_map(Op::Broadcast),
         5 => (0usize..=6).prop_map(Op::Tick),
         1 => (1u32..=3).prop_map(Op::ReplayWindow),
         1 => Just(Op::Toggle),
-        1 => (0u32..64).prop_map(Op::Evict),
+        1 => (0u32..128).prop_map(Op::Evict),
         1 => Just(Op::SnapshotRestore),
     ]
 }
 
 fn size() -> impl Strategy<Value = usize> {
     prop_oneof![Just(4usize), Just(8), Just(32), Just(64)]
+}
+
+/// Active-list sizes: small rings reuse ids within a few inserts; rings
+/// larger than the biggest queue let every queue size fill up.
+fn ring_size() -> impl Strategy<Value = u32> {
+    prop_oneof![1u32..=12, 80u32..=128]
 }
 
 /// Asserts that the two queues are indistinguishable.
@@ -307,6 +357,7 @@ proptest! {
     fn indexed_queue_matches_the_scan_based_reference(
         size in size(),
         window in 1u32..=3,
+        ids in ring_size(),
         ops in prop::collection::vec(op(), 1..300),
     ) {
         let mut iq = IssueQueue::new(size);
@@ -315,13 +366,14 @@ proptest! {
         reference.set_replay_window(window);
         let (mut act, mut ref_act) = (IqActivity::default(), IqActivity::default());
         let mut mode = IqMode::Normal;
-        let mut next_id = 0u32;
+        let mut active = ActiveList { size: ids, head: 0, len: 0 };
 
         for (step, op) in ops.into_iter().enumerate() {
             match op {
                 Op::Insert(a, b, is_mem) => {
+                    let Some(rob_id) = active.alloc() else { continue };
                     let entry = IqEntry {
-                        rob_id: next_id,
+                        rob_id,
                         state: EntryState::Waiting,
                         src1_ready: a.ready(),
                         src2_ready: b.ready(),
@@ -330,10 +382,13 @@ proptest! {
                         is_mem,
                         needs_fp_mul: false,
                     };
-                    next_id += 1;
                     let inserted = iq.insert(entry, &mut act);
                     prop_assert_eq!(inserted, reference.insert(entry, &mut ref_act));
+                    if !inserted {
+                        active.unalloc();
+                    }
                 }
+                Op::Retire => active.retire(&iq),
                 Op::IssueNth(n) => {
                     let ready: Vec<usize> = iq.ready_positions().collect();
                     if !ready.is_empty() {
@@ -359,7 +414,8 @@ proptest! {
                     iq.set_mode(mode);
                     reference.set_mode(mode);
                 }
-                Op::Evict(rob_id) => {
+                Op::Evict(n) => {
+                    let rob_id = n % active.size;
                     iq.evict(rob_id);
                     reference.evict(rob_id);
                 }

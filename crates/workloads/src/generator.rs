@@ -1,8 +1,11 @@
 //! Deterministic synthetic micro-op trace generation.
 
-use crate::{profile::WorkloadProfile, rng::Xoshiro256};
+use crate::profile::WorkloadProfile;
+use crate::rng::{Geometric, Xoshiro256};
 use powerbalance_isa::{ArchReg, BranchInfo, MemRef, MicroOp, OpClass, TraceSource};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Number of architectural registers (per class) the generator cycles
 /// destinations through. Must exceed [`MAX_DEP_DISTANCE`] so that "the
@@ -26,6 +29,30 @@ const HOT_BASE: u64 = 0x1000_0000;
 const WARM_BASE: u64 = 0x2000_0000;
 const COLD_BASE: u64 = 0x4000_0000;
 const CODE_BASE: u64 = 0x0040_0000;
+
+/// Hashes a static branch PC with one multiply and a fold. The keys are
+/// code addresses the generator itself produces, so SipHash's resistance to
+/// chosen keys buys nothing; iteration order is never observed (snapshots
+/// sort the counts).
+#[derive(Debug, Clone, Copy, Default)]
+struct PcHasher(u64);
+
+impl Hasher for PcHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let h = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
 
 /// Behaviour class of a static branch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,8 +143,11 @@ pub struct TraceGenerator {
     fp_writes: u64,
     /// Fraction of loads that produce an FP value (derived from the mix).
     fp_load_fraction: f64,
+    /// Dependency-distance distributions of the hot and cold phases.
+    dep_hot: Geometric,
+    dep_cold: Geometric,
     /// Per-static-branch trip counters driving loop-exit patterns.
-    branch_counts: std::collections::HashMap<u64, u64>,
+    branch_counts: HashMap<u64, u64, BuildHasherDefault<PcHasher>>,
     /// Start address of the basic block currently being emitted.
     block_start: u64,
 }
@@ -169,7 +199,6 @@ impl TraceGenerator {
         }
 
         TraceGenerator {
-            profile,
             rng: Xoshiro256::new(seed),
             op_index: 0,
             pc: CODE_BASE,
@@ -179,10 +208,13 @@ impl TraceGenerator {
             fp_ring,
             fp_writes: 0,
             fp_load_fraction,
-            branch_counts: std::collections::HashMap::new(),
+            dep_hot: Geometric::new(profile.dep_mean_hot()),
+            dep_cold: Geometric::new(profile.dep_mean_cold()),
+            branch_counts: HashMap::default(),
             block_start: CODE_BASE,
             mean_block_len,
             ops_left_in_block: 0,
+            profile,
         }
     }
 
@@ -273,8 +305,8 @@ impl TraceGenerator {
         ArchReg::fp(reg)
     }
 
-    fn pick_int_src(&mut self, dep_mean: f64) -> ArchReg {
-        let d = self.rng.geometric(dep_mean, MAX_DEP_DISTANCE);
+    fn pick_int_src(&mut self, dep: Geometric) -> ArchReg {
+        let d = self.rng.sample_geometric(dep, MAX_DEP_DISTANCE);
         let idx = if self.int_writes >= d {
             (self.int_writes - d) % u64::from(DEST_REG_POOL)
         } else {
@@ -283,8 +315,8 @@ impl TraceGenerator {
         ArchReg::int(idx as u8)
     }
 
-    fn pick_fp_src(&mut self, dep_mean: f64) -> ArchReg {
-        let d = self.rng.geometric(dep_mean, MAX_DEP_DISTANCE);
+    fn pick_fp_src(&mut self, dep: Geometric) -> ArchReg {
+        let d = self.rng.sample_geometric(dep, MAX_DEP_DISTANCE);
         let idx = if self.fp_writes >= d {
             (self.fp_writes - d) % u64::from(DEST_REG_POOL)
         } else {
@@ -358,7 +390,7 @@ impl TraceGenerator {
 impl TraceSource for TraceGenerator {
     fn next_op(&mut self) -> Option<MicroOp> {
         let hot = self.profile.phases().is_hot(self.op_index);
-        let dep_mean = if hot { self.profile.dep_mean_hot() } else { self.profile.dep_mean_cold() };
+        let dep = if hot { self.dep_hot } else { self.dep_cold };
         let imm = self.profile.immediate_fraction();
         if self.op_index == 0 {
             self.ops_left_in_block = self.block_len(self.pc);
@@ -375,15 +407,15 @@ impl TraceSource for TraceGenerator {
         match class {
             OpClass::IntAlu | OpClass::IntMul => {
                 if !self.rng.chance(imm) {
-                    op = op.with_src1(self.pick_int_src(dep_mean));
+                    op = op.with_src1(self.pick_int_src(dep));
                 }
                 if !self.rng.chance(imm) {
-                    op = op.with_src2(self.pick_int_src(dep_mean));
+                    op = op.with_src2(self.pick_int_src(dep));
                 }
                 op = op.with_dest(self.alloc_int_dest());
             }
             OpClass::Load => {
-                op = op.with_src1(self.pick_int_src(dep_mean));
+                op = op.with_src1(self.pick_int_src(dep));
                 op = op.with_mem(MemRef::new(self.sample_data_addr()));
                 op = if self.rng.chance(self.fp_load_fraction) {
                     op.with_dest(self.alloc_fp_dest())
@@ -392,12 +424,12 @@ impl TraceSource for TraceGenerator {
                 };
             }
             OpClass::Store => {
-                op = op.with_src1(self.pick_int_src(dep_mean));
-                op = op.with_src2(self.pick_int_src(dep_mean));
+                op = op.with_src1(self.pick_int_src(dep));
+                op = op.with_src2(self.pick_int_src(dep));
                 op = op.with_mem(MemRef::new(self.sample_data_addr()));
             }
             OpClass::Branch => {
-                op = op.with_src1(self.pick_int_src(dep_mean));
+                op = op.with_src1(self.pick_int_src(dep));
                 let (kind, period) = self.branch_character(pc);
                 let (taken, target) = match kind {
                     BranchKind::LoopBack => {
@@ -416,9 +448,9 @@ impl TraceSource for TraceGenerator {
             }
             OpClass::FpAdd | OpClass::FpMul | OpClass::FpDiv => {
                 if !self.rng.chance(imm) {
-                    op = op.with_src1(self.pick_fp_src(dep_mean));
+                    op = op.with_src1(self.pick_fp_src(dep));
                 }
-                op = op.with_src2(self.pick_fp_src(dep_mean));
+                op = op.with_src2(self.pick_fp_src(dep));
                 op = op.with_dest(self.alloc_fp_dest());
             }
         }

@@ -92,14 +92,42 @@ impl Xoshiro256 {
     ///
     /// Panics if `mean < 1.0` or `max == 0`.
     pub fn geometric(&mut self, mean: f64, max: u64) -> u64 {
-        assert!(mean >= 1.0, "geometric mean must be >= 1");
+        self.sample_geometric(Geometric::new(mean), max)
+    }
+
+    /// [`geometric`](Xoshiro256::geometric) with its per-mean logarithm
+    /// taken once in `dist`; draws the same value from the same state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mean is below 1 or `max == 0`.
+    #[inline]
+    pub(crate) fn sample_geometric(&mut self, dist: Geometric, max: u64) -> u64 {
+        assert!(dist.mean >= 1.0, "geometric mean must be >= 1");
         assert!(max > 0, "geometric max must be positive");
-        let p = 1.0 / mean;
         // Inverse-CDF sampling: k = ceil(ln(1-u)/ln(1-p)).
         let u = self.next_f64();
-        let k = ((1.0 - u).ln() / (1.0 - p).ln()).ceil();
+        let k = ((1.0 - u).ln() / dist.ln_q).ceil();
         let k = if k.is_finite() && k >= 1.0 { k as u64 } else { 1 };
         k.min(max)
+    }
+}
+
+/// A geometric distribution of a fixed mean, with the logarithm every draw
+/// divides by, `ln(1 - 1/mean)`, computed once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Geometric {
+    mean: f64,
+    ln_q: f64,
+}
+
+impl Geometric {
+    /// The distribution with mean approximately `mean` (not checked here:
+    /// sampling a mean below 1 panics).
+    #[must_use]
+    pub(crate) fn new(mean: f64) -> Self {
+        let p = 1.0 / mean;
+        Geometric { mean, ln_q: (1.0 - p).ln() }
     }
 }
 
@@ -173,6 +201,25 @@ mod tests {
                 (mean - target).abs() / target < 0.1,
                 "geometric mean {mean} vs target {target}"
             );
+        }
+    }
+
+    #[test]
+    fn hoisted_geometric_draws_the_same_values() {
+        // The unhoisted formula, taking both logarithms on every draw.
+        fn per_draw_log(r: &mut Xoshiro256, mean: f64, max: u64) -> u64 {
+            let p = 1.0 / mean;
+            let u = r.next_f64();
+            let k = ((1.0 - u).ln() / (1.0 - p).ln()).ceil();
+            let k = if k.is_finite() && k >= 1.0 { k as u64 } else { 1 };
+            k.min(max)
+        }
+        let (mut a, mut b) = (Xoshiro256::new(3), Xoshiro256::new(3));
+        for mean in [1.0f64, 1.5, 3.0, 6.0, 12.0, 50.0, 1e9] {
+            let dist = Geometric::new(mean);
+            for _ in 0..2_000 {
+                assert_eq!(per_draw_log(&mut a, mean, 24), b.sample_geometric(dist, 24));
+            }
         }
     }
 

@@ -14,6 +14,10 @@ use std::time::Duration;
 /// A server with timings tuned for tests: sub-second read deadline (so
 /// the slow-loris test doesn't take 10 s) and a small body limit.
 fn start_test_server() -> ServerHandle {
+    start_server_with_body_limit(8 * 1024)
+}
+
+fn start_server_with_body_limit(max_body_bytes: usize) -> ServerHandle {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         service: ServiceConfig {
@@ -22,7 +26,7 @@ fn start_test_server() -> ServerHandle {
             campaign_threads: Some(1),
             ..ServiceConfig::default()
         },
-        limits: Limits { max_head_bytes: 4 * 1024, max_body_bytes: 8 * 1024 },
+        limits: Limits { max_head_bytes: 4 * 1024, max_body_bytes },
         read_timeout: Duration::from_millis(600),
         write_timeout: Duration::from_secs(5),
         max_connections: 16,
@@ -95,6 +99,21 @@ fn oversized_body_gets_413() {
         .request("POST", "/v1/campaigns", Some(&huge))
         .expect("a response comes back");
     assert_eq!(response.status, 413);
+    assert_still_serving(&server);
+}
+
+/// A body nested far deeper than any campaign spec, well inside a 1 MiB
+/// body limit: parsed without a depth bound it overflows the connection
+/// thread's stack and aborts the whole server.
+#[test]
+fn deeply_nested_json_gets_400() {
+    let server = start_server_with_body_limit(1024 * 1024);
+    let body = "[".repeat(100_000);
+    let response = client(&server)
+        .request("POST", "/v1/campaigns", Some(&body))
+        .expect("a response comes back");
+    assert_eq!(response.status, 400);
+    assert!(response.text().contains("nesting deeper than"), "{}", response.text());
     assert_still_serving(&server);
 }
 
