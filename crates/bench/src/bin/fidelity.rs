@@ -22,7 +22,7 @@ use serde::{json, Deserialize, Serialize};
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// One benchmark per behaviour class, as in the throughput baseline:
+/// One benchmark per behaviour class:
 /// integer (gzip), floating-point (mesa), and branchy/mixed (crafty).
 const DEFAULT_BENCHMARKS: [&str; 3] = ["gzip", "mesa", "crafty"];
 
@@ -172,14 +172,8 @@ fn build_spec(args: &Args, name: &str, fidelity: Fidelity) -> CampaignSpec {
 }
 
 fn run_timed(spec: &CampaignSpec, args: &Args) -> (CampaignResult, f64) {
-    let options = RunnerOptions {
-        threads: args.threads,
-        progress: !args.quiet,
-        warm_cache: false,
-        checkpoint_dir: None,
-        resume: false,
-        ..RunnerOptions::default()
-    };
+    let options =
+        RunnerOptions { threads: args.threads, progress: !args.quiet, ..RunnerOptions::default() };
     let start = Instant::now();
     let result = run_campaign(spec, &options).expect("fidelity campaign specs are valid");
     (result, start.elapsed().as_secs_f64())

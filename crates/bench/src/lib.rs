@@ -36,7 +36,6 @@ OPTIONS:
   --checkpoint-dir <dir>
                   persist warmup snapshots under <dir>
   --resume        load matching warmup snapshots from --checkpoint-dir
-  --no-warm-cache compute every warmup privately (no sharing)
   --help          show this help";
 
 /// Command-line arguments common to every bench binary.
@@ -58,8 +57,6 @@ pub struct BenchArgs {
     pub checkpoint_dir: Option<PathBuf>,
     /// Load matching snapshots from the checkpoint dir (`--resume`).
     pub resume: bool,
-    /// Share warmup snapshots across jobs (`--no-warm-cache` clears it).
-    pub warm_cache: bool,
 }
 
 impl Default for BenchArgs {
@@ -73,7 +70,6 @@ impl Default for BenchArgs {
             warmup: 0,
             checkpoint_dir: None,
             resume: false,
-            warm_cache: true,
         }
     }
 }
@@ -113,7 +109,6 @@ impl BenchArgs {
                     parsed.checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")?));
                 }
                 "--resume" => parsed.resume = true,
-                "--no-warm-cache" => parsed.warm_cache = false,
                 "--help" | "-h" => return Err("help".to_string()),
                 other => return Err(format!("unknown flag '{other}'")),
             }
@@ -158,7 +153,6 @@ impl BenchArgs {
         RunnerOptions {
             threads: self.threads,
             progress: !self.quiet,
-            warm_cache: self.warm_cache,
             checkpoint_dir: self.checkpoint_dir.clone(),
             resume: self.resume,
             ..RunnerOptions::default()
@@ -248,7 +242,9 @@ mod tests {
 
     #[test]
     fn rejects_bad_flags_and_values() {
-        assert!(BenchArgs::parse_from(&strs(&["--frobnicate"])).is_err());
+        for flag in ["--frobnicate", "--no-warm-cache"] {
+            assert!(BenchArgs::parse_from(&strs(&[flag])).is_err(), "{flag} is not a bench flag");
+        }
         assert!(BenchArgs::parse_from(&strs(&["--cycles"])).is_err());
         assert!(BenchArgs::parse_from(&strs(&["--cycles", "many"])).is_err());
         assert_eq!(BenchArgs::parse_from(&strs(&["--help"])), Err("help".to_string()));
@@ -272,15 +268,12 @@ mod tests {
             "--checkpoint-dir",
             "ckpts",
             "--resume",
-            "--no-warm-cache",
         ]))
         .expect("valid command line");
         assert_eq!(a.warmup, 20_000);
         assert_eq!(a.checkpoint_dir.as_deref(), Some(std::path::Path::new("ckpts")));
         assert!(a.resume);
-        assert!(!a.warm_cache);
         let opts = a.runner_options();
-        assert!(!opts.warm_cache);
         assert!(opts.resume);
         assert_eq!(opts.checkpoint_dir.as_deref(), Some(std::path::Path::new("ckpts")));
     }

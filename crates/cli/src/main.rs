@@ -71,8 +71,6 @@ USAGE:
       --checkpoint-dir <d>  persist warmup snapshots under <d>
       --resume              load matching warmup snapshots from
                             --checkpoint-dir instead of recomputing
-      --no-warm-cache       compute every warmup privately (disables
-                            snapshot sharing and --checkpoint-dir)
 
   powerbalance serve [FLAGS]
       Run the simulation service: accepts JSON campaign submissions over
@@ -84,9 +82,6 @@ USAGE:
       --threads <n>         worker threads inside each campaign
                             [POWERBALANCE_THREADS or all cores]
       --job-timeout <secs>  per-job wall-clock budget; 0 disables [600]
-      --max-batch <n>       lockstep-batch width cap for sibling jobs
-                            (same bench/seed, differing only in
-                            mitigation); 1 disables batching    [6]
       --journal-dir <d>     append campaign lifecycle records to a
                             crash-safe journal under <d>; on restart,
                             unfinished campaigns within the limits
@@ -142,7 +137,6 @@ struct RunArgs {
     warmup: u64,
     checkpoint_dir: Option<PathBuf>,
     resume: bool,
-    warm_cache: bool,
 }
 
 fn parse_run(args: &[String]) -> Result<RunArgs, String> {
@@ -164,7 +158,6 @@ fn parse_run(args: &[String]) -> Result<RunArgs, String> {
     let mut warmup = 0u64;
     let mut checkpoint_dir = None;
     let mut resume = false;
-    let mut warm_cache = true;
 
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -222,7 +215,6 @@ fn parse_run(args: &[String]) -> Result<RunArgs, String> {
             }
             "--checkpoint-dir" => checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")?)),
             "--resume" => resume = true,
-            "--no-warm-cache" => warm_cache = false,
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
@@ -328,7 +320,6 @@ fn parse_run(args: &[String]) -> Result<RunArgs, String> {
         warmup,
         checkpoint_dir,
         resume,
-        warm_cache,
     })
 }
 
@@ -342,7 +333,6 @@ fn run(args: RunArgs) -> Result<(), String> {
     let options = RunnerOptions {
         threads: args.threads,
         progress: spec.job_count() > 1,
-        warm_cache: args.warm_cache,
         checkpoint_dir: args.checkpoint_dir,
         resume: args.resume,
         ..RunnerOptions::default()
@@ -452,13 +442,6 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, String> {
                 config.service.job_timeout =
                     (secs > 0).then(|| std::time::Duration::from_secs(secs));
             }
-            "--max-batch" => {
-                config.service.max_batch =
-                    value("--max-batch")?.parse().map_err(|e| format!("--max-batch: {e}"))?;
-                if config.service.max_batch == 0 {
-                    return Err("--max-batch must be at least 1".to_string());
-                }
-            }
             "--journal-dir" => {
                 config.service.journal_dir = Some(std::path::PathBuf::from(value("--journal-dir")?))
             }
@@ -531,7 +514,12 @@ mod tests {
     #[test]
     fn rejects_unknown_benchmark_and_flags() {
         assert!(parse_run(&strs(&["--bench", "doom"])).is_err());
-        assert!(parse_run(&strs(&["--bench", "eon", "--frobnicate"])).is_err());
+        for flag in ["--frobnicate", "--no-warm-cache"] {
+            assert!(
+                parse_run(&strs(&["--bench", "eon", flag])).is_err(),
+                "{flag} is not a run flag"
+            );
+        }
         assert!(parse_run(&strs(&[])).is_err(), "--bench is required");
     }
 
@@ -557,10 +545,8 @@ mod tests {
         assert_eq!(a.warmup, 300_000);
         assert_eq!(a.checkpoint_dir.as_deref(), Some(std::path::Path::new("ckpt")));
         assert!(a.resume);
-        assert!(a.warm_cache);
 
-        let b = parse_run(&strs(&["--bench", "eon", "--no-warm-cache"])).expect("valid");
-        assert!(!b.warm_cache);
+        let b = parse_run(&strs(&["--bench", "eon"])).expect("valid");
         assert_eq!(b.warmup, 0, "warmup defaults off");
 
         assert!(
@@ -582,8 +568,6 @@ mod tests {
             "2",
             "--job-timeout",
             "30",
-            "--max-batch",
-            "4",
         ]))
         .expect("valid serve command line");
         assert_eq!(a.config.addr, "0.0.0.0:9000");
@@ -591,7 +575,6 @@ mod tests {
         assert_eq!(a.config.service.workers, 3);
         assert_eq!(a.config.service.campaign_threads, Some(2));
         assert_eq!(a.config.service.job_timeout, Some(std::time::Duration::from_secs(30)));
-        assert_eq!(a.config.service.max_batch, 4);
 
         let b = parse_serve(&[]).expect("defaults are valid");
         assert_eq!(b.config.addr, "127.0.0.1:8484");
@@ -601,8 +584,9 @@ mod tests {
 
         assert!(parse_serve(&strs(&["--queue-depth", "0"])).is_err());
         assert!(parse_serve(&strs(&["--workers", "0"])).is_err());
-        assert!(parse_serve(&strs(&["--max-batch", "0"])).is_err());
-        assert!(parse_serve(&strs(&["--frobnicate"])).is_err());
+        for flag in ["--frobnicate", "--max-batch"] {
+            assert!(parse_serve(&strs(&[flag, "4"])).is_err(), "{flag} is not a serve flag");
+        }
 
         let d =
             parse_serve(&strs(&["--journal-dir", "/tmp/pb-journal"])).expect("journal dir parses");

@@ -61,12 +61,11 @@ mod warmstart;
 
 pub use result::{CampaignResult, JobResult};
 pub use runner::{
-    plan_units, resolve_threads, run_batch_warmed_controlled, run_campaign,
-    run_campaign_controlled, run_one, run_one_warmed, run_one_warmed_controlled, CampaignControl,
+    plan_units, resolve_threads, run_campaign, run_campaign_controlled, run_one, CampaignControl,
     CampaignOutcome, JobProgress, RunnerOptions, THREADS_ENV_VAR,
 };
 pub use spec::{CampaignSpec, NamedConfig};
-pub use warmstart::{compute_warmup, compute_warmup_controlled, WarmStartCache, WarmupOutcome};
+pub use warmstart::{compute_warmup_controlled, WarmStartCache, WarmupOutcome};
 
 /// Default simulated cycles per run: long enough for several heat/stall
 /// cycles under the compressed thermal constants.

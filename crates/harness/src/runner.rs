@@ -26,16 +26,9 @@ pub struct RunnerOptions {
     pub threads: Option<usize>,
     /// Emit one progress line per finished job on stderr.
     pub progress: bool,
-    /// Share one warmup snapshot across jobs whose `(benchmark, seed,
-    /// warmup budget, config-modulo-mitigation)` match (default `true`).
-    /// With `false`, every job computes its own warmup privately — same
-    /// results, no sharing; useful for timing comparisons and as the
-    /// differential oracle for the cache itself. Irrelevant when
-    /// [`CampaignSpec::warmup_cycles`] is 0.
-    pub warm_cache: bool,
     /// Directory to persist warmup snapshots in (and, with
     /// [`resume`](RunnerOptions::resume), load them from). `None` keeps
-    /// the cache purely in-memory. Only consulted when `warm_cache` is on.
+    /// the cache purely in-memory.
     pub checkpoint_dir: Option<PathBuf>,
     /// Load matching snapshots from `checkpoint_dir` instead of
     /// recomputing them (a mismatched or unreadable file silently falls
@@ -56,7 +49,6 @@ impl Default for RunnerOptions {
         RunnerOptions {
             threads: None,
             progress: false,
-            warm_cache: true,
             checkpoint_dir: None,
             resume: false,
             max_batch: 6,
@@ -98,6 +90,10 @@ fn resolve_threads_from(explicit: Option<usize>, env: Option<&str>) -> usize {
 /// Runs one (benchmark × config) simulation outside any campaign: builds a
 /// fresh simulator, seeds the workload trace, runs for `cycles`.
 ///
+/// Multi-core configs (`cores > 1`) run the multi-core engine: one
+/// unbounded instance of the benchmark per core (seeds `seed..seed+N`),
+/// reporting the merged die-level result (`C{c}.`-prefixed block names).
+///
 /// # Errors
 ///
 /// Returns [`Error::Config`] if the benchmark is unknown or the config
@@ -108,124 +104,36 @@ pub fn run_one(
     cycles: u64,
     seed: u64,
 ) -> Result<RunResult, Error> {
-    run_one_warmed(config, bench, cycles, seed, 0, None)
-}
-
-/// Like [`run_one`], but preceded by `warmup_cycles` of mitigation-free
-/// warmup, optionally forked from a shared [`WarmStartCache`].
-///
-/// With a cache, the warmup snapshot is computed (or loaded) at most once
-/// per key and the measured run resumes from it under this job's own
-/// mitigation config. Without one, the warmup runs inline, uninterrupted,
-/// on the job's own simulator — no snapshot is ever taken. Both paths
-/// produce bit-identical results (warmup never consults the mitigation
-/// manager, and restore is exact); the differential test layer pins that
-/// equivalence, which is what makes the cold path the oracle for the
-/// cache.
-///
-/// # Errors
-///
-/// Returns [`Error::Config`] if the benchmark is unknown or the config
-/// fails validation.
-pub fn run_one_warmed(
-    config: &SimConfig,
-    bench: &str,
-    cycles: u64,
-    seed: u64,
-    warmup_cycles: u64,
-    cache: Option<&WarmStartCache>,
-) -> Result<RunResult, Error> {
-    run_one_warmed_controlled(
-        config,
-        bench,
-        cycles,
-        seed,
-        warmup_cycles,
-        cache,
-        &RunControl::unlimited(),
-    )
-    .map(|(result, _)| result)
-}
-
-/// Like [`run_one_warmed`], but threads a [`RunControl`] (cancellation
-/// flag and/or deadline) through the warmup and measured phases, both of
-/// which check it between sampling windows.
-///
-/// The *shared* cached warmup observes the control too
-/// ([`WarmStartCache::get_or_compute_controlled`]): a job stopped while
-/// blocked on (or computing) a shared warmup returns promptly with the
-/// stop cause and an empty result, and the half-warmed state is discarded
-/// rather than cached.
-///
-/// Multi-core configs (`cores > 1`) run the multi-core engine: one
-/// unbounded instance of the benchmark per core (seeds `seed..seed+N`),
-/// warmup inline, reporting the merged die-level result (`C{c}.`-prefixed
-/// block names).
-///
-/// # Errors
-///
-/// Returns [`Error::Config`] if the benchmark is unknown or the config
-/// fails validation.
-pub fn run_one_warmed_controlled(
-    config: &SimConfig,
-    bench: &str,
-    cycles: u64,
-    seed: u64,
-    warmup_cycles: u64,
-    cache: Option<&WarmStartCache>,
-    control: &RunControl<'_>,
-) -> Result<(RunResult, StopCause), Error> {
-    let (mut results, cause) =
-        run_unit(std::slice::from_ref(config), bench, cycles, seed, warmup_cycles, cache, control)?;
-    Ok((results.remove(0), cause))
-}
-
-/// Runs K batch-eligible sibling jobs in one lockstep [`BatchSimulator`]:
-/// the batched mirror of [`run_one_warmed_controlled`], bit-identical to
-/// calling it K times with the same arguments.
-///
-/// All `configs` must share a [`powerbalance::batch_key`] (same benchmark
-/// trace, core, floorplan, package, energy tables, cadence, fidelity —
-/// only `mitigation` may differ). Results come back in `configs` order. A
-/// stop (cancel/timeout) stops the whole batch at the same window
-/// boundary, so every sibling's partial statistics cover the same
-/// simulated span.
-///
-/// # Errors
-///
-/// Returns [`Error::Config`] if the benchmark is unknown, a config fails
-/// validation, or the configs are not batch-eligible siblings.
-pub fn run_batch_warmed_controlled(
-    configs: &[SimConfig],
-    bench: &str,
-    cycles: u64,
-    seed: u64,
-    warmup_cycles: u64,
-    cache: Option<&WarmStartCache>,
-    control: &RunControl<'_>,
-) -> Result<(Vec<RunResult>, StopCause), Error> {
-    run_unit(configs, bench, cycles, seed, warmup_cycles, cache, control)
+    let cache = WarmStartCache::in_memory();
+    let control = RunControl::unlimited();
+    let (mut results, _) =
+        run_unit(std::slice::from_ref(config), bench, cycles, seed, 0, &cache, &control)?;
+    Ok(results.remove(0))
 }
 
 /// The one unit runner: K sibling configs (K = 1 for a lone job) over one
 /// seeded benchmark trace, warmed, then measured under `control`.
 ///
 /// Single-core units run as a lockstep [`BatchSimulator`] — a one-sibling
-/// batch is the scalar engine. With a cache, one shared warmup snapshot
-/// (interruptibly computed) is restored into the unforked batch; without
-/// one, the batch runs the mitigation-free warmup inline. Under Exact
-/// fidelity siblings that may fork share generated micro-ops through a
-/// [`TraceCursor`] ring; otherwise each die keeps a private generator
-/// clone, so skipped intervals stay O(1). Multi-core units (one config)
-/// run the multi-core engine; the warm-start cache only holds
-/// single-core snapshots, so their warmup runs inline.
+/// batch is the scalar engine. With a warmup budget, the shared warmup
+/// snapshot comes from `cache` (computed interruptibly at most once per
+/// key; the stop of a job blocked on it is observed) and is restored into
+/// the unforked batch. Under Exact fidelity siblings that may fork share
+/// generated micro-ops through a [`TraceCursor`] ring; otherwise each die
+/// keeps a private generator clone, so skipped intervals stay O(1).
+/// Multi-core units (one config) run the multi-core engine; the warm-start
+/// cache only holds single-core snapshots, so their warmup runs inline.
+///
+/// A stop (cancel/timeout) stops the whole unit at the same window
+/// boundary, so every sibling's partial statistics cover the same
+/// simulated span. Results come back in `configs` order.
 fn run_unit(
     configs: &[SimConfig],
     bench: &str,
     cycles: u64,
     seed: u64,
     warmup_cycles: u64,
-    cache: Option<&WarmStartCache>,
+    cache: &WarmStartCache,
     control: &RunControl<'_>,
 ) -> Result<(Vec<RunResult>, StopCause), Error> {
     let profile = spec2000::by_name(bench)
@@ -248,18 +156,17 @@ fn run_unit(
         }
         return Ok((vec![sim.result().merged()], cause));
     }
-    let warm = match cache {
-        Some(cache) if warmup_cycles > 0 => {
-            match cache.get_or_compute_controlled(bench, seed, warmup_cycles, first, control)? {
-                WarmupOutcome::Ready(snapshot) => Some(snapshot),
-                WarmupOutcome::Stopped(cause) => {
-                    // Nothing ran; report every sibling's empty result.
-                    let batch = BatchSimulator::new(configs.to_vec(), profile.trace(seed))?;
-                    return Ok((batch.results(), cause));
-                }
+    let warm = if warmup_cycles > 0 {
+        match cache.get_or_compute_controlled(bench, seed, warmup_cycles, first, control)? {
+            WarmupOutcome::Ready(snapshot) => Some(snapshot),
+            WarmupOutcome::Stopped(cause) => {
+                // Nothing ran; report every sibling's empty result.
+                let batch = BatchSimulator::new(configs.to_vec(), profile.trace(seed))?;
+                return Ok((batch.results(), cause));
             }
         }
-        _ => None,
+    } else {
+        None
     };
     // `resume_with_config` validates structural compatibility and rebuilds
     // the trace at its post-warmup position.
@@ -267,31 +174,25 @@ fn run_unit(
         Some(snapshot) => snapshot.resume_with_config(first.clone())?.1,
         None => profile.trace(seed),
     };
-    let warmup = if warm.is_some() { 0 } else { warmup_cycles };
     if first.fidelity == Fidelity::Exact && configs.len() > 1 {
-        batch_over(configs, TraceCursor::new(trace), warm.as_deref(), warmup, cycles, control)
+        batch_over(configs, TraceCursor::new(trace), warm.as_deref(), cycles, control)
     } else {
-        batch_over(configs, trace, warm.as_deref(), warmup, cycles, control)
+        batch_over(configs, trace, warm.as_deref(), cycles, control)
     }
 }
 
-/// Monomorphized body of [`run_unit`]: build, optionally warm (restore or
-/// inline warmup), then run under `control`.
+/// Monomorphized body of [`run_unit`]: build, restore the warm snapshot
+/// if there is one, then run under `control`.
 fn batch_over<T: TraceSource + Clone>(
     configs: &[SimConfig],
     trace: T,
     warm: Option<&Snapshot>,
-    warmup_cycles: u64,
     cycles: u64,
     control: &RunControl<'_>,
 ) -> Result<(Vec<RunResult>, StopCause), Error> {
     let mut batch = BatchSimulator::new(configs.to_vec(), trace)?;
     if let Some(snapshot) = warm {
         batch.restore_state(&snapshot.state)?;
-    }
-    let cause = batch.run_warmup_controlled(warmup_cycles, control);
-    if !cause.is_completed() {
-        return Ok((batch.results(), cause));
     }
     Ok(batch.run_controlled(cycles, control))
 }
@@ -465,17 +366,16 @@ pub fn run_campaign_controlled(
     let units = plan_units(spec, options.max_batch);
     let threads = resolve_threads(options.threads).min(units.len()).max(1);
 
-    let private_cache = if shared_cache.is_none() && spec.warmup_cycles > 0 && options.warm_cache {
-        Some(match &options.checkpoint_dir {
-            Some(dir) => WarmStartCache::with_checkpoint_dir(dir, options.resume),
-            None => WarmStartCache::in_memory(),
-        })
-    } else {
-        None
-    };
+    let private_cache;
     let cache = match shared_cache {
-        Some(shared) if spec.warmup_cycles > 0 && options.warm_cache => Some(shared),
-        _ => private_cache.as_ref(),
+        Some(shared) => shared,
+        None => {
+            private_cache = match &options.checkpoint_dir {
+                Some(dir) => WarmStartCache::with_checkpoint_dir(dir, options.resume),
+                None => WarmStartCache::in_memory(),
+            };
+            &private_cache
+        }
     };
 
     let cursor = AtomicUsize::new(0);
@@ -596,15 +496,13 @@ pub fn run_campaign_controlled(
         return Ok(CampaignOutcome::Cancelled);
     }
 
-    if options.progress {
-        if let Some(cache) = cache {
-            let (computed, loaded, hits) = cache.stats();
-            eprintln!(
-                "[{} warm-start] {computed} warmup(s) computed, {loaded} loaded from disk, \
-                 {hits} cache hit(s)",
-                spec.name
-            );
-        }
+    if options.progress && spec.warmup_cycles > 0 {
+        let (computed, loaded, hits) = cache.stats();
+        eprintln!(
+            "[{} warm-start] {computed} warmup(s) computed, {loaded} loaded from disk, \
+             {hits} cache hit(s)",
+            spec.name
+        );
     }
 
     let jobs = slots
@@ -666,7 +564,7 @@ pub fn plan_units(spec: &CampaignSpec, max_batch: usize) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
     use powerbalance::experiments::{self, PolicyKind};
-    use powerbalance::FloorplanKind;
+    use powerbalance::{FloorplanKind, Simulator};
 
     #[test]
     fn plan_units_groups_by_batch_key_and_chunks() {
@@ -781,8 +679,9 @@ mod tests {
 
     #[test]
     fn warm_cache_matches_private_warmups() {
-        // The same campaign with the shared warm-start cache on and off
-        // must produce identical simulation outcomes: the cache is pure
+        // Every job of a campaign forked from shared warm-start snapshots
+        // must equal its own uninterrupted run — a private warmup, then the
+        // measured cycles on the same simulator: the cache is pure
         // wall-time optimization.
         let spec = CampaignSpec::new("warm")
             .config("base", experiments::issue_queue(false))
@@ -793,12 +692,18 @@ mod tests {
             .seed(5);
         let warm = run_campaign(&spec, &RunnerOptions { threads: Some(4), ..Default::default() })
             .expect("warm campaign");
-        let cold = run_campaign(
-            &spec,
-            &RunnerOptions { threads: Some(2), warm_cache: false, ..Default::default() },
-        )
-        .expect("cold campaign");
-        assert!(warm.same_outcome(&cold), "cache must not change results");
+        for job in &warm.jobs {
+            let mut sim = Simulator::new(spec.configs[job.config_index].config.clone())
+                .expect("valid config");
+            let mut trace = spec2000::by_name(&job.bench).expect("known benchmark").trace(5);
+            sim.run_warmup(&mut trace, 30_000);
+            let cold = sim.run(&mut trace, 30_000);
+            assert_eq!(
+                job.result, cold,
+                "{}/{}: cache must not change results",
+                job.bench, job.config
+            );
+        }
         // Warmup ran: the measured window alone is `cycles`, so total
         // simulated cycles include the warmup.
         assert!(warm.jobs[0].result.cycles >= 60_000);

@@ -37,8 +37,8 @@ pub struct CampaignSpec {
     /// and power accounting active but the mitigation manager never
     /// consulted. `0` (the default) skips warmup entirely. Because warmup
     /// state is mitigation-independent, jobs that share a benchmark, seed,
-    /// and warmup-relevant configuration can share one warmup snapshot —
-    /// see [`crate::RunnerOptions::warm_cache`].
+    /// and warmup-relevant configuration share one warmup snapshot — see
+    /// [`crate::WarmStartCache`].
     pub warmup_cycles: u64,
 }
 

@@ -19,10 +19,10 @@
 //! * with a checkpoint directory set, every computed snapshot is written
 //!   to `<dir>/<fnv1a-of-key>.json` (atomically: temp file + rename);
 //! * with `resume` also set, the cache tries the directory before
-//!   computing, verifying both the snapshot format version and the full
-//!   cache key stored inside the file (so a hash collision or a stale
-//!   file from an incompatible run falls back to recomputation instead of
-//!   poisoning results).
+//!   computing, verifying the full cache key stored inside the file and
+//!   that the snapshot resumes into the key's configuration (so a hash
+//!   collision, a stale file from an incompatible run, or a damaged state
+//!   falls back to recomputation instead of poisoning results).
 
 use powerbalance::{
     spec2000, Error, MitigationConfig, RunControl, SimConfig, Simulator, Snapshot, StopCause,
@@ -123,12 +123,11 @@ impl WarmStartCache {
     /// differing only there share a key.
     #[must_use]
     pub fn key(bench: &str, seed: u64, warmup_cycles: u64, config: &SimConfig) -> String {
-        let normalized = SimConfig { mitigation: MitigationConfig::baseline(), ..config.clone() };
         format!(
             "{{\"format_version\":{},\"bench\":{},\"seed\":{seed},\"warmup_cycles\":{warmup_cycles},\"config\":{}}}",
             powerbalance::FORMAT_VERSION,
             serde::json::to_string(bench),
-            serde::json::to_string(&normalized),
+            serde::json::to_string(&normalized(config)),
         )
     }
 
@@ -291,7 +290,8 @@ impl WarmStartCache {
     ) -> Result<Result<Arc<Snapshot>, StopCause>, Error> {
         if self.resume {
             if let Some(dir) = &self.checkpoint_dir {
-                if let Some(snapshot) = load_checkpoint(&Self::checkpoint_path(dir, key), key) {
+                let path = Self::checkpoint_path(dir, key);
+                if let Some(snapshot) = load_checkpoint(&path, key, normalized(config)) {
                     *self.loaded.lock().unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
                     return Ok(Ok(Arc::new(snapshot)));
                 }
@@ -312,30 +312,12 @@ impl WarmStartCache {
     }
 }
 
-/// Runs the mitigation-free warmup and captures it as a [`Snapshot`].
+/// Runs the mitigation-free warmup and captures it as a [`Snapshot`],
+/// checking `control` between sampling windows.
 ///
 /// The simulator is built with the mitigation normalized to the baseline,
 /// making the captured snapshot canonical for its cache key no matter
 /// which technique variant requested it first.
-///
-/// # Errors
-///
-/// Returns [`Error::Config`] if the benchmark is unknown or `config`
-/// fails validation.
-pub fn compute_warmup(
-    bench: &str,
-    seed: u64,
-    warmup_cycles: u64,
-    config: &SimConfig,
-) -> Result<Snapshot, Error> {
-    match compute_warmup_controlled(bench, seed, warmup_cycles, config, &RunControl::unlimited())? {
-        Ok(snapshot) => Ok(snapshot),
-        Err(_) => unreachable!("an unlimited control never stops a warmup"),
-    }
-}
-
-/// [`compute_warmup`] with a [`RunControl`] threaded through the warmup
-/// simulation, which checks it between sampling windows.
 ///
 /// The outer `Result` is the configuration check; the inner one is the
 /// control: `Ok(Err(cause))` means the warmup was stopped early and **no**
@@ -355,14 +337,20 @@ pub fn compute_warmup_controlled(
 ) -> Result<Result<Snapshot, StopCause>, Error> {
     let profile = spec2000::by_name(bench)
         .ok_or_else(|| Error::Config(format!("unknown benchmark '{bench}'")))?;
-    let normalized = SimConfig { mitigation: MitigationConfig::baseline(), ..config.clone() };
-    let mut sim = Simulator::new(normalized)?;
+    let mut sim = Simulator::new(normalized(config))?;
     let mut trace = profile.trace(seed);
     let cause = sim.run_warmup_controlled(&mut trace, warmup_cycles, control);
     if !cause.is_completed() {
         return Ok(Err(cause));
     }
     Ok(Ok(Snapshot::capture(&sim, &profile, &trace)))
+}
+
+/// `config` with its mitigation normalized to the baseline: the warmup
+/// never consults the manager, so this is the configuration every warmup
+/// snapshot is captured and keyed under.
+fn normalized(config: &SimConfig) -> SimConfig {
+    SimConfig { mitigation: MitigationConfig::baseline(), ..config.clone() }
 }
 
 /// 64-bit FNV-1a — the checkpoint file-name hash. Stable across runs and
@@ -376,15 +364,17 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn load_checkpoint(path: &Path, key: &str) -> Option<Snapshot> {
+/// Loads the checkpoint for `key`, or `None` if it cannot be trusted: an
+/// unreadable file, another key's file, or a snapshot that does not
+/// resume (format version, structure, or state shape) into a simulator
+/// built from `config`, the key's normalized configuration.
+fn load_checkpoint(path: &Path, key: &str, config: SimConfig) -> Option<Snapshot> {
     let text = std::fs::read_to_string(path).ok()?;
     let file: CheckpointFile = serde::json::from_str(&text).ok()?;
     if file.key != key {
         return None; // hash collision or stale/corrupt file
     }
-    if file.snapshot.format_version != powerbalance::FORMAT_VERSION {
-        return None;
-    }
+    file.snapshot.resume_with_config(config).ok()?;
     Some(file.snapshot)
 }
 
@@ -412,6 +402,12 @@ mod tests {
         dir
     }
 
+    fn warmup(bench: &str, seed: u64, warmup_cycles: u64, config: &SimConfig) -> Snapshot {
+        compute_warmup_controlled(bench, seed, warmup_cycles, config, &RunControl::unlimited())
+            .expect("valid config")
+            .expect("an unlimited control never stops a warmup")
+    }
+
     #[test]
     fn pre_stopped_controlled_request_leaves_the_cache_unpoisoned() {
         let cache = WarmStartCache::in_memory();
@@ -428,7 +424,7 @@ mod tests {
         // The aborted key was forgotten, not poisoned: an uncontrolled
         // retry computes the full warmup.
         let snap = cache.get_or_compute("gzip", 4, 20_000, &config).expect("recompute");
-        let reference = compute_warmup("gzip", 4, 20_000, &config).expect("warmup");
+        let reference = warmup("gzip", 4, 20_000, &config);
         assert_eq!(*snap, reference, "the retry must produce the full, untainted warmup");
         let (computed, _, _) = cache.stats();
         assert_eq!(computed, 1);
@@ -564,6 +560,23 @@ mod tests {
         let (computed, loaded, _) = cache.stats();
         assert_eq!((computed, loaded), (1, 0));
 
+        // The right key and format version, but a state that no longer
+        // fits the floorplan (one temperature sum missing): a snapshot that
+        // cannot restore must not load. Recompute, and heal the file.
+        let mut damaged = (*snap).clone();
+        damaged.state.temp_sum_bits.pop();
+        let file = CheckpointFile { key, snapshot: damaged };
+        std::fs::write(&path, serde::json::to_string(&file)).expect("write");
+        let cache = WarmStartCache::with_checkpoint_dir(&dir, true);
+        let healed = cache.get_or_compute("gzip", 9, 20_000, &config).expect("fallback");
+        let (computed, loaded, _) = cache.stats();
+        assert_eq!((computed, loaded), (1, 0), "damaged state must not be trusted");
+        assert_eq!(*healed, *snap, "recompute reproduces the snapshot");
+        let later = WarmStartCache::with_checkpoint_dir(&dir, true);
+        let _ = later.get_or_compute("gzip", 9, 20_000, &config).expect("load");
+        let (computed, loaded, _) = later.stats();
+        assert_eq!((computed, loaded), (0, 1), "healed checkpoint must load");
+
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -580,7 +593,7 @@ mod tests {
         let path = WarmStartCache::checkpoint_path(&dir, &key);
 
         // Build a genuine checkpoint document and cut it in half.
-        let snapshot = compute_warmup("gzip", 11, 20_000, &config).expect("warmup");
+        let snapshot = warmup("gzip", 11, 20_000, &config);
         let file = CheckpointFile { key: key.clone(), snapshot };
         let text = serde::json::to_string(&file);
         std::fs::write(&path, &text[..text.len() / 2]).expect("write");

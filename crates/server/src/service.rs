@@ -40,9 +40,6 @@ pub struct ServiceConfig {
     pub max_jobs_per_campaign: usize,
     /// Admission cap on per-job simulated cycles (budget + warmup).
     pub max_cycles_per_job: u64,
-    /// Upper bound on lockstep batching inside each campaign (see
-    /// [`RunnerOptions::max_batch`]); `1` disables batching.
-    pub max_batch: usize,
     /// Directory for the crash-safe campaign journal. `None` (the
     /// default) keeps the PR-5 in-memory behavior; `Some` makes every
     /// submission durable and replays unfinished campaigns on restart.
@@ -58,7 +55,6 @@ impl Default for ServiceConfig {
             job_timeout: Some(Duration::from_secs(600)),
             max_jobs_per_campaign: 256,
             max_cycles_per_job: 100_000_000,
-            max_batch: 6,
             journal_dir: None,
         }
     }
@@ -632,14 +628,8 @@ impl JobService {
         spec: &Arc<CampaignSpec>,
         control: &Arc<CampaignControl>,
     ) -> Result<CampaignOutcome, String> {
-        let options = RunnerOptions {
-            threads: self.config.campaign_threads,
-            progress: false,
-            warm_cache: true,
-            checkpoint_dir: None,
-            resume: false,
-            max_batch: self.config.max_batch,
-        };
+        let options =
+            RunnerOptions { threads: self.config.campaign_threads, ..RunnerOptions::default() };
         run_campaign_controlled(spec, &options, control, self.config.job_timeout, Some(&self.cache))
             .map_err(|e| e.to_string())
     }
