@@ -30,7 +30,9 @@
 //! random width K in 2..=6 of random policy families over the seed's base
 //! case, run as one [`BatchSimulator`] and cross-checked bitwise against K
 //! sequential scalar runs. Any drift — a temperature bit, an event count —
-//! fails the seed.
+//! fails the seed. The same batch then runs again, split at a seed-derived
+//! window boundary with the split-off classes finishing on another thread,
+//! and must match the unsplit batch bit for bit.
 //!
 //! A disjoint one-in-four of the seeds instead draws the *multi-core
 //! engine*: a die of 1–4 cores under a random scheduler runs the seed's
@@ -40,11 +42,12 @@
 //! scalar simulator.
 
 use powerbalance::{
-    BatchSimulator, Fidelity, MultiCoreSimulator, SchedulerKind, SimConfig, Simulator, Task,
-    TaskSet, TraceCursor,
+    BatchPart, BatchSimulator, Detach, Fidelity, MultiCoreSimulator, RunResult, SchedulerKind,
+    SimConfig, Simulator, Task, TaskSet, TraceCursor,
 };
 use powerbalance_bench::fuzz::{
-    derive_batch_siblings, derive_case, derive_multicore_case, draws_batch, draws_multicore,
+    derive_batch_siblings, derive_case, derive_multicore_case, derive_split_window, draws_batch,
+    draws_multicore,
 };
 use powerbalance_workloads::spec2000;
 use serde::{json, Deserialize, Serialize};
@@ -237,22 +240,32 @@ fn batch_cross_check(
         None => return vec![format!("unknown bench {bench}")],
     };
     let configs = derive_batch_siblings(seed, base);
+    let split_at = derive_split_window(seed, cycles / base.sample_interval);
     // Exact siblings ring-share generated ops through a cursor; Fast
     // siblings take the generator directly so macro-interval skips stay
     // O(1) instead of drawing ops.
-    let batched = match base.fidelity {
+    let runs = match base.fidelity {
         Fidelity::Exact => {
-            BatchSimulator::new(configs.clone(), TraceCursor::new(profile.trace(trace_seed)))
-                .map(|mut b| b.run(cycles))
+            batch_runs(&configs, || TraceCursor::new(profile.trace(trace_seed)), cycles, split_at)
         }
-        Fidelity::Fast => BatchSimulator::new(configs.clone(), profile.trace(trace_seed))
-            .map(|mut b| b.run(cycles)),
+        Fidelity::Fast => batch_runs(&configs, || profile.trace(trace_seed), cycles, split_at),
     };
-    let batched = match batched {
-        Ok(results) => results,
+    let (batched, split) = match runs {
+        Ok(runs) => runs,
         Err(e) => return vec![format!("batch setup failed (K={}): {e}", configs.len())],
     };
     let mut failures = Vec::new();
+    for (i, (whole, split)) in batched.iter().zip(&split).enumerate() {
+        if whole != split {
+            failures.push(format!(
+                "a batch split at window {split_at} diverged from the unsplit batch on sibling \
+                 {i}/{} (split committed {} vs {})",
+                configs.len(),
+                split.committed,
+                whole.committed,
+            ));
+        }
+    }
     for (i, (config, batch_result)) in configs.iter().zip(&batched).enumerate() {
         let scalar = match Simulator::new(config.clone()) {
             Ok(mut sim) => sim.run(&mut profile.trace(trace_seed), cycles),
@@ -274,6 +287,43 @@ fn batch_cross_check(
         }
     }
     failures
+}
+
+/// Runs the siblings as one batch over `trace()` for `cycles`, then again
+/// split after `at` windows if the batch has forked by then: the split-off
+/// classes finish on another thread while the rest finish here. Returns
+/// both runs' results in sibling order.
+fn batch_runs<T: Detach + Clone>(
+    configs: &[SimConfig],
+    trace: impl Fn() -> T,
+    cycles: u64,
+    at: u64,
+) -> Result<(Vec<RunResult>, Vec<RunResult>), powerbalance::Error>
+where
+    BatchPart<T>: Send,
+{
+    let whole = BatchSimulator::new(configs.to_vec(), trace())?.run(cycles);
+    let mut batch = BatchSimulator::new(configs.to_vec(), trace())?;
+    let before = (at * configs[0].sample_interval).min(cycles);
+    batch.run(before);
+    let part = batch.split_off();
+    let mut split: Vec<(usize, RunResult)> = std::thread::scope(|scope| {
+        let moved = part.map(|part| {
+            scope.spawn(move || {
+                let mut batch = part.attach();
+                let results = batch.run(cycles - before);
+                batch.siblings().iter().copied().zip(results).collect::<Vec<_>>()
+            })
+        });
+        let kept = batch.run(cycles - before);
+        let mut all: Vec<_> = batch.siblings().iter().copied().zip(kept).collect();
+        if let Some(moved) = moved {
+            all.extend(moved.join().unwrap_or_else(|panic| panic::resume_unwind(panic)));
+        }
+        all
+    });
+    split.sort_by_key(|&(sibling, _)| sibling);
+    Ok((whole, split.into_iter().map(|(_, result)| result).collect()))
 }
 
 /// Runs the seed's case through the multi-core engine with the checker

@@ -194,6 +194,18 @@ pub fn derive_batch_siblings(seed: u64, base: &SimConfig) -> Vec<SimConfig> {
         .collect()
 }
 
+/// Salt separating the batch-split RNG stream from every other stream, so
+/// drawing split points never perturbs what existing seeds derive.
+const SPLIT_SALT: u64 = 0x5B11_7C1A_55E5_0FF5;
+
+/// The window boundary at which a batch-drawing seed splits its batch
+/// between threads: one of `1..=windows`.
+#[must_use]
+pub fn derive_split_window(seed: u64, windows: u64) -> u64 {
+    let mut rng = Xoshiro256::new(seed ^ SPLIT_SALT);
+    1 + rng.below(windows.max(1))
+}
+
 /// Salt separating the multi-core RNG stream from `derive_case`'s and the
 /// batch stream's, so adding multi-core draws never perturbs what existing
 /// seeds derive.

@@ -22,11 +22,16 @@
 //! scalar floating-point sequence, so batched results are
 //! **bit-identical** to K sequential scalar runs — a contract pinned by
 //! differential tests and the fuzzer.
+//!
+//! For the same reason a batch can be cut between classes: at a window
+//! boundary, [`BatchSimulator::split_off`] moves whole classes into a
+//! [`BatchPart`] that another thread resumes, and every sibling still
+//! equals its scalar run wherever and whenever the cut falls.
 
-use crate::engine::{Feed, Grid};
+use crate::engine::{split_indices, Feed, Grid};
 use crate::simulator::{restore_single, RunControl, StopCause};
 use crate::{Error, RunResult, SimConfig, SimulatorState};
-use powerbalance_isa::TraceSource;
+use powerbalance_isa::{Detach, TraceSource};
 use powerbalance_mitigation::{MitigationConfig, ThermalManager};
 
 /// The part of a [`SimConfig`] that lockstep siblings must share: the
@@ -70,10 +75,34 @@ pub fn batch_key(config: &SimConfig) -> SimConfig {
 #[derive(Debug)]
 pub struct BatchSimulator<T> {
     configs: Vec<SimConfig>,
+    /// The original sibling index of each sibling, in result order: `0..K`
+    /// until a split.
+    siblings: Vec<usize>,
     /// One die per equivalence class; sibling `i` is member `i`.
     grid: Grid,
     /// One trace per die, in die order.
     traces: Vec<T>,
+}
+
+/// Whole classes split off a running [`BatchSimulator`] by
+/// [`split_off`](BatchSimulator::split_off), packed to move to another
+/// thread: their dies, their siblings' managers, the interval clock, and
+/// their traces in [`Detach`]ed form.
+pub struct BatchPart<T: Detach> {
+    configs: Vec<SimConfig>,
+    siblings: Vec<usize>,
+    grid: Grid,
+    traces: T::Detached,
+}
+
+impl<T: Detach> BatchPart<T> {
+    /// Rebuilds the part as a batch on the current thread; it continues
+    /// from the window boundary where it was split.
+    #[must_use]
+    pub fn attach(self) -> BatchSimulator<T> {
+        let BatchPart { configs, siblings, grid, traces } = self;
+        BatchSimulator { configs, siblings, grid, traces: T::attach(traces) }
+    }
 }
 
 impl<T: TraceSource + Clone> Feed for Vec<T> {
@@ -124,13 +153,22 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
         }
         let mitigations: Vec<MitigationConfig> = configs.iter().map(|c| c.mitigation).collect();
         let grid = Grid::new(first, &mitigations)?;
-        Ok(BatchSimulator { configs, grid, traces: vec![trace] })
+        let siblings = (0..configs.len()).collect();
+        Ok(BatchSimulator { configs, siblings, grid, traces: vec![trace] })
     }
 
     /// The sibling configurations, in result order.
     #[must_use]
     pub fn configs(&self) -> &[SimConfig] {
         &self.configs
+    }
+
+    /// The original sibling index of each result: `0..len()` for a batch
+    /// built by [`new`](Self::new), the siblings it still holds after a
+    /// [`split_off`](Self::split_off).
+    #[must_use]
+    pub fn siblings(&self) -> &[usize] {
+        &self.siblings
     }
 
     /// Number of siblings in the batch.
@@ -170,11 +208,20 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
     /// partial statistics cover the same simulated span.
     pub fn run_controlled(
         &mut self,
-        cycles: u64,
+        mut cycles: u64,
         control: &RunControl<'_>,
     ) -> (Vec<RunResult>, StopCause) {
-        let cause = self.grid.drive(&mut self.traces, cycles, control, true);
+        let cause = self.run_budget(&mut cycles, control);
         (self.results(), cause)
+    }
+
+    /// Like [`run_controlled`](Self::run_controlled), but runs up to
+    /// `*cycles` cycles, leaves the unspent budget in `*cycles`, and
+    /// assembles no results. A run paused by the idle probe
+    /// ([`StopCause::WorkerIdle`]) resumes exactly by calling again with
+    /// the budget left.
+    pub fn run_budget(&mut self, cycles: &mut u64, control: &RunControl<'_>) -> StopCause {
+        self.grid.drive(&mut self.traces, cycles, control, true)
     }
 
     /// Runs every sibling for up to `cycles` cycles **without consulting
@@ -187,8 +234,12 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
 
     /// Like [`run_warmup`](Self::run_warmup), but checks `control` between
     /// sampling windows.
-    pub fn run_warmup_controlled(&mut self, cycles: u64, control: &RunControl<'_>) -> StopCause {
-        self.grid.drive(&mut self.traces, cycles, control, false)
+    pub fn run_warmup_controlled(
+        &mut self,
+        mut cycles: u64,
+        control: &RunControl<'_>,
+    ) -> StopCause {
+        self.grid.drive(&mut self.traces, &mut cycles, control, false)
     }
 
     /// Restores a warm-start snapshot into the (unforked) batch: the
@@ -209,9 +260,10 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
         restore_single(&mut self.grid, state)
     }
 
-    /// The accumulated results, in sibling order: each sibling reports its
-    /// class's shared core/thermal statistics plus its *own* manager's
-    /// mitigation counters.
+    /// The accumulated results, in sibling order (see
+    /// [`siblings`](Self::siblings)): each sibling reports its class's
+    /// shared core/thermal statistics plus its *own* manager's mitigation
+    /// counters.
     #[must_use]
     pub fn results(&self) -> Vec<RunResult> {
         (0..self.configs.len())
@@ -220,6 +272,37 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
                 self.grid.result(die.expect("every sibling rides one die"), 0, m)
             })
             .collect()
+    }
+}
+
+impl<T: Detach + Clone> BatchSimulator<T> {
+    /// Moves half of the classes, rounded down, into a [`BatchPart`] that
+    /// another thread can [`attach`](BatchPart::attach) and run on;
+    /// `None` with fewer than two classes.
+    ///
+    /// Call it between runs, that is at a window boundary. The donor keeps
+    /// the classes whose traces are furthest behind and gives away the
+    /// leading ones, so a shared trace ring copies only the short window
+    /// ahead of them. Both halves then run the remaining budget on their
+    /// own, and every sibling's result is the one the unsplit batch would
+    /// have produced.
+    pub fn split_off(&mut self) -> Option<BatchPart<T>> {
+        let classes = self.grid.dies.len();
+        if classes < 2 {
+            return None;
+        }
+        let mut take: Vec<usize> = (0..classes).collect();
+        take.sort_by_key(|&d| std::cmp::Reverse(self.traces[d].position()));
+        take.truncate(classes / 2);
+        take.sort_unstable();
+        let (grid, moved) = self.grid.split_off(&take);
+        let (kept, traces) = split_indices(std::mem::take(&mut self.traces), &take);
+        self.traces = kept;
+        let (kept, configs) = split_indices(std::mem::take(&mut self.configs), &moved);
+        self.configs = kept;
+        let (kept, siblings) = split_indices(std::mem::take(&mut self.siblings), &moved);
+        self.siblings = kept;
+        Some(BatchPart { configs, siblings, grid, traces: T::detach(traces) })
     }
 }
 
@@ -327,6 +410,25 @@ mod tests {
         assert_eq!(batch_key(&a), batch_key(&b));
         let c = experiments::policy(PolicyKind::Dvfs, FloorplanKind::AluConstrained);
         assert_ne!(batch_key(&a), batch_key(&c));
+    }
+
+    #[test]
+    fn only_a_forked_batch_splits_and_its_part_is_send() {
+        fn send<T: Send>(_: &T) {}
+        let configs: Vec<SimConfig> = [PolicyKind::None, PolicyKind::FetchGate]
+            .iter()
+            .map(|k| experiments::policy(*k, FloorplanKind::IssueConstrained))
+            .collect();
+        let trace = TraceCursor::new(spec2000::by_name("eon").expect("profile").trace(42));
+        let mut batch = BatchSimulator::new(configs, trace).expect("eligible");
+        assert!(batch.split_off().is_none(), "one class has nothing to give");
+        batch.run(300_000);
+        assert_eq!(batch.class_count(), 2, "the cell forks");
+        let part = batch.split_off().expect("two classes split");
+        send(&part);
+        let part = part.attach();
+        assert_eq!((batch.class_count(), batch.siblings()), (1, &[0][..]));
+        assert_eq!((part.class_count(), part.siblings()), (1, &[1][..]));
     }
 
     #[test]

@@ -64,6 +64,16 @@ pub(crate) trait Feed {
     }
 }
 
+/// Splits `items` into those whose index is not in `take` (ascending) and
+/// those whose index is, both in their original order.
+pub(crate) fn split_indices<T>(items: Vec<T>, take: &[usize]) -> (Vec<T>, Vec<T>) {
+    let (mut kept, mut given) = (Vec::new(), Vec::new());
+    for (i, item) in items.into_iter().enumerate() {
+        if take.binary_search(&i).is_ok() { &mut given } else { &mut kept }.push(item);
+    }
+    (kept, given)
+}
+
 /// Extrapolates one of a detailed window's counters over `skipped`
 /// cycles, proportionally to the window's own length.
 fn scaled(basis: u64, skipped: u64, window_len: u64) -> u64 {
@@ -504,6 +514,47 @@ impl Grid {
         &self.managers[member * self.config.cores + lane]
     }
 
+    /// Moves dies `take` (ascending), with their members' managers, into a
+    /// new grid on the same interval clock with its own solver. Both grids
+    /// keep their dies in order and renumber their members densely, in
+    /// ascending order. Returns the new grid and the old index of each of
+    /// its members.
+    pub(crate) fn split_off(&mut self, take: &[usize]) -> (Grid, Vec<usize>) {
+        let (mut kept, mut given) = split_indices(std::mem::take(&mut self.dies), take);
+        let mut moved: Vec<usize> = given.iter().flat_map(|die| die.members.clone()).collect();
+        moved.sort_unstable();
+        let cores = self.config.cores;
+        let moved_managers: Vec<usize> =
+            moved.iter().flat_map(|&m| m * cores..(m + 1) * cores).collect();
+        let (kept_managers, given_managers) =
+            split_indices(std::mem::take(&mut self.managers), &moved_managers);
+        for m in given.iter_mut().flat_map(|die| &mut die.members) {
+            *m = moved.binary_search(m).expect("a member of a moved die");
+        }
+        for m in kept.iter_mut().flat_map(|die| &mut die.members) {
+            *m -= moved.partition_point(|&g| g < *m);
+        }
+        self.dies = kept;
+        self.managers = kept_managers;
+        let grid = Grid {
+            config: self.config.clone(),
+            core_plan: self.core_plan.clone(),
+            die_plan: self.die_plan.clone(),
+            power: self.power.clone(),
+            idle_watts: self.idle_watts.clone(),
+            dies: given,
+            managers: given_managers,
+            prefix_left: self.prefix_left,
+            window_pos: self.window_pos,
+            solver: BatchThermalSolver::new(),
+            rows: Vec::new(),
+            groups: Vec::new(),
+            parts: Vec::new(),
+            reps: Vec::new(),
+        };
+        (grid, moved)
+    }
+
     /// The [`Feed::dispatch`] of feeds with one trace per die: a lane is
     /// busy until its core drains, a die live while any lane is busy.
     pub(crate) fn dispatch_solo(&mut self) -> bool {
@@ -518,10 +569,11 @@ impl Grid {
         any
     }
 
-    /// Runs for up to `cycles` cycles, one sampling window at a time,
-    /// checking `control` between windows. `consult: false` is a warmup:
-    /// power and thermal advance and statistics accumulate, but no
-    /// manager is consulted.
+    /// Runs for up to `*cycles` cycles, one sampling window at a time,
+    /// checking `control` between windows, and leaves the unspent budget in
+    /// `*cycles`. `consult: false` is a warmup: power and thermal advance
+    /// and statistics accumulate, but no manager is consulted. The idle
+    /// probe pauses only a grid with more than one live die.
     ///
     /// Under [`Fidelity::Fast`] the first [`SimConfig::fast_warmup`]
     /// cycles run fully detailed so the predictor and caches train before
@@ -535,30 +587,32 @@ impl Grid {
     pub(crate) fn drive<F: Feed>(
         &mut self,
         feed: &mut F,
-        cycles: u64,
+        cycles: &mut u64,
         control: &RunControl<'_>,
         consult: bool,
     ) -> StopCause {
         let interval = self.config.sample_interval;
         let fast = self.config.fidelity == Fidelity::Fast;
         let stretch = self.config.fast_window / interval;
-        let mut elapsed = 0u64;
         loop {
             let live = feed.dispatch(self);
-            if elapsed >= cycles || !live {
+            if *cycles == 0 || !live {
                 return StopCause::Completed;
             }
             if let Some(stop) = control.stop_cause() {
                 return stop;
             }
-            let sub = interval.min(cycles - elapsed);
+            if control.worker_idle() && self.dies.iter().filter(|die| die.live).count() > 1 {
+                return StopCause::WorkerIdle;
+            }
+            let sub = interval.min(*cycles);
             let in_prefix = self.prefix_left > 0;
             let detailed = !fast || in_prefix || self.window_pos == 0;
             if detailed {
-                elapsed += self.cycle_lanes(feed, sub, fast);
+                *cycles -= self.cycle_lanes(feed, sub, fast);
                 self.sense(sub, fast);
             } else {
-                elapsed += sub;
+                *cycles -= sub;
                 self.skip(feed, sub);
             }
             if consult {

@@ -48,7 +48,7 @@ mod result;
 mod simulator;
 mod snapshot;
 
-pub use batch::{batch_key, BatchSimulator};
+pub use batch::{batch_key, BatchPart, BatchSimulator};
 pub use config::{Fidelity, SimConfig, DEFAULT_FAST_WINDOW};
 pub use error::Error;
 pub use multicore::{JobCore, MultiCoreResult, MultiCoreSimulator, MultiCoreState, TaskSet};
@@ -62,9 +62,10 @@ pub use snapshot::{FastEngineState, LaneState, SimulatorState, Snapshot, FORMAT_
 pub use powerbalance_sched::{SchedulerKind, SegmentLen, Task, TaskQueue, DEFAULT_MIGRATION_STALL};
 
 // Re-export the subsystem vocabulary users need to configure runs.
-// `spec2000` rides along so downstream crates (harness, bench, cli) can
-// name benchmarks without depending on `powerbalance-workloads` directly.
-pub use powerbalance_isa::{TraceCursor, TraceSource};
+// `spec2000` and its `TraceGenerator` ride along so downstream crates
+// (harness, bench, cli) can name benchmarks and their traces without
+// depending on `powerbalance-workloads` directly.
+pub use powerbalance_isa::{Detach, TraceCursor, TraceSource};
 pub use powerbalance_mitigation::{
     DutyLadder, DvfsParams, GateParams, GlobalPolicy, MitigationConfig, OppLadder, OppLevel,
     Thresholds, TripPoint, TripSeverity, TripTable,
@@ -73,7 +74,7 @@ pub use powerbalance_power::EnergyTables;
 pub use powerbalance_thermal::ev6::FloorplanKind;
 pub use powerbalance_thermal::PackageConfig;
 pub use powerbalance_uarch::{CoreConfig, IqMode, MappingPolicy, SelectPolicy};
-pub use powerbalance_workloads::spec2000;
+pub use powerbalance_workloads::{spec2000, TraceGenerator};
 
 // Correctness tooling (only with the `check` feature): the violation
 // vocabulary fuzz/test drivers need to inspect and persist findings.

@@ -493,7 +493,7 @@ impl MultiCoreSimulator {
     fn drive<T: TraceSource>(
         &mut self,
         tasks: &mut TaskSet<T>,
-        cycles: u64,
+        mut cycles: u64,
         control: &RunControl<'_>,
         consult: bool,
     ) -> StopCause {
@@ -510,7 +510,7 @@ impl MultiCoreSimulator {
             }
         }
         let mut feed = Dispatch { tasks, placement: &mut self.placement };
-        self.grid.drive(&mut feed, cycles, control, consult)
+        self.grid.drive(&mut feed, &mut cycles, control, consult)
     }
 
     /// Snapshot of the accumulated results.

@@ -19,11 +19,16 @@ pub enum StopCause {
     Cancelled,
     /// The wall-clock deadline passed between sampling windows.
     TimedOut,
+    /// The idle probe ([`RunControl::with_idle_probe`]) was set at a
+    /// window boundary while a batch had more than one live class: the
+    /// caller may [`split_off`](crate::BatchSimulator::split_off) classes
+    /// for the idle worker, then resume with the budget left.
+    WorkerIdle,
 }
 
 impl StopCause {
-    /// Whether the run finished its full budget (neither cancelled nor
-    /// timed out).
+    /// Whether the run finished its full budget (neither stopped early nor
+    /// paused for an idle worker).
     #[must_use]
     pub fn is_completed(self) -> bool {
         self == StopCause::Completed
@@ -31,17 +36,18 @@ impl StopCause {
 }
 
 /// Cooperative controls for a long simulation: an optional cancellation
-/// flag and an optional wall-clock deadline.
+/// flag, an optional wall-clock deadline, and an optional idle probe.
 ///
-/// Both are checked *between* sampling windows, never inside one, so a
+/// All are checked *between* sampling windows, never inside one, so a
 /// controlled run stops within one [`SimConfig::sample_interval`] of the
 /// request and the cycles it did simulate are bit-identical to an
 /// uncontrolled run of the same length. The default value checks nothing
-/// and costs two branches per sampling window.
+/// and costs three branches per sampling window.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunControl<'a> {
     cancel: Option<&'a AtomicBool>,
     deadline: Option<Instant>,
+    idle: Option<&'a AtomicBool>,
 }
 
 impl<'a> RunControl<'a> {
@@ -66,6 +72,22 @@ impl<'a> RunControl<'a> {
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
+    }
+
+    /// Pauses a batch with more than one live class at the next sampling-
+    /// window boundary where `flag` is set, returning
+    /// [`StopCause::WorkerIdle`]. A worker pool sets the flag while one of
+    /// its workers waits for work. Runs with a single class never pause.
+    #[must_use]
+    pub fn with_idle_probe(mut self, flag: &'a AtomicBool) -> Self {
+        self.idle = Some(flag);
+        self
+    }
+
+    /// Whether the idle probe is set: one atomic load, or none without a
+    /// probe.
+    pub(crate) fn worker_idle(&self) -> bool {
+        self.idle.is_some_and(|flag| flag.load(Ordering::Relaxed))
     }
 
     /// The reason the run should stop now, if any. Cancellation wins over
@@ -210,10 +232,10 @@ impl Simulator {
     pub fn run_controlled<T: TraceSource>(
         &mut self,
         trace: &mut T,
-        cycles: u64,
+        mut cycles: u64,
         control: &RunControl<'_>,
     ) -> (RunResult, StopCause) {
-        let cause = self.grid.drive(&mut Solo(trace), cycles, control, true);
+        let cause = self.grid.drive(&mut Solo(trace), &mut cycles, control, true);
         (self.result(), cause)
     }
 
@@ -239,10 +261,10 @@ impl Simulator {
     pub fn run_warmup_controlled<T: TraceSource>(
         &mut self,
         trace: &mut T,
-        cycles: u64,
+        mut cycles: u64,
         control: &RunControl<'_>,
     ) -> StopCause {
-        self.grid.drive(&mut Solo(trace), cycles, control, false)
+        self.grid.drive(&mut Solo(trace), &mut cycles, control, false)
     }
 
     /// Captures the simulator's dynamic state for [`crate::Snapshot`].

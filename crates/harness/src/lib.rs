@@ -7,8 +7,8 @@
 //!
 //! * [`CampaignSpec`] — the typed description of a campaign: named
 //!   [`SimConfig`]s, a benchmark list, cycles, and the workload seed;
-//! * [`run_campaign`] — a bounded worker pool (`std::thread::scope` over a
-//!   shared atomic cursor) that schedules batch-eligible sibling jobs into
+//! * [`run_campaign`] — a bounded work-stealing pool (`std::thread::scope`
+//!   over a shared work queue) that schedules batch-eligible sibling jobs into
 //!   lockstep [`powerbalance::BatchSimulator`] units (bit-identical to
 //!   scalar execution, see [`RunnerOptions::max_batch`]) and everything
 //!   else at per-(benchmark × config) job granularity, so mixed campaigns

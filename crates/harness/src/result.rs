@@ -21,7 +21,9 @@ pub struct JobResult {
     pub seed: u64,
     /// Cycle budget the job was given.
     pub cycles_requested: u64,
-    /// Host wall-clock time the job took, in nanoseconds.
+    /// Worker time spent stepping the job, in nanoseconds: a lockstep
+    /// batch's time is shared equally by the siblings it held, so the sum
+    /// over a campaign's jobs never exceeds threads × campaign wall.
     pub wall_nanos: u64,
     /// Simulated cycles per host second — the run-level throughput metric.
     pub sim_cycles_per_sec: f64,

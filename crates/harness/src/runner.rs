@@ -4,13 +4,15 @@ use crate::result::{CampaignResult, JobResult};
 use crate::spec::CampaignSpec;
 use crate::warmstart::{WarmStartCache, WarmupOutcome};
 use powerbalance::{
-    batch_key, spec2000, BatchSimulator, Error, Fidelity, MultiCoreSimulator, RunControl,
-    RunResult, SimConfig, Snapshot, StopCause, Task, TaskSet, TraceCursor, TraceSource,
+    batch_key, spec2000, BatchPart, BatchSimulator, Detach, Error, Fidelity, MultiCoreSimulator,
+    RunControl, RunResult, SimConfig, Snapshot, StopCause, Task, TaskSet, TraceCursor,
+    TraceGenerator,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Environment variable consulted for the worker-pool size when no explicit
@@ -107,8 +109,64 @@ pub fn run_one(
     let cache = WarmStartCache::in_memory();
     let control = RunControl::unlimited();
     let (mut results, _) =
-        run_unit(std::slice::from_ref(config), bench, cycles, seed, 0, &cache, &control)?;
-    Ok(results.remove(0))
+        run_unit(std::slice::from_ref(config), bench, cycles, seed, 0, &cache, &control, &mut ())?;
+    Ok(results.remove(0).1)
+}
+
+/// Where a running unit accounts its worker time and hands off classes.
+trait Donee {
+    /// Charges the worker time since the last charge equally to
+    /// `siblings`, the siblings stepped in it.
+    fn charge(&mut self, siblings: &[usize]);
+
+    /// Takes `classes`, split off for an idle worker with `left` cycles of
+    /// the budget to run.
+    fn donate(&mut self, classes: Donated, left: u64);
+}
+
+/// Outside a pool nothing is charged, and nothing pauses to donate.
+impl Donee for () {
+    fn charge(&mut self, _siblings: &[usize]) {}
+
+    fn donate(&mut self, _classes: Donated, _left: u64) {
+        unreachable!("a run without an idle probe never pauses")
+    }
+}
+
+/// Classes a running batch gave away, by trace type.
+enum Donated {
+    /// Exact siblings share generated ops through a cursor ring.
+    Ring(Box<BatchPart<TraceCursor<TraceGenerator>>>),
+    /// Fast siblings (and lone jobs) each keep a generator.
+    Generators(Box<BatchPart<TraceGenerator>>),
+}
+
+impl Donated {
+    /// Resumes the classes on this thread with `left` cycles to run; see
+    /// [`run_batch`].
+    fn run(
+        self,
+        left: u64,
+        control: &RunControl<'_>,
+        donee: &mut dyn Donee,
+    ) -> (Vec<(usize, RunResult)>, StopCause) {
+        match self {
+            Donated::Ring(part) => run_batch(part.attach(), left, control, donee),
+            Donated::Generators(part) => run_batch(part.attach(), left, control, donee),
+        }
+    }
+}
+
+impl From<BatchPart<TraceCursor<TraceGenerator>>> for Donated {
+    fn from(part: BatchPart<TraceCursor<TraceGenerator>>) -> Self {
+        Donated::Ring(Box::new(part))
+    }
+}
+
+impl From<BatchPart<TraceGenerator>> for Donated {
+    fn from(part: BatchPart<TraceGenerator>) -> Self {
+        Donated::Generators(Box::new(part))
+    }
 }
 
 /// The one unit runner: K sibling configs (K = 1 for a lone job) over one
@@ -126,7 +184,10 @@ pub fn run_one(
 ///
 /// A stop (cancel/timeout) stops the whole unit at the same window
 /// boundary, so every sibling's partial statistics cover the same
-/// simulated span. Results come back in `configs` order.
+/// simulated span. A pause for an idle worker donates classes to `donee`
+/// (see [`run_batch`]). Results come back as `(sibling, result)` pairs
+/// for the siblings the unit kept.
+#[allow(clippy::too_many_arguments)]
 fn run_unit(
     configs: &[SimConfig],
     bench: &str,
@@ -135,7 +196,8 @@ fn run_unit(
     warmup_cycles: u64,
     cache: &WarmStartCache,
     control: &RunControl<'_>,
-) -> Result<(Vec<RunResult>, StopCause), Error> {
+    donee: &mut dyn Donee,
+) -> Result<(Vec<(usize, RunResult)>, StopCause), Error> {
     let profile = spec2000::by_name(bench)
         .ok_or_else(|| Error::Config(format!("unknown benchmark '{bench}'")))?;
     let Some(first) = configs.first() else {
@@ -154,7 +216,7 @@ fn run_unit(
         if cause.is_completed() {
             cause = sim.run_controlled(&mut tasks, cycles, control).1;
         }
-        return Ok((vec![sim.result().merged()], cause));
+        return Ok((vec![(0, sim.result().merged())], cause));
     }
     let warm = if warmup_cycles > 0 {
         match cache.get_or_compute_controlled(bench, seed, warmup_cycles, first, control)? {
@@ -162,7 +224,7 @@ fn run_unit(
             WarmupOutcome::Stopped(cause) => {
                 // Nothing ran; report every sibling's empty result.
                 let batch = BatchSimulator::new(configs.to_vec(), profile.trace(seed))?;
-                return Ok((batch.results(), cause));
+                return Ok((batch.results().into_iter().enumerate().collect(), cause));
             }
         }
     } else {
@@ -174,27 +236,179 @@ fn run_unit(
         Some(snapshot) => snapshot.resume_with_config(first.clone())?.1,
         None => profile.trace(seed),
     };
+    let warm = warm.as_deref();
     if first.fidelity == Fidelity::Exact && configs.len() > 1 {
-        batch_over(configs, TraceCursor::new(trace), warm.as_deref(), cycles, control)
+        batch_over(configs, TraceCursor::new(trace), warm, cycles, control, donee)
     } else {
-        batch_over(configs, trace, warm.as_deref(), cycles, control)
+        batch_over(configs, trace, warm, cycles, control, donee)
     }
 }
 
 /// Monomorphized body of [`run_unit`]: build, restore the warm snapshot
 /// if there is one, then run under `control`.
-fn batch_over<T: TraceSource + Clone>(
+fn batch_over<T: Detach + Clone>(
     configs: &[SimConfig],
     trace: T,
     warm: Option<&Snapshot>,
     cycles: u64,
     control: &RunControl<'_>,
-) -> Result<(Vec<RunResult>, StopCause), Error> {
+    donee: &mut dyn Donee,
+) -> Result<(Vec<(usize, RunResult)>, StopCause), Error>
+where
+    Donated: From<BatchPart<T>>,
+{
     let mut batch = BatchSimulator::new(configs.to_vec(), trace)?;
     if let Some(snapshot) = warm {
         batch.restore_state(&snapshot.state)?;
     }
-    Ok(batch.run_controlled(cycles, control))
+    Ok(run_batch(batch, cycles, control, donee))
+}
+
+/// Runs `batch` for `left` more cycles under `control`. Each time the idle
+/// probe pauses it, the worker time so far is charged, the leading half of
+/// the classes goes to `donee`, and the rest resumes. Returns the results
+/// of the siblings the batch kept, with their original sibling indices.
+fn run_batch<T: Detach + Clone>(
+    mut batch: BatchSimulator<T>,
+    mut left: u64,
+    control: &RunControl<'_>,
+    donee: &mut dyn Donee,
+) -> (Vec<(usize, RunResult)>, StopCause)
+where
+    Donated: From<BatchPart<T>>,
+{
+    loop {
+        let cause = batch.run_budget(&mut left, control);
+        if cause != StopCause::WorkerIdle {
+            return (batch.siblings().iter().copied().zip(batch.results()).collect(), cause);
+        }
+        donee.charge(batch.siblings());
+        let part =
+            batch.split_off().expect("the idle probe pauses only a batch of several classes");
+        donee.donate(part.into(), left);
+    }
+}
+
+/// Pool work: a planned unit, or classes split off a running one.
+enum Work {
+    /// Index into the campaign's units.
+    Unit(usize),
+    /// Classes donated by a running batch of unit `unit`, with `left`
+    /// cycles to run before the unit's `deadline`.
+    Part { unit: usize, left: u64, deadline: Option<Instant>, classes: Donated },
+}
+
+/// The campaign's work queue. A worker that finds it empty waits while any
+/// other worker is still running: running batches donate classes to it.
+struct Pool {
+    queue: Mutex<Queue>,
+    wake: Condvar,
+    /// The idle probe running batches read between windows: set while a
+    /// waiting worker has no queued work to take. A hint only (`Relaxed`):
+    /// the work itself moves through the locked queue.
+    hungry: AtomicBool,
+}
+
+struct Queue {
+    work: VecDeque<Work>,
+    waiting: usize,
+    running: usize,
+}
+
+impl Pool {
+    fn new(units: usize) -> Pool {
+        let work = (0..units).map(Work::Unit).collect();
+        Pool {
+            queue: Mutex::new(Queue { work, waiting: 0, running: 0 }),
+            wake: Condvar::new(),
+            hungry: AtomicBool::new(false),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect("no worker panics holding the queue")
+    }
+
+    fn probe(&self, queue: &Queue) {
+        self.hungry.store(queue.waiting > queue.work.len(), Ordering::Relaxed);
+    }
+
+    /// The next work item, waiting for a donation if need be; `None` once
+    /// the campaign is cancelled, or nothing is queued and nothing runs.
+    fn take(&self, control: &CampaignControl) -> Option<Work> {
+        let mut queue = self.lock();
+        loop {
+            if control.is_cancelled() {
+                return None;
+            }
+            if let Some(work) = queue.work.pop_front() {
+                queue.running += 1;
+                self.probe(&queue);
+                return Some(work);
+            }
+            if queue.running == 0 {
+                return None;
+            }
+            queue.waiting += 1;
+            self.probe(&queue);
+            queue = self.wake.wait(queue).expect("no worker panics holding the queue");
+            queue.waiting -= 1;
+        }
+    }
+
+    fn give(&self, work: Work) {
+        let mut queue = self.lock();
+        queue.work.push_back(work);
+        self.probe(&queue);
+        self.wake.notify_one();
+    }
+}
+
+/// Marks a taken work item done when its worker leaves it, panicking or
+/// not; the last item running releases every waiting worker.
+struct Done<'a>(&'a Pool);
+
+impl Drop for Done<'_> {
+    fn drop(&mut self) {
+        // Every update leaves the counters valid, so a poisoned queue is
+        // still sound; and a drop must not panic.
+        let mut queue = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        queue.running -= 1;
+        if queue.running == 0 {
+            self.0.wake.notify_all();
+        }
+    }
+}
+
+/// One work item on one worker: charges its worker time to the jobs it
+/// steps, and gives classes to the pool.
+struct Stint<'a> {
+    pool: &'a Pool,
+    unit: usize,
+    deadline: Option<Instant>,
+    /// The unit's job indices, by sibling.
+    jobs: &'a [usize],
+    /// Worker time charged to each job of the campaign, in nanoseconds.
+    /// `Relaxed` suffices: a donor charges before it queues the part under
+    /// the lock, and the part's worker reads after taking it.
+    busy: &'a [AtomicU64],
+    since: Instant,
+}
+
+impl Donee for Stint<'_> {
+    fn charge(&mut self, siblings: &[usize]) {
+        let now = Instant::now();
+        let share = (now - self.since).as_nanos() as u64 / siblings.len().max(1) as u64;
+        for &s in siblings {
+            self.busy[self.jobs[s]].fetch_add(share, Ordering::Relaxed);
+        }
+        self.since = now;
+    }
+
+    fn donate(&mut self, classes: Donated, left: u64) {
+        let (unit, deadline) = (self.unit, self.deadline);
+        self.pool.give(Work::Part { unit, left, deadline, classes });
+    }
 }
 
 /// Summary of one finished job, exposed as live progress while a
@@ -208,7 +422,8 @@ pub struct JobProgress {
     pub config: String,
     /// The job's IPC.
     pub ipc: f64,
-    /// Host wall-clock time the job took, in nanoseconds.
+    /// Worker time spent stepping the job, in nanoseconds (see
+    /// [`JobResult::wall_nanos`]).
     pub wall_nanos: u64,
 }
 
@@ -302,9 +517,12 @@ pub enum CampaignOutcome {
 /// (same benchmark and cycle budget, configs identical outside
 /// `mitigation`) run together in one lockstep [`BatchSimulator`], up to
 /// [`RunnerOptions::max_batch`] per unit; everything else runs on the
-/// scalar path. Workers pull units from a shared atomic cursor, so
-/// scheduling stays fine-grained: a slow benchmark on one config does not
-/// serialize the rest of the campaign behind it. Each finished job lands
+/// scalar path. Workers pull units from a shared queue, so scheduling
+/// stays fine-grained: a slow benchmark on one config does not serialize
+/// the rest of the campaign behind it. A worker that finds the queue empty
+/// steals: a running batch with several live classes splits off half of
+/// them for it at its next window boundary
+/// ([`BatchSimulator::split_off`]). Each finished job lands
 /// in its own result slot, indexed by position in the spec, so the output
 /// order — and, since every simulation is seeded and batching is
 /// bit-identical to scalar execution, the output *content* — is identical
@@ -364,7 +582,7 @@ pub fn run_campaign_controlled(
     control.set_total(total);
     let ncfg = spec.configs.len();
     let units = plan_units(spec, options.max_batch);
-    let threads = resolve_threads(options.threads).min(units.len()).max(1);
+    let threads = resolve_threads(options.threads).min(total).max(1);
 
     let private_cache;
     let cache = match shared_cache {
@@ -378,7 +596,8 @@ pub fn run_campaign_controlled(
         }
     };
 
-    let cursor = AtomicUsize::new(0);
+    let pool = Pool::new(units.len());
+    let busy: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
     let done = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<JobResult>>> = (0..total).map(|_| Mutex::new(None)).collect();
     // First job to time out wins the abort; later jobs just observe the
@@ -388,100 +607,118 @@ pub fn run_campaign_controlled(
     let campaign_start = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                if control.is_cancelled() {
-                    break;
-                }
-                let unit_index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(unit) = units.get(unit_index) else {
-                    break;
-                };
-                let bench_index = unit[0] / ncfg;
-                let bench = &spec.benchmarks[bench_index];
-                let cycles = spec.cycles_for(unit[0] % ncfg);
-
-                let start = Instant::now();
-                let mut run_control = RunControl::unlimited().with_cancel(control.cancel_flag());
-                if let Some(timeout) = job_timeout {
-                    run_control = run_control.with_deadline(start + timeout);
-                }
-                let configs: Vec<SimConfig> =
-                    unit.iter().map(|&i| spec.configs[i % ncfg].config.clone()).collect();
-                let (results, cause) = run_unit(
-                    &configs,
-                    bench,
-                    cycles,
-                    spec.seed,
-                    spec.warmup_cycles,
-                    cache,
-                    &run_control,
-                )
-                .expect("spec was validated and grouped by batch key before dispatch");
-                match cause {
-                    StopCause::Completed => {}
-                    StopCause::Cancelled => break,
-                    StopCause::TimedOut => {
+            scope.spawn(|| {
+                while let Some(work) = pool.take(control) {
+                    let _done = Done(&pool);
+                    let (unit, deadline) = match &work {
+                        Work::Unit(unit) => (*unit, job_timeout.map(|t| Instant::now() + t)),
+                        Work::Part { unit, deadline, .. } => (*unit, *deadline),
+                    };
+                    let jobs = &units[unit];
+                    let bench_index = jobs[0] / ncfg;
+                    let bench = &spec.benchmarks[bench_index];
+                    let cycles = spec.cycles_for(jobs[0] % ncfg);
+                    let mut run_control = RunControl::unlimited()
+                        .with_cancel(control.cancel_flag())
+                        .with_idle_probe(&pool.hungry);
+                    if let Some(deadline) = deadline {
+                        run_control = run_control.with_deadline(deadline);
+                    }
+                    let mut stint = Stint {
+                        pool: &pool,
+                        unit,
+                        deadline,
+                        jobs,
+                        busy: &busy,
+                        since: Instant::now(),
+                    };
+                    let (results, cause) = match work {
+                        Work::Unit(_) => {
+                            let configs: Vec<SimConfig> = jobs
+                                .iter()
+                                .map(|&i| spec.configs[i % ncfg].config.clone())
+                                .collect();
+                            run_unit(
+                                &configs,
+                                bench,
+                                cycles,
+                                spec.seed,
+                                spec.warmup_cycles,
+                                cache,
+                                &run_control,
+                                &mut stint,
+                            )
+                            .expect("spec was validated and grouped by batch key before dispatch")
+                        }
+                        Work::Part { left, classes, .. } => {
+                            classes.run(left, &run_control, &mut stint)
+                        }
+                    };
+                    let siblings: Vec<usize> = results.iter().map(|&(s, _)| s).collect();
+                    stint.charge(&siblings);
+                    if cause == StopCause::TimedOut {
                         let mut slot =
                             timed_out.lock().expect("no worker panicked holding this lock");
                         if slot.is_none() {
                             *slot =
-                                Some((bench.clone(), spec.configs[unit[0] % ncfg].name.clone()));
+                                Some((bench.clone(), spec.configs[jobs[0] % ncfg].name.clone()));
                         }
                         drop(slot);
                         // Pull every other worker out of its run too: the
                         // campaign is already lost.
                         control.cancel();
-                        break;
                     }
-                }
-                // A batched unit's wall time is shared work: attribute an
-                // equal share to each job so per-job throughput reflects
-                // what the lockstep sharing actually bought.
-                let wall = start.elapsed() / unit.len() as u32;
-                let wall_secs = wall.as_secs_f64();
+                    // A stopped run's partial results are discarded.
+                    let results = if cause.is_completed() { results } else { Vec::new() };
+                    for (sibling, result) in results {
+                        let index = jobs[sibling];
+                        let config_index = index % ncfg;
+                        let named = &spec.configs[config_index];
+                        // Each job's wall is the worker time that stepped
+                        // it: a batch's time is shared equally among the
+                        // siblings it held at the time.
+                        let wall_nanos = busy[index].load(Ordering::Relaxed);
+                        let wall_secs = wall_nanos as f64 / 1e9;
+                        let sim_cycles_per_sec =
+                            if wall_secs > 0.0 { result.cycles as f64 / wall_secs } else { 0.0 };
 
-                for (&index, result) in unit.iter().zip(results) {
-                    let config_index = index % ncfg;
-                    let named = &spec.configs[config_index];
-                    let sim_cycles_per_sec =
-                        if wall_secs > 0.0 { result.cycles as f64 / wall_secs } else { 0.0 };
-
-                    if options.progress {
-                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        let tag = if unit.len() > 1 {
-                            format!(" [batch of {}]", unit.len())
-                        } else {
-                            String::new()
-                        };
-                        eprintln!(
-                            "[{} {finished}/{total}] {bench}/{}: IPC {:.3}, {:.0} ms, \
-                             {:.1} Mcyc/s{tag}",
-                            spec.name,
-                            named.name,
-                            result.ipc,
-                            wall_secs * 1e3,
-                            sim_cycles_per_sec / 1e6,
-                        );
-                    }
-                    control.record(JobProgress {
-                        bench: bench.clone(),
-                        config: named.name.clone(),
-                        ipc: result.ipc,
-                        wall_nanos: wall.as_nanos() as u64,
-                    });
-
-                    *slots[index].lock().expect("no worker panicked holding this lock") =
-                        Some(JobResult {
+                        if options.progress {
+                            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+                            let tag = if jobs.len() > 1 {
+                                format!(" [batch of {}]", jobs.len())
+                            } else {
+                                String::new()
+                            };
+                            eprintln!(
+                                "[{} {finished}/{total}] {bench}/{}: IPC {:.3}, {:.0} ms, \
+                                 {:.1} Mcyc/s{tag}",
+                                spec.name,
+                                named.name,
+                                result.ipc,
+                                wall_secs * 1e3,
+                                sim_cycles_per_sec / 1e6,
+                            );
+                        }
+                        control.record(JobProgress {
                             bench: bench.clone(),
                             config: named.name.clone(),
-                            bench_index,
-                            config_index,
-                            seed: spec.seed,
-                            cycles_requested: cycles,
-                            wall_nanos: wall.as_nanos() as u64,
-                            sim_cycles_per_sec,
-                            result,
+                            ipc: result.ipc,
+                            wall_nanos,
                         });
+
+                        *slots[index].lock().expect("no worker panicked holding this lock") =
+                            Some(JobResult {
+                                bench: bench.clone(),
+                                config: named.name.clone(),
+                                bench_index,
+                                config_index,
+                                seed: spec.seed,
+                                cycles_requested: cycles,
+                                wall_nanos,
+                                sim_cycles_per_sec,
+                                result,
+                            });
+                    }
                 }
             });
         }
@@ -614,6 +851,27 @@ mod tests {
         )
         .expect("scalar campaign");
         assert!(batched.same_outcome(&scalar), "batching must not change results");
+    }
+
+    #[test]
+    fn job_walls_add_up_to_at_most_the_pool_time() {
+        // eon forks all six policies in its first measured window, so the
+        // idle second worker steals classes from it.
+        let mut spec = CampaignSpec::new("walls").benchmark("eon").cycles(60_000).warmup(200_000);
+        for kind in PolicyKind::ALL {
+            spec = spec
+                .config(kind.name(), experiments::policy(kind, FloorplanKind::IssueConstrained));
+        }
+        let result = run_campaign(&spec, &RunnerOptions { threads: Some(2), ..Default::default() })
+            .expect("campaign runs");
+        assert_eq!(result.threads, 2, "six jobs in one unit still get two workers");
+        let busy: u64 = result.jobs.iter().map(|j| j.wall_nanos).sum();
+        assert!(
+            busy <= 2 * result.wall_nanos,
+            "{busy} ns charged to jobs, more than 2 workers x {} ns",
+            result.wall_nanos
+        );
+        assert!(result.jobs.iter().all(|j| j.wall_nanos > 0), "every job is charged its share");
     }
 
     #[test]

@@ -37,6 +37,6 @@ mod uop;
 
 pub use op::{ExecDomain, OpClass};
 pub use reg::{ArchReg, RegClass, FP_ARCH_REGS, INT_ARCH_REGS, TOTAL_ARCH_REGS};
-pub use ring::{SharedTraceRing, TraceCursor};
-pub use trace::{SliceTrace, TraceSource};
+pub use ring::{DetachedTrace, SharedTraceRing, TraceCursor};
+pub use trace::{Detach, SliceTrace, TraceSource};
 pub use uop::{BranchInfo, MemRef, MicroOp};

@@ -9,8 +9,12 @@
 //! every [`TraceCursor`] reads at its own pace; the buffer holds only the
 //! span between the fastest and the slowest cursor and is trimmed as the
 //! slowest catches up.
+//!
+//! A group of cursors can also leave the ring's thread: [`Detach`] packs
+//! their unread ops and a clone of the source into a [`DetachedTrace`],
+//! and the receiving thread rebuilds a ring of its own from it.
 
-use crate::{MicroOp, TraceSource};
+use crate::{Detach, MicroOp, TraceSource};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -141,6 +145,57 @@ impl<S> Clone for TraceCursor<S> {
     }
 }
 
+/// The unread rest of a group of cursors over one ring, packed to move to
+/// another thread: the ops already generated from the slowest cursor on, a
+/// clone of the source positioned just past them, and every cursor's
+/// position.
+#[derive(Debug)]
+pub struct DetachedTrace<S> {
+    /// Global stream index of `pending[0]`.
+    base: u64,
+    pending: VecDeque<MicroOp>,
+    source: S,
+    positions: Vec<u64>,
+}
+
+impl<S: TraceSource + Clone + Send> Detach for TraceCursor<S> {
+    type Detached = DetachedTrace<S>;
+
+    fn position(&self) -> u64 {
+        self.pos.get()
+    }
+
+    /// Copies the window from the slowest of `cursors` on, so detaching
+    /// the cursors furthest ahead copies the least. The cursors are
+    /// dropped afterwards, and the ring they leave trims past them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cursors` is empty or spans more than one ring.
+    fn detach(cursors: Vec<Self>) -> DetachedTrace<S> {
+        let positions: Vec<u64> = cursors.iter().map(Detach::position).collect();
+        let base = *positions.iter().min().expect("detach at least one cursor");
+        let ring = cursors[0].ring.borrow();
+        assert!(
+            cursors.iter().all(|c| Rc::ptr_eq(&c.ring, &cursors[0].ring)),
+            "detached cursors must share one ring"
+        );
+        let pending = ring.buf.range((base - ring.base) as usize..).copied().collect();
+        // `ring` is released before `cursors` drop (locals drop before
+        // parameters), so each cursor can deregister from the ring.
+        DetachedTrace { base, pending, source: ring.source.clone(), positions }
+    }
+
+    fn attach(detached: DetachedTrace<S>) -> Vec<Self> {
+        let DetachedTrace { base, pending, source, positions } = detached;
+        let cursors: Vec<Rc<Cell<u64>>> =
+            positions.into_iter().map(|p| Rc::new(Cell::new(p))).collect();
+        let ring = SharedTraceRing { source, buf: pending, base, cursors: cursors.clone() };
+        let ring = Rc::new(RefCell::new(ring));
+        cursors.into_iter().map(|pos| TraceCursor { ring: Rc::clone(&ring), pos }).collect()
+    }
+}
+
 impl<S> Drop for TraceCursor<S> {
     fn drop(&mut self) {
         // Deregister so a departed (fast) cursor no longer pins the
@@ -232,6 +287,68 @@ mod tests {
             "lone cursor must not accumulate history: {}",
             only.window_len()
         );
+    }
+
+    fn pcs(trace: &mut impl TraceSource) -> Vec<u64> {
+        std::iter::from_fn(|| trace.next_op()).map(|op| op.pc()).collect()
+    }
+
+    #[test]
+    fn detached_cursors_read_what_they_would_have_read() {
+        let total = 200;
+        let mut lead = TraceCursor::new(SliceTrace::new(ops(total)));
+        let mut lag = lead.clone();
+        let mut middle = lead.clone();
+        for _ in 0..120 {
+            lead.next_op().unwrap();
+        }
+        for _ in 0..30 {
+            lag.next_op().unwrap();
+        }
+        for _ in 0..70 {
+            middle.next_op().unwrap();
+        }
+        // A lagging sibling stays behind, so the window starts before the
+        // detached cursors and only their part of it is copied.
+        let detached = TraceCursor::detach(vec![lead.clone(), middle.clone()]);
+        assert_eq!(detached.base, 70, "copy starts at the slowest detached cursor");
+        let moved = std::thread::spawn(move || {
+            TraceCursor::attach(detached).iter_mut().map(pcs).collect::<Vec<_>>()
+        })
+        .join()
+        .expect("reader thread");
+        assert_eq!(moved, vec![pcs(&mut lead), pcs(&mut middle)]);
+        assert_eq!(moved[1], (70..total).map(|i| i * 4).collect::<Vec<_>>());
+        assert_eq!(pcs(&mut lag), (30..total).map(|i| i * 4).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn attached_cursors_share_one_ring_and_keep_their_positions() {
+        let mut a = TraceCursor::new(SliceTrace::new(ops(40)));
+        let mut b = a.clone();
+        a.skip_ops(10);
+        b.skip_ops(25);
+        let moved = TraceCursor::attach(TraceCursor::detach(vec![a, b]));
+        assert_eq!(moved.iter().map(Detach::position).collect::<Vec<_>>(), vec![10, 25]);
+        assert_eq!(moved[0].consumers(), 2);
+        assert_eq!(moved[0].window_len(), 15, "only the unread window travels");
+    }
+
+    #[test]
+    fn the_ring_still_trims_after_its_laggard_is_donated() {
+        let total = (TRIM_THRESHOLD as u64) * 3;
+        let mut keep = TraceCursor::new(SliceTrace::new(ops(total + 1)));
+        let give = keep.clone();
+        for _ in 0..total {
+            keep.next_op().unwrap();
+        }
+        assert!(keep.window_len() >= TRIM_THRESHOLD, "the laggard pins the window");
+        let detached = TraceCursor::detach(vec![give]);
+        assert_eq!(keep.consumers(), 1, "the donated cursor left the ring");
+        keep.next_op().unwrap();
+        assert!(keep.window_len() < TRIM_THRESHOLD, "window {} not trimmed", keep.window_len());
+        let mut moved = TraceCursor::attach(detached);
+        assert_eq!(pcs(&mut moved[0]), (0..=total).map(|i| i * 4).collect::<Vec<_>>());
     }
 
     #[test]

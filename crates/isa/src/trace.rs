@@ -54,6 +54,27 @@ impl<T: TraceSource + ?Sized> TraceSource for &mut T {
     }
 }
 
+/// A trace that can move to another thread part way through its stream.
+///
+/// A lockstep batch may hand some of its classes to another worker; their
+/// traces go along. [`detach`](Detach::detach) packs several consumers of
+/// one stream into a single `Send` value, and [`attach`](Detach::attach)
+/// rebuilds them, in order and of the same type, on the receiving thread.
+/// Each rebuilt trace yields exactly the ops its original would have.
+pub trait Detach: TraceSource + Sized {
+    /// The packed, movable form.
+    type Detached: Send;
+
+    /// How far into its stream this trace has read, in ops.
+    fn position(&self) -> u64;
+
+    /// Packs `traces`, consumers of one stream, for another thread.
+    fn detach(traces: Vec<Self>) -> Self::Detached;
+
+    /// Rebuilds the packed traces in their original order.
+    fn attach(detached: Self::Detached) -> Vec<Self>;
+}
+
 impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
     fn next_op(&mut self) -> Option<MicroOp> {
         (**self).next_op()

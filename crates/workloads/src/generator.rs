@@ -2,7 +2,7 @@
 
 use crate::profile::WorkloadProfile;
 use crate::rng::{Geometric, Xoshiro256};
-use powerbalance_isa::{ArchReg, BranchInfo, MemRef, MicroOp, OpClass, TraceSource};
+use powerbalance_isa::{ArchReg, BranchInfo, Detach, MemRef, MicroOp, OpClass, TraceSource};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -490,6 +490,24 @@ impl TraceSource for TraceGenerator {
             self.ops_left_in_block = self.block_len(self.pc);
         }
         self.op_index += n;
+    }
+}
+
+/// A generator carries its whole stream state, so it moves as it is: each
+/// clone a batch fork made continues independently on any thread.
+impl Detach for TraceGenerator {
+    type Detached = Vec<TraceGenerator>;
+
+    fn position(&self) -> u64 {
+        self.op_index
+    }
+
+    fn detach(traces: Vec<Self>) -> Vec<Self> {
+        traces
+    }
+
+    fn attach(detached: Vec<Self>) -> Vec<Self> {
+        detached
     }
 }
 

@@ -1,8 +1,10 @@
 //! Proves the steady-state simulate-sense-react loop is allocation-free.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator. Each public
-//! engine — the scalar `Simulator`, a 2-core `MultiCoreSimulator`, and an
-//! unforked 2-sibling `BatchSimulator` — first runs a 20-window warmup, long
+//! engine — the scalar `Simulator`, a 2-core `MultiCoreSimulator`, an
+//! unforked 2-sibling `BatchSimulator`, and a `BatchSimulator` forked into
+//! six classes and stepped with a worker pool's idle probe read at every
+//! window boundary — first runs a 20-window warmup, long
 //! enough for every growable structure (in-flight list, fetch queue,
 //! writeback scratch, cache/predictor arrays, thermal scratch, the cached LU
 //! factorization, the engine's per-window scratch) to reach its steady
@@ -14,12 +16,14 @@
 //! process-global, and a sibling test running on another thread would
 //! pollute the measured window.
 
+use powerbalance::experiments::{self, PolicyKind};
 use powerbalance::{
-    BatchSimulator, MultiCoreSimulator, SimConfig, Simulator, TaskSet, TraceCursor,
+    BatchSimulator, FloorplanKind, MultiCoreSimulator, RunControl, SimConfig, Simulator, TaskSet,
+    TraceCursor,
 };
 use powerbalance_workloads::spec2000;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Counts every allocation and reallocation passed to the system allocator.
 struct CountingAllocator;
@@ -102,4 +106,21 @@ fn steady_state_loop_allocates_nothing() {
         batch.run(n);
     });
     assert_eq!(batch.class_count(), 1, "identical siblings never fork");
+
+    // eon forks all six policies in the first window after its warmup.
+    // Each class keeps its own generator clone: a shared cursor ring grows
+    // with the classes' spread, which is not a per-window cost.
+    let family: Vec<SimConfig> = PolicyKind::ALL
+        .iter()
+        .map(|&kind| experiments::policy(kind, FloorplanKind::IssueConstrained))
+        .collect();
+    let eon = spec2000::by_name("eon").expect("known benchmark");
+    let mut forked = BatchSimulator::new(family, eon.trace(42)).expect("eligible");
+    forked.run_warmup(200_000);
+    let idle = AtomicBool::new(false);
+    let probed = RunControl::unlimited().with_idle_probe(&idle);
+    check("BatchSimulator (forked, idle probe)", window, |n| {
+        forked.run_controlled(n, &probed);
+    });
+    assert_eq!(forked.class_count(), 6, "every policy runs its own class");
 }
