@@ -175,20 +175,7 @@ pub fn derive_batch_siblings(seed: u64, base: &SimConfig) -> Vec<SimConfig> {
     (0..k)
         .map(|_| {
             let kind = *pick(&mut rng, &PolicyKind::ALL);
-            let mut mitigation = kind.mitigation();
-            mitigation.thresholds = base.mitigation.thresholds;
-            mitigation.global = match mitigation.global {
-                GlobalPolicy::Dvfs(_) => {
-                    GlobalPolicy::Dvfs(DvfsParams::for_thresholds(&mitigation.thresholds))
-                }
-                GlobalPolicy::FetchGate(_) => {
-                    GlobalPolicy::FetchGate(GateParams::for_thresholds(&mitigation.thresholds))
-                }
-                GlobalPolicy::ClockThrottle(_) => {
-                    GlobalPolicy::ClockThrottle(GateParams::for_thresholds(&mitigation.thresholds))
-                }
-                GlobalPolicy::None => GlobalPolicy::None,
-            };
+            let mitigation = kind.mitigation().with_thresholds(base.mitigation.thresholds);
             SimConfig { mitigation, ..shared.clone() }
         })
         .collect()

@@ -110,7 +110,8 @@ impl Sink {
 /// sampling window: [`check_thermal`](Self::check_thermal) after the
 /// thermal step/settle, and [`before_sample`](Self::before_sample) /
 /// [`after_sample`](Self::after_sample) bracketing the mitigation
-/// manager's `on_sample`. [`finish`](Self::finish) closes out the oracle.
+/// consult (the manager's `decide` then `apply_decided`, which is what
+/// `on_sample` runs). [`finish`](Self::finish) closes out the oracle.
 ///
 /// Violations are collected, not panicked: a fuzz driver inspects
 /// [`violations`](Self::violations) after the run and shrinks/replays.

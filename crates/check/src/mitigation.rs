@@ -1,11 +1,11 @@
 //! Differential mirror of the mitigation manager.
 //!
-//! [`MitigationWatch`] re-implements every [`ThermalManager`] policy's
-//! decision rules (toggling hysteresis, turnoff/re-enable thresholds with
+//! [`MitigationWatch`] re-implements the [`ThermalManager`]'s decision rules
+//! (toggling hysteresis, turnoff/re-enable thresholds with
 //! the register-file guard band, the temporal-freeze backstop, and the
 //! global ladders: DVFS operating points with transition stalls, fetch
 //! gating, clock throttling) independently from the same inputs, and
-//! compares *every* externally visible effect of `on_sample` —
+//! compares *every* externally visible effect of a consult —
 //! issue-queue modes, unit and copy enables, write gating, the freeze
 //! flag and deadline, ladder positions, fetch/clock duties, and the event
 //! counters — against its own prediction. Because the manager is
@@ -16,7 +16,9 @@
 //! implementation breaks the agreement. The mirror deliberately does not
 //! call the policy helpers (`TripTable::tripped` and friends) — it walks
 //! the trip points with its own loops so a bug in those helpers cannot
-//! hide in both implementations.
+//! hide in both implementations. For the same reason it keeps its own
+//! three-way split (spatial, pure ladder, combined) where the manager
+//! runs one rule: two differently shaped implementations must agree.
 
 use crate::{Sink, ViolationKind};
 use powerbalance_isa::ExecDomain;
@@ -147,14 +149,12 @@ impl MitigationWatch {
         let th = self.cfg.thresholds;
         let mut p = pre;
 
-        // 1. Ongoing temporal stall: only cooled resources come back.
-        if let Some(until) = p.frozen_until {
-            if now < until {
-                self.reenable_cooled(&mut p, temps);
-                return p;
-            }
-            p.frozen_until = None;
-            p.frozen = false;
+        // 1. Ongoing temporal stall (or a DVFS transition stall carried
+        //    over from a snapshot taken under another config): only cooled
+        //    resources come back.
+        if self.handle_frozen_or_stalled(&mut p, now) {
+            self.reenable_cooled(&mut p, temps);
+            return p;
         }
 
         // 2–4. The spatial techniques.

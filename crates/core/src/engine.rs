@@ -20,12 +20,22 @@
 //! [`Grid::drive`] steps every live die through one sampling window at a
 //! time, phase by phase: cycle every busy lane; account every lane's
 //! power in one batched call per die; group dies by `(settled, dt)` and
-//! run one batched solve per group; consult each die's managers, forking
-//! the die when its members disagree; then update statistics, retire
-//! finished work, and tick the interval clock. Within each lane the
-//! floating-point sequence is the single-core one — power → dt/settle →
-//! thermal → consult → statistics — which is what keeps every view
-//! bit-identical to the others wherever they describe the same run.
+//! run one batched solve per group; consult each die's managers; then
+//! update statistics, retire finished work, and tick the interval clock.
+//! Within each lane the floating-point sequence is the single-core one —
+//! power → dt/settle → thermal → consult → statistics — which is what
+//! keeps every view bit-identical to the others wherever they describe
+//! the same run.
+//!
+//! The consult is one phase for every die shape: each member decides for
+//! each sampled lane, the members are partitioned by what they decided,
+//! the die forks once per extra partition, and each partition's
+//! representative applies its commands while its co-members adopt the
+//! result. A scalar or multi-core die is the one-member case: one
+//! decision and one apply per lane, no partition to split. Every
+//! [`Actuation`](powerbalance_mitigation::Actuation) of every engine thus
+//! passes through one place, which is also where an armed checker
+//! brackets the sample.
 
 use crate::config::Fidelity;
 use crate::simulator::{RunControl, StopCause};
@@ -253,26 +263,6 @@ impl Lane {
         fast.extra_frozen += scaled(fast.sample_frozen, sub, len);
         fast.extra_throttled += scaled(fast.sample_throttled, sub, len);
         fast.extra_fetch_gated += scaled(fast.sample_fetch_gated, sub, len);
-    }
-
-    /// One mitigation consult against this lane's temperatures, fed the
-    /// issue-queue activity of the last detailed window; bracketed by the
-    /// checker on detailed windows.
-    fn consult(&mut self, manager: &mut ThermalManager, temps: &[f64], now: u64, detailed: bool) {
-        #[cfg(feature = "check")]
-        let mut checker = self.checker.as_deref_mut().filter(|_| detailed);
-        #[cfg(not(feature = "check"))]
-        let _ = detailed;
-        #[cfg(feature = "check")]
-        if let Some(checker) = checker.as_mut() {
-            checker.before_sample(&self.core, manager);
-        }
-        let (int_iq, fp_iq) = (&self.fast.window_int_iq, &self.fast.window_fp_iq);
-        manager.on_sample(&mut self.core, temps, now, int_iq, fp_iq);
-        #[cfg(feature = "check")]
-        if let Some(checker) = checker.as_mut() {
-            checker.after_sample(&self.core, manager, temps, now, int_iq, fp_iq);
-        }
     }
 
     /// Accumulates the window's temperature statistics: averages over
@@ -766,46 +756,46 @@ impl Grid {
         }
     }
 
-    /// Phase 4: every sampled lane's managers decide against the lane's
-    /// temperatures. A die whose members disagree forks *before* any
-    /// command is applied, so each child branches from the exact state the
-    /// decisions were made against.
+    /// Phase 4: every live die consults its managers. Forked children are
+    /// appended past the dies this pass visits, so they are not consulted
+    /// twice.
     fn consult<F: Feed>(&mut self, feed: &mut F, detailed: bool) {
-        let blocks = self.blocks();
-        let cores = self.config.cores;
         for d in 0..self.dies.len() {
-            let die = &mut self.dies[d];
-            if !die.live {
-                continue;
-            }
-            if die.members.len() > 1 {
-                self.consult_members(feed, d);
-                continue;
-            }
-            let member = die.members[0];
-            let temps = die.thermal.temperatures();
-            for (c, lane) in die.lanes.iter_mut().enumerate() {
-                if let Some((_, now)) = lane.ctx {
-                    let manager = &mut self.managers[member * cores + c];
-                    lane.consult(manager, &temps[c * blocks..(c + 1) * blocks], now, detailed);
-                }
+            if self.dies[d].live {
+                self.consult_die(feed, d, detailed);
             }
         }
     }
 
-    /// The consult of a die with several members: every member decides,
-    /// members are partitioned by (commands, projected power scale) per
-    /// lane, each extra partition forks off into a new die, and each
-    /// partition's representative actuates its die while its co-members
-    /// adopt the representative's post-apply manager state (identical
-    /// pre-state + identical commands ⇒ identical post-state, without
-    /// double-applying core side effects).
-    fn consult_members<F: Feed>(&mut self, feed: &mut F, d: usize) {
+    /// The consult of one die, whatever its shape (one lane or N, one
+    /// member or K): every member decides for every sampled lane against
+    /// the lane's temperatures; members are partitioned by (commands,
+    /// projected power scale) per lane; each extra partition forks off
+    /// into a new die *before* any command is applied, so each child
+    /// branches from the exact state the decisions were made against; and
+    /// each partition's representative actuates its die while its
+    /// co-members adopt the representative's post-apply manager state
+    /// (identical pre-state + identical commands ⇒ identical post-state,
+    /// without double-applying core side effects). On detailed windows an
+    /// armed checker brackets the sample: only an unforked die with one
+    /// member carries one.
+    fn consult_die<F: Feed>(&mut self, feed: &mut F, d: usize, detailed: bool) {
+        #[cfg(not(feature = "check"))]
+        let _ = detailed;
         let blocks = self.blocks();
         let cores = self.config.cores;
         let Grid { dies, managers, parts, reps, .. } = self;
         parts.clear();
         reps.clear();
+        #[cfg(feature = "check")]
+        if detailed {
+            let die = &mut dies[d];
+            for (c, lane) in die.lanes.iter_mut().enumerate() {
+                if let (Some(checker), Some(_)) = (&mut lane.checker, lane.ctx) {
+                    checker.before_sample(&lane.core, &managers[die.members[0] * cores + c]);
+                }
+            }
+        }
         let die = &dies[d];
         let temps = die.thermal.temperatures();
         for &m in &die.members {
@@ -852,12 +842,23 @@ impl Grid {
         for p in 0..reps.len() {
             let die = &mut dies[if p == 0 { d } else { first_child + p - 1 }];
             let rep = die.members[0];
+            #[cfg(feature = "check")]
+            let temps = die.thermal.temperatures();
             for (c, lane) in die.lanes.iter_mut().enumerate() {
                 if lane.ctx.is_none() {
                     continue;
                 }
-                managers[rep * cores + c].apply_decided(&mut lane.core);
-                let snap = managers[rep * cores + c].snapshot();
+                let manager = &mut managers[rep * cores + c];
+                manager.apply_decided(&mut lane.core);
+                #[cfg(feature = "check")]
+                if let (Some(checker), Some((_, now)), true) =
+                    (&mut lane.checker, lane.ctx, detailed)
+                {
+                    let (int_iq, fp_iq) = (&lane.fast.window_int_iq, &lane.fast.window_fp_iq);
+                    let temps = &temps[c * blocks..(c + 1) * blocks];
+                    checker.after_sample(&lane.core, manager, temps, now, int_iq, fp_iq);
+                }
+                let snap = manager.snapshot();
                 for &m in &die.members[1..] {
                     managers[m * cores + c].restore(&snap);
                 }

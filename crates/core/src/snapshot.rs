@@ -403,6 +403,47 @@ mod tests {
     }
 
     #[test]
+    fn a_transition_stall_ends_after_a_resume_under_another_policy() {
+        // A DVFS run captured mid-transition carries `stall_until`; resumed
+        // under a config without a global ladder, the stall must still end
+        // on schedule instead of freezing the core for good.
+        use crate::experiments::PolicyKind;
+        use crate::FloorplanKind;
+        let config = experiments::policy(PolicyKind::Dvfs, FloorplanKind::IssueConstrained);
+        let interval = config.sample_interval;
+        let profile = spec2000::by_name("eon").expect("profile");
+        let mut trace = profile.trace(42);
+        let mut sim = Simulator::new(config).expect("valid config");
+        for _ in 0..21 {
+            sim.run(&mut trace, interval);
+        }
+        assert_eq!(sim.core().stats().cycles, 210_000);
+        assert_eq!(sim.manager().policy_state().stall_until, Some(252_000));
+        assert!(sim.core().is_frozen(), "the capture lands inside the transition stall");
+
+        let snap = Snapshot::capture(&sim, &profile, &trace);
+        let spatial = experiments::policy(PolicyKind::Spatial, FloorplanKind::IssueConstrained);
+        let (mut resumed, mut trace) =
+            snap.resume_with_config(spatial).expect("mitigation may differ");
+        let frozen_before = resumed.core().stats().frozen_cycles;
+        let mut thawed_at = None;
+        for _ in 0..60 {
+            resumed.run(&mut trace, interval);
+            let now = resumed.core().stats().cycles;
+            if thawed_at.is_none() && resumed.manager().policy_state().stall_until.is_none() {
+                thawed_at = Some(now);
+            }
+        }
+        assert_eq!(thawed_at, Some(260_000), "the first consult past 252 000 ends the stall");
+        let result = resumed.result();
+        assert!(
+            result.frozen_cycles - frozen_before < 60 * interval,
+            "the core ran again after the stall: {} frozen cycles",
+            result.frozen_cycles - frozen_before
+        );
+    }
+
+    #[test]
     fn structurally_different_config_is_rejected() {
         let (sim, trace, profile) = run_pair(20_000);
         let snap = Snapshot::capture(&sim, &profile, &trace);

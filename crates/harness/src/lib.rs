@@ -61,7 +61,7 @@ mod warmstart;
 
 pub use result::{CampaignResult, JobResult};
 pub use runner::{
-    plan_units, resolve_threads, run_campaign, run_campaign_controlled, run_one, CampaignControl,
+    plan_units, resolve_threads, run_campaign, run_campaign_controlled, CampaignControl,
     CampaignOutcome, JobProgress, RunnerOptions, THREADS_ENV_VAR,
 };
 pub use spec::{CampaignSpec, NamedConfig};

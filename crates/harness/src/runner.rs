@@ -89,50 +89,6 @@ fn resolve_threads_from(explicit: Option<usize>, env: Option<&str>) -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Runs one (benchmark × config) simulation outside any campaign: builds a
-/// fresh simulator, seeds the workload trace, runs for `cycles`.
-///
-/// Multi-core configs (`cores > 1`) run the multi-core engine: one
-/// unbounded instance of the benchmark per core (seeds `seed..seed+N`),
-/// reporting the merged die-level result (`C{c}.`-prefixed block names).
-///
-/// # Errors
-///
-/// Returns [`Error::Config`] if the benchmark is unknown or the config
-/// fails validation.
-pub fn run_one(
-    config: &SimConfig,
-    bench: &str,
-    cycles: u64,
-    seed: u64,
-) -> Result<RunResult, Error> {
-    let cache = WarmStartCache::in_memory();
-    let control = RunControl::unlimited();
-    let (mut results, _) =
-        run_unit(std::slice::from_ref(config), bench, cycles, seed, 0, &cache, &control, &mut ())?;
-    Ok(results.remove(0).1)
-}
-
-/// Where a running unit accounts its worker time and hands off classes.
-trait Donee {
-    /// Charges the worker time since the last charge equally to
-    /// `siblings`, the siblings stepped in it.
-    fn charge(&mut self, siblings: &[usize]);
-
-    /// Takes `classes`, split off for an idle worker with `left` cycles of
-    /// the budget to run.
-    fn donate(&mut self, classes: Donated, left: u64);
-}
-
-/// Outside a pool nothing is charged, and nothing pauses to donate.
-impl Donee for () {
-    fn charge(&mut self, _siblings: &[usize]) {}
-
-    fn donate(&mut self, _classes: Donated, _left: u64) {
-        unreachable!("a run without an idle probe never pauses")
-    }
-}
-
 /// Classes a running batch gave away, by trace type.
 enum Donated {
     /// Exact siblings share generated ops through a cursor ring.
@@ -148,11 +104,11 @@ impl Donated {
         self,
         left: u64,
         control: &RunControl<'_>,
-        donee: &mut dyn Donee,
+        stint: &mut Stint<'_>,
     ) -> (Vec<(usize, RunResult)>, StopCause) {
         match self {
-            Donated::Ring(part) => run_batch(part.attach(), left, control, donee),
-            Donated::Generators(part) => run_batch(part.attach(), left, control, donee),
+            Donated::Ring(part) => run_batch(part.attach(), left, control, stint),
+            Donated::Generators(part) => run_batch(part.attach(), left, control, stint),
         }
     }
 }
@@ -184,9 +140,9 @@ impl From<BatchPart<TraceGenerator>> for Donated {
 ///
 /// A stop (cancel/timeout) stops the whole unit at the same window
 /// boundary, so every sibling's partial statistics cover the same
-/// simulated span. A pause for an idle worker donates classes to `donee`
-/// (see [`run_batch`]). Results come back as `(sibling, result)` pairs
-/// for the siblings the unit kept.
+/// simulated span. A pause for an idle worker donates classes to the pool
+/// through `stint` (see [`run_batch`]). Results come back as
+/// `(sibling, result)` pairs for the siblings the unit kept.
 #[allow(clippy::too_many_arguments)]
 fn run_unit(
     configs: &[SimConfig],
@@ -196,7 +152,7 @@ fn run_unit(
     warmup_cycles: u64,
     cache: &WarmStartCache,
     control: &RunControl<'_>,
-    donee: &mut dyn Donee,
+    stint: &mut Stint<'_>,
 ) -> Result<(Vec<(usize, RunResult)>, StopCause), Error> {
     let profile = spec2000::by_name(bench)
         .ok_or_else(|| Error::Config(format!("unknown benchmark '{bench}'")))?;
@@ -238,9 +194,9 @@ fn run_unit(
     };
     let warm = warm.as_deref();
     if first.fidelity == Fidelity::Exact && configs.len() > 1 {
-        batch_over(configs, TraceCursor::new(trace), warm, cycles, control, donee)
+        batch_over(configs, TraceCursor::new(trace), warm, cycles, control, stint)
     } else {
-        batch_over(configs, trace, warm, cycles, control, donee)
+        batch_over(configs, trace, warm, cycles, control, stint)
     }
 }
 
@@ -252,7 +208,7 @@ fn batch_over<T: Detach + Clone>(
     warm: Option<&Snapshot>,
     cycles: u64,
     control: &RunControl<'_>,
-    donee: &mut dyn Donee,
+    stint: &mut Stint<'_>,
 ) -> Result<(Vec<(usize, RunResult)>, StopCause), Error>
 where
     Donated: From<BatchPart<T>>,
@@ -261,18 +217,19 @@ where
     if let Some(snapshot) = warm {
         batch.restore_state(&snapshot.state)?;
     }
-    Ok(run_batch(batch, cycles, control, donee))
+    Ok(run_batch(batch, cycles, control, stint))
 }
 
 /// Runs `batch` for `left` more cycles under `control`. Each time the idle
 /// probe pauses it, the worker time so far is charged, the leading half of
-/// the classes goes to `donee`, and the rest resumes. Returns the results
-/// of the siblings the batch kept, with their original sibling indices.
+/// the classes goes to the pool through `stint`, and the rest resumes.
+/// Returns the results of the siblings the batch kept, with their original
+/// sibling indices.
 fn run_batch<T: Detach + Clone>(
     mut batch: BatchSimulator<T>,
     mut left: u64,
     control: &RunControl<'_>,
-    donee: &mut dyn Donee,
+    stint: &mut Stint<'_>,
 ) -> (Vec<(usize, RunResult)>, StopCause)
 where
     Donated: From<BatchPart<T>>,
@@ -282,10 +239,10 @@ where
         if cause != StopCause::WorkerIdle {
             return (batch.siblings().iter().copied().zip(batch.results()).collect(), cause);
         }
-        donee.charge(batch.siblings());
+        stint.charge(batch.siblings());
         let part =
             batch.split_off().expect("the idle probe pauses only a batch of several classes");
-        donee.donate(part.into(), left);
+        stint.donate(part.into(), left);
     }
 }
 
@@ -395,7 +352,9 @@ struct Stint<'a> {
     since: Instant,
 }
 
-impl Donee for Stint<'_> {
+impl Stint<'_> {
+    /// Charges the worker time since the last charge equally to
+    /// `siblings`, the siblings stepped in it.
     fn charge(&mut self, siblings: &[usize]) {
         let now = Instant::now();
         let share = (now - self.since).as_nanos() as u64 / siblings.len().max(1) as u64;
@@ -405,6 +364,8 @@ impl Donee for Stint<'_> {
         self.since = now;
     }
 
+    /// Queues `classes`, split off for an idle worker with `left` cycles
+    /// of the budget to run.
     fn donate(&mut self, classes: Donated, left: u64) {
         let (unit, deadline) = (self.unit, self.deadline);
         self.pool.give(Work::Part { unit, left, deadline, classes });
@@ -904,9 +865,13 @@ mod tests {
     }
 
     #[test]
-    fn run_one_rejects_unknown_benchmark() {
-        let err = run_one(&experiments::issue_queue(false), "doom3", 1_000, 1);
-        assert!(err.is_err());
+    fn campaign_rejects_unknown_benchmark() {
+        let spec = CampaignSpec::new("doom")
+            .config("base", experiments::issue_queue(false))
+            .benchmark("doom3")
+            .cycles(1_000);
+        let err = run_campaign(&spec, &RunnerOptions::default()).expect_err("unknown benchmark");
+        assert!(err.to_string().contains("unknown benchmark 'doom3'"), "{err}");
     }
 
     #[test]
@@ -975,7 +940,8 @@ mod tests {
             .cycles(20_000)
             .seed(9);
         let a = run_campaign(&spec, &RunnerOptions::default()).expect("runs");
-        let direct = run_one(&spec.configs[0].config, "gzip", 20_000, 9).expect("runs");
+        let mut sim = Simulator::new(spec.configs[0].config.clone()).expect("valid config");
+        let direct = sim.run(&mut spec2000::by_name("gzip").expect("known").trace(9), 20_000);
         assert_eq!(a.jobs[0].result, direct);
     }
 
@@ -1102,17 +1068,5 @@ mod tests {
             "the 2-core job reports die-level prefixed blocks"
         );
         assert!(die.committed > result.jobs[0].result.committed, "two cores commit more than one");
-    }
-
-    #[test]
-    fn campaign_matches_run_one() {
-        let spec = CampaignSpec::new("match")
-            .config("base", experiments::issue_queue(false))
-            .benchmark("gzip")
-            .cycles(20_000)
-            .seed(9);
-        let campaign = run_campaign(&spec, &RunnerOptions::default()).expect("campaign runs");
-        let direct = run_one(&spec.configs[0].config, "gzip", 20_000, 9).expect("runs");
-        assert_eq!(campaign.jobs[0].result, direct);
     }
 }

@@ -2,8 +2,8 @@
 //! plumbing, and JSON artifacts through the in-repo serializer.
 
 use powerbalance::experiments::{self, AluPolicy};
-use powerbalance::RunResult;
-use powerbalance_harness::{run_campaign, run_one, CampaignResult, CampaignSpec, RunnerOptions};
+use powerbalance::{spec2000, RunResult, Simulator};
+use powerbalance_harness::{run_campaign, CampaignResult, CampaignSpec, RunnerOptions};
 
 fn demo_spec() -> CampaignSpec {
     CampaignSpec::new("invariance")
@@ -72,8 +72,9 @@ fn campaign_honors_its_seed() {
 
 #[test]
 fn run_result_round_trips_through_json() {
+    let mut sim = Simulator::new(experiments::issue_queue(true)).expect("valid config");
     let result: RunResult =
-        run_one(&experiments::issue_queue(true), "eon", 25_000, 3).expect("run succeeds");
+        sim.run(&mut spec2000::by_name("eon").expect("known benchmark").trace(3), 25_000);
     let text = serde::json::to_string_pretty(&result);
     let back: RunResult = serde::json::from_str(&text).expect("artifact parses");
     assert_eq!(back, result, "JSON round-trip must be lossless");

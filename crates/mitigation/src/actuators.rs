@@ -1,20 +1,20 @@
 //! Cooling-device actuators: typed commands and the executor that applies
 //! them.
 //!
-//! Policies never touch microarchitectural state directly. They emit
-//! [`Actuation`] commands into a buffer and the manager's executor
+//! The decision rule never touches microarchitectural state directly. It
+//! emits [`Actuation`] commands into a buffer and the manager's executor
 //! ([`apply`]) translates each command into the corresponding [`Core`]
 //! mutation, updating [`MitigationStats`] and the manager-held
-//! [`PolicyState`] at the same decision points the pre-refactor manager
-//! used. This keeps policies pure functions of (zones, temperatures, core
-//! view, policy state) — which is what lets `powerbalance-check` mirror
-//! them differentially — and concentrates every side effect in one place.
+//! [`PolicyState`]. This keeps the decision a pure function of (config,
+//! zones, temperatures, core view, policy state) — which is what lets
+//! `powerbalance-check` mirror it differentially — and concentrates every
+//! side effect in one place.
 
 use crate::{MitigationStats, PolicyState};
 use powerbalance_isa::ExecDomain;
 use powerbalance_uarch::{Core, DutyCycle, UnitKind};
 
-/// One typed command from a thermal policy to the core.
+/// One typed command from the thermal decision to the core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Actuation {
     /// Flip the named issue queue between conventional and toggled mode.
@@ -99,6 +99,7 @@ pub fn apply(
     frozen_until: &mut Option<u64>,
 ) {
     for &action in actions {
+        step_state(action, state);
         match action {
             Actuation::ToggleIq { domain } => {
                 let mode = core.iq_mode(domain);
@@ -133,29 +134,22 @@ pub fn apply(
                 *frozen_until = Some(until);
                 stats.freezes += 1;
             }
-            Actuation::SetOpp { level, duty } => {
+            Actuation::SetOpp { duty, .. } => {
                 core.set_clock_duty(duty);
-                state.opp_level = level;
                 stats.opp_transitions += 1;
             }
-            Actuation::Stall { until } => {
-                core.set_frozen(true);
-                state.stall_until = Some(until);
-            }
-            Actuation::SetFetchDuty { level, duty } => {
+            Actuation::Stall { .. } => core.set_frozen(true),
+            Actuation::SetFetchDuty { duty, .. } => {
                 core.set_fetch_duty(duty);
-                state.gate_level = level;
                 stats.duty_shifts += 1;
             }
-            Actuation::SetClockDuty { level, duty } => {
+            Actuation::SetClockDuty { duty, .. } => {
                 core.set_clock_duty(duty);
-                state.gate_level = level;
                 stats.duty_shifts += 1;
             }
             Actuation::Unfreeze => {
                 core.set_frozen(false);
                 *frozen_until = None;
-                state.stall_until = None;
             }
         }
     }
@@ -170,23 +164,29 @@ pub fn apply(
 /// ladders* (a `SetOpp` carries a level, not a voltage — the volt scale
 /// lives in each config's ladder). Projecting the post-apply state lets
 /// the engine compute each sibling's next-window dynamic-power scale
-/// before deciding whether to fork. Must mutate `state` exactly as
-/// [`apply`] would — pinned by a differential unit test below.
+/// before deciding whether to fork. [`apply`] runs the same per-action
+/// step, so the two cannot drift apart.
 pub fn project(actions: &[Actuation], state: &mut PolicyState) {
     for &action in actions {
-        match action {
-            Actuation::SetOpp { level, .. } => state.opp_level = level,
-            Actuation::Stall { until } => state.stall_until = Some(until),
-            Actuation::SetFetchDuty { level, .. } | Actuation::SetClockDuty { level, .. } => {
-                state.gate_level = level;
-            }
-            Actuation::Unfreeze => state.stall_until = None,
-            Actuation::ToggleIq { .. }
-            | Actuation::SetUnitEnabled { .. }
-            | Actuation::DisableRfCopy { .. }
-            | Actuation::EnableRfCopy { .. }
-            | Actuation::Freeze { .. } => {}
+        step_state(action, state);
+    }
+}
+
+/// The [`PolicyState`] effect of one action, shared by [`apply`] and
+/// [`project`].
+fn step_state(action: Actuation, state: &mut PolicyState) {
+    match action {
+        Actuation::SetOpp { level, .. } => state.opp_level = level,
+        Actuation::Stall { until } => state.stall_until = Some(until),
+        Actuation::SetFetchDuty { level, .. } | Actuation::SetClockDuty { level, .. } => {
+            state.gate_level = level;
         }
+        Actuation::Unfreeze => state.stall_until = None,
+        Actuation::ToggleIq { .. }
+        | Actuation::SetUnitEnabled { .. }
+        | Actuation::DisableRfCopy { .. }
+        | Actuation::EnableRfCopy { .. }
+        | Actuation::Freeze { .. } => {}
     }
 }
 

@@ -593,26 +593,28 @@ impl MitigationConfig {
         }
     }
 
-    /// Returns the config with its thermal limit moved to `max_temp`, any
-    /// global policy's trip tables and ladder rebuilt for the new
-    /// thresholds. Experiments use this to compare policies at one
-    /// (possibly non-default) thermal budget.
+    /// Returns the config with its thresholds replaced by `th`, any global
+    /// policy's trip tables and ladder rebuilt for them.
     #[must_use]
-    pub fn with_max_temp(mut self, max_temp: f64) -> Self {
-        self.thresholds.max_temp = max_temp;
+    pub fn with_thresholds(mut self, th: Thresholds) -> Self {
+        self.thresholds = th;
         self.global = match self.global {
             GlobalPolicy::None => GlobalPolicy::None,
-            GlobalPolicy::Dvfs(_) => {
-                GlobalPolicy::Dvfs(DvfsParams::for_thresholds(&self.thresholds))
-            }
-            GlobalPolicy::FetchGate(_) => {
-                GlobalPolicy::FetchGate(GateParams::for_thresholds(&self.thresholds))
-            }
+            GlobalPolicy::Dvfs(_) => GlobalPolicy::Dvfs(DvfsParams::for_thresholds(&th)),
+            GlobalPolicy::FetchGate(_) => GlobalPolicy::FetchGate(GateParams::for_thresholds(&th)),
             GlobalPolicy::ClockThrottle(_) => {
-                GlobalPolicy::ClockThrottle(GateParams::for_thresholds(&self.thresholds))
+                GlobalPolicy::ClockThrottle(GateParams::for_thresholds(&th))
             }
         };
         self
+    }
+
+    /// Returns the config with its thermal limit moved to `max_temp` (see
+    /// [`with_thresholds`](Self::with_thresholds)). Experiments use this to
+    /// compare policies at one (possibly non-default) thermal budget.
+    #[must_use]
+    pub fn with_max_temp(self, max_temp: f64) -> Self {
+        self.with_thresholds(Thresholds { max_temp, ..self.thresholds })
     }
 
     /// Validates thresholds and, when present, the global policy's ladder

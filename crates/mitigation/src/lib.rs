@@ -23,13 +23,16 @@
 //! 1. **Sensing** — [`Sensors`] resolve floorplan blocks, [`Zones`] attach
 //!    ordered [`TripTable`]s (trip + clear temperature per severity) to
 //!    every monitored block.
-//! 2. **Policy** — a [`ThermalPolicy`] decides, purely, what to do each
-//!    sample: the spatial techniques ([`SpatialPolicy`]), the paper's §5
-//!    global baselines ([`GlobalLadderPolicy`]: DVFS over a discrete
-//!    [`OppLadder`], fetch gating, global clock throttling), or both
-//!    ([`CombinedPolicy`]).
+//! 2. **Decision** — one pure rule decides what to do each sample for
+//!    every [`MitigationConfig`]: release an expired freeze or DVFS
+//!    transition stall, run the enabled spatial techniques, fire the
+//!    freeze backstop, then step the §5 global ladder if one is
+//!    configured (DVFS over a discrete [`OppLadder`], fetch gating, or
+//!    global clock throttling). Configurations differ in data, not in
+//!    code: a technique whose flag is off emits nothing.
 //! 3. **Actuation** — typed [`Actuation`] commands are applied by the
-//!    executor in [`actuators`]; policies never touch core internals.
+//!    executor in [`actuators`]; the decision never touches core
+//!    internals.
 //!
 //! [`MappingPolicy`]: powerbalance_uarch::MappingPolicy
 //!
@@ -61,9 +64,6 @@ pub use config::{
     Thresholds, MAX_GATE_LEVELS, MAX_OPPS,
 };
 pub use manager::{ManagerState, MitigationStats, ThermalManager, RF_GUARD};
-pub use policy::{
-    build_policy, CombinedPolicy, CoreView, GlobalLadderPolicy, PolicyState, SpatialPolicy,
-    ThermalPolicy,
-};
+pub use policy::PolicyState;
 pub use sensors::Sensors;
-pub use zones::{ThermalZone, TripPoint, TripSeverity, TripTable, ZoneRole, Zones, MAX_TRIPS};
+pub use zones::{ThermalZone, TripPoint, TripSeverity, TripTable, Zones, MAX_TRIPS};

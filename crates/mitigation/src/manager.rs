@@ -1,14 +1,19 @@
-//! The thermal manager: zones, policy, and actuators wired together.
+//! The thermal manager: zones, the decision, and actuators wired together.
 //!
-//! The manager is now a thin conductor over the three-layer split
-//! (DESIGN.md §12): it resolves [`Zones`] from the sensors, builds the
-//! [`ThermalPolicy`](crate::ThermalPolicy) selected by the config, and on
-//! every thermal sample asks the policy for [`Actuation`] commands which
-//! the executor ([`crate::actuators::apply`]) translates into core
-//! mutations and stat updates. Policies never touch the core directly.
+//! The manager is a thin conductor over the three-layer split
+//! (DESIGN.md §12): it resolves [`Zones`] from the sensors once, and on
+//! every thermal sample runs the one pure decision rule
+//! (`policy::decide`) to buffer [`Actuation`] commands, which the
+//! executor ([`crate::actuators::apply`]) then translates into core
+//! mutations and stat updates. The decision never touches the core.
+//!
+//! The two halves are separate calls — [`ThermalManager::decide`], then
+//! [`ThermalManager::apply_decided`] — so the engine can compare the
+//! commands of several managers before any of them actuates;
+//! [`ThermalManager::on_sample`] runs both.
 
 use crate::actuators::{self, Actuation};
-use crate::policy::{build_policy, CoreView, PolicyState, ThermalPolicy};
+use crate::policy::{self, CoreView, PolicyState};
 use crate::zones::Zones;
 use crate::{MitigationConfig, Sensors};
 use powerbalance_uarch::{Core, IqActivity};
@@ -85,17 +90,17 @@ impl<'de> Deserialize<'de> for MitigationStats {
 
 /// Serializable dynamic state of a [`ThermalManager`].
 ///
-/// The configuration, zones, and policy object are rebuilt from the
-/// simulation config at construction time, so only the event counters,
-/// any in-progress temporal stall, and the policy's ladder position need
-/// to be captured for a deterministic resume.
+/// The configuration and zones are rebuilt from the simulation config at
+/// construction time, so only the event counters, any in-progress
+/// temporal stall, and the ladder position need to be captured for a
+/// deterministic resume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ManagerState {
     /// Event counters accumulated so far.
     pub stats: MitigationStats,
     /// End cycle of an in-progress temporal stall, if any.
     pub frozen_until: Option<u64>,
-    /// Ladder position and in-progress transition of the active policy.
+    /// Ladder position and in-progress transition stall.
     pub policy: PolicyState,
 }
 
@@ -127,20 +132,18 @@ pub struct ManagerState {
 #[derive(Debug)]
 pub struct ThermalManager {
     cfg: MitigationConfig,
-    sensors: Sensors,
     zones: Zones,
-    policy: Box<dyn ThermalPolicy>,
     stats: MitigationStats,
     frozen_until: Option<u64>,
     pstate: PolicyState,
     /// Persistent actuation buffer so the per-sample path stays
     /// allocation-free (DESIGN.md §9); the capacity covers the worst-case
-    /// command count of any built-in policy with headroom.
+    /// command count of one sample with headroom.
     actions: Vec<Actuation>,
 }
 
 impl ThermalManager {
-    /// Creates a manager with the policy selected by `cfg`.
+    /// Creates a manager for `cfg` over the blocks `sensors` resolved.
     ///
     /// # Panics
     ///
@@ -149,12 +152,9 @@ impl ThermalManager {
     pub fn new(cfg: MitigationConfig, sensors: Sensors) -> Self {
         cfg.validate().expect("invalid mitigation config");
         let zones = Zones::new(&sensors, &cfg);
-        let policy = build_policy(&cfg);
         ThermalManager {
             cfg,
-            sensors,
             zones,
-            policy,
             stats: MitigationStats::default(),
             frozen_until: None,
             pstate: PolicyState::default(),
@@ -168,25 +168,13 @@ impl ThermalManager {
         &self.cfg
     }
 
-    /// The sensor map the zones were resolved from.
-    #[must_use]
-    pub fn sensors(&self) -> &Sensors {
-        &self.sensors
-    }
-
-    /// The resolved thermal zones with their trip tables.
-    #[must_use]
-    pub fn zones(&self) -> &Zones {
-        &self.zones
-    }
-
     /// Event counters so far.
     #[must_use]
     pub fn stats(&self) -> &MitigationStats {
         &self.stats
     }
 
-    /// The active policy's ladder position and in-progress transition.
+    /// The ladder position and in-progress transition stall.
     #[must_use]
     pub fn policy_state(&self) -> PolicyState {
         self.pstate
@@ -194,10 +182,10 @@ impl ThermalManager {
 
     /// The factor by which every block's *dynamic* energy is scaled at the
     /// current operating point (`volt_scale²` under DVFS, exactly 1.0 for
-    /// every other policy — callers can use the 1.0 fast path).
+    /// every other configuration — callers can use the 1.0 fast path).
     #[must_use]
     pub fn dynamic_power_scale(&self) -> f64 {
-        self.policy.dynamic_power_scale(&self.pstate)
+        policy::dynamic_power_scale(&self.cfg, &self.pstate)
     }
 
     /// Captures the manager's dynamic state.
@@ -208,7 +196,7 @@ impl ThermalManager {
 
     /// Restores dynamic state captured by [`snapshot`](Self::snapshot).
     ///
-    /// The configuration, zones, and policy object are untouched: a
+    /// The configuration and zones are untouched: a
     /// snapshot may be restored into a manager built with a *different*
     /// mitigation config (that is what lets warm-start campaigns share one
     /// warmup across technique variants). Ladder positions beyond the new
@@ -238,14 +226,14 @@ impl ThermalManager {
         self.apply_decided(core);
     }
 
-    /// The decision half of [`on_sample`](Self::on_sample): asks the policy
-    /// for its commands and buffers them, touching neither the core nor
-    /// the manager's own dynamic state.
+    /// The decision half of [`on_sample`](Self::on_sample): runs the
+    /// decision rule and buffers its commands, touching neither the core
+    /// nor the manager's own dynamic state.
     ///
-    /// The batched campaign engine uses the split to evaluate every
-    /// sibling's reaction against one shared core *before* committing any
-    /// mutation: siblings whose decisions agree keep sharing the core,
-    /// the rest fork. Calling [`apply_decided`](Self::apply_decided) next
+    /// The engine uses the split to evaluate every lockstep sibling's
+    /// reaction against one shared core *before* committing any mutation:
+    /// siblings whose decisions agree keep sharing the core, the rest
+    /// fork. Calling [`apply_decided`](Self::apply_decided) next
     /// completes the sample; calling `decide` again discards the buffer.
     pub fn decide(
         &mut self,
@@ -257,7 +245,7 @@ impl ThermalManager {
     ) {
         self.actions.clear();
         let view = CoreView { core, int_iq, fp_iq, now, frozen_until: self.frozen_until };
-        self.policy.on_sample(&self.zones, temps, &view, &self.pstate, &mut self.actions);
+        policy::decide(&self.cfg, &self.zones, temps, &view, &self.pstate, &mut self.actions);
     }
 
     /// The commands buffered by the last [`decide`](Self::decide), in
@@ -291,7 +279,7 @@ impl ThermalManager {
     pub fn projected_power_scale(&self) -> f64 {
         let mut state = self.pstate;
         actuators::project(&self.actions, &mut state);
-        self.policy.dynamic_power_scale(&state)
+        policy::dynamic_power_scale(&self.cfg, &state)
     }
 }
 
@@ -557,6 +545,26 @@ mod tests {
         sample(&mut fresh, &mut core2, &temps, 100_000);
         assert!(!core2.is_frozen(), "back at nominal, no further transitions");
         assert_eq!(fresh.dynamic_power_scale(), 1.0);
+    }
+
+    #[test]
+    fn a_carried_over_transition_stall_ends_under_any_config() {
+        // A DVFS transition stall restored into a manager without a ladder
+        // (a warm snapshot shared across policies) still ends on schedule.
+        let (mut dvfs, mut core, mut temps, plan) = setup(MitigationConfig::dvfs());
+        temps[plan.index_of("IntExec0").expect("block")] = 356.6;
+        sample(&mut dvfs, &mut core, &temps, 0);
+        let state = dvfs.snapshot();
+        let until = state.policy.stall_until.expect("a transition stall");
+
+        let (mut spatial, _, cool, _) = setup(MitigationConfig::spatial_all());
+        spatial.restore(&state);
+        sample(&mut spatial, &mut core, &cool, until - 1);
+        assert!(core.is_frozen(), "the stall holds until its deadline");
+        sample(&mut spatial, &mut core, &cool, until);
+        assert!(!core.is_frozen(), "the stall ends at its deadline");
+        assert_eq!(spatial.policy_state().stall_until, None);
+        assert_eq!(spatial.stats().freezes, 0, "a transition stall is not a freeze");
     }
 
     #[test]

@@ -6,21 +6,22 @@
 //! ordered [`TripTable`] whose [`TripPoint`]s pair a trip temperature with
 //! a clear (hysteresis) temperature and a severity. The shape follows the
 //! `ThermalZone`/`TripPoint`/`CoolingDevice` split of OS thermal
-//! frameworks; policies read the tables instead of recomputing thresholds.
+//! frameworks; the decision reads the tables instead of recomputing
+//! thresholds. A zone is only a block and its table: [`Zones`] groups
+//! them by resource, and that position says which actuator cools them.
 //!
 //! Two kinds of tables exist:
 //!
 //! * **Zone tables** are derived from [`Thresholds`] by [`Zones::new`] with
 //!   the exact arithmetic the pre-refactor manager used, so the spatial
-//!   policy's comparisons stay bit-identical to the original hard-coded
-//!   ones.
+//!   techniques' comparisons stay bit-identical to the original
+//!   hard-coded ones.
 //! * **Policy tables** ship inside the global-policy parameters
 //!   ([`crate::DvfsParams`], [`crate::GateParams`]) and drive the throttle
 //!   ladders; these are user-configurable and validated (see
 //!   [`TripTable::validate`]).
 
 use crate::{MitigationConfig, Sensors, Thresholds};
-use powerbalance_isa::ExecDomain;
 use serde::json::{Error, Value};
 use serde::{Deserialize, Serialize};
 
@@ -191,32 +192,9 @@ impl<'de> Deserialize<'de> for TripTable {
     }
 }
 
-/// What a zone's block is, microarchitecturally. Policies use the role to
-/// map a tripped zone back onto the actuator that cools it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ZoneRole {
-    /// One half of a compacting issue queue.
-    IqHalf {
-        /// Which issue queue.
-        domain: ExecDomain,
-        /// Physical half (0 = bottom, 1 = top).
-        half: usize,
-    },
-    /// An integer ALU.
-    IntAlu(usize),
-    /// A floating-point adder.
-    FpAdder(usize),
-    /// The floating-point multiplier.
-    FpMul,
-    /// An integer register-file copy.
-    RfCopy(usize),
-}
-
 /// One monitored block with its trip table.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalZone {
-    /// Microarchitectural role.
-    pub role: ZoneRole,
     /// Floorplan block index (indexes the temperature vector).
     pub block: usize,
     /// Trip points, ascending.
@@ -233,9 +211,9 @@ impl ThermalZone {
 
 /// All thermal zones of a core, resolved from the floorplan sensors.
 ///
-/// The layout mirrors [`Sensors`] so policies can address zones
-/// structurally; [`Zones::iter`] walks every zone for global policies that
-/// only care about the hottest reading.
+/// The layout mirrors [`Sensors`] so the decision can address zones
+/// structurally; [`Zones::iter`] walks every zone for the global ladders,
+/// which only care about the hottest reading.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Zones {
     /// Integer issue-queue halves (block order matches `Sensors::int_q`).
@@ -260,46 +238,25 @@ impl Zones {
     /// arithmetic* as the pre-refactor manager's inline comparisons
     /// (`max_temp - toggle_proximity`, `max_temp - guard`,
     /// `max_temp - reenable_margin`), which is what keeps the spatial
-    /// policy bit-identical to the original implementation.
+    /// techniques bit-identical to the original implementation.
     #[must_use]
     pub fn new(sensors: &Sensors, cfg: &MitigationConfig) -> Self {
         let th = &cfg.thresholds;
-        let iq = |domain, half, block| ThermalZone {
-            role: ZoneRole::IqHalf { domain, half },
-            block,
-            trips: iq_trips(th),
-        };
-        let unit = |role, block| ThermalZone { role, block, trips: unit_trips(th) };
+        let iq = |block| ThermalZone { block, trips: iq_trips(th) };
+        let unit = |&block: &usize| ThermalZone { block, trips: unit_trips(th) };
         // The register-file shutdown threshold depends on the staleness
         // solution: solution 1 (default) holds a guard band below critical
         // so writes can continue into the cooling copy; solution 2 gates
         // writes instead and shuts off at critical itself.
         let guard = if cfg.rf_stale_copy { 0.0 } else { crate::RF_GUARD };
-        let rf = |copy, block| ThermalZone {
-            role: ZoneRole::RfCopy(copy),
-            block,
-            trips: rf_trips(th, guard),
-        };
+        let rf = |block| ThermalZone { block, trips: rf_trips(th, guard) };
         Zones {
-            int_q: [
-                iq(ExecDomain::Int, 0, sensors.int_q[0]),
-                iq(ExecDomain::Int, 1, sensors.int_q[1]),
-            ],
-            fp_q: [iq(ExecDomain::Fp, 0, sensors.fp_q[0]), iq(ExecDomain::Fp, 1, sensors.fp_q[1])],
-            int_alus: sensors
-                .int_alus
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| unit(ZoneRole::IntAlu(i), b))
-                .collect(),
-            fp_adders: sensors
-                .fp_adders
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| unit(ZoneRole::FpAdder(i), b))
-                .collect(),
-            fp_mul: unit(ZoneRole::FpMul, sensors.fp_mul),
-            int_reg: [rf(0, sensors.int_reg[0]), rf(1, sensors.int_reg[1])],
+            int_q: sensors.int_q.map(iq),
+            fp_q: sensors.fp_q.map(iq),
+            int_alus: sensors.int_alus.iter().map(unit).collect(),
+            fp_adders: sensors.fp_adders.iter().map(unit).collect(),
+            fp_mul: unit(&sensors.fp_mul),
+            int_reg: sensors.int_reg.map(rf),
         }
     }
 
