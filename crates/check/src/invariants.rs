@@ -239,8 +239,8 @@ impl CoreWatch {
         let cur = *core.stats();
         let cycle = cur.cycles;
 
-        // Slot accounting: the queue's bit index (occupancy, readiness,
-        // issue state, wakeup tags) always matches the slots.
+        // Slot accounting: the queue's rank masks (occupancy, issue state,
+        // ages) stay consistent with each other and with its count.
         for (label, iq) in [("int IQ", core.int_iq()), ("fp IQ", core.fp_iq())] {
             if let Err(msg) = iq.audit() {
                 sink.report(ViolationKind::IqAccounting, cycle, format!("{label}: {msg}"));

@@ -217,4 +217,24 @@ mod tests {
             "duplicate benchmark"
         );
     }
+
+    #[test]
+    fn degenerate_core_configs_are_typed_errors_not_panics() {
+        let mut no_ways = experiments::issue_queue(false);
+        no_ways.core.l1d.ways = 0;
+        let mut no_lines = experiments::issue_queue(false);
+        no_lines.core.l2.line_bytes = 0;
+        let mut huge_rob = experiments::issue_queue(false);
+        huge_rob.core.rob_size = 1 << 40;
+        for (config, expected) in [
+            (no_ways, "l1d: ways and line size"),
+            (no_lines, "l2: ways and line size"),
+            (huge_rob, "active list size"),
+        ] {
+            match CampaignSpec::new("t").config("bad", config).benchmark("eon").validate() {
+                Err(Error::Config(msg)) => assert!(msg.contains(expected), "{msg}"),
+                other => panic!("expected a config error naming '{expected}', got {other:?}"),
+            }
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! Core configuration.
 
-use crate::iq::MAX_IQ_SIZE;
+use crate::iq::{MAX_IQ_SIZE, MAX_LANE_IDS};
 use serde::{Deserialize, Serialize};
 
 /// How integer ALUs are wired to register-file copies (paper Figure 4).
@@ -285,15 +285,22 @@ impl CoreConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated invariant: zero-sized
-    /// structures, an odd issue-queue size (halves must be equal), more
-    /// register-file copies than ALUs, or a cache with non-power-of-two
-    /// geometry.
+    /// structures, an active list whose ids do not fit the issue queues'
+    /// 16-bit id lanes, an odd issue-queue size (halves must be equal),
+    /// more register-file copies than ALUs, or a cache with zero ways, a
+    /// zero line size or non-power-of-two geometry.
     pub fn validate(&self) -> Result<(), String> {
         if self.fetch_width == 0 || self.dispatch_width == 0 || self.commit_width == 0 {
             return Err("pipeline widths must be positive".into());
         }
         if self.rob_size == 0 || self.lsq_size == 0 {
             return Err("active list and LSQ must be non-empty".into());
+        }
+        if self.rob_size > MAX_LANE_IDS {
+            return Err(format!(
+                "active list size {} exceeds the limit of {MAX_LANE_IDS} entries (16-bit ids)",
+                self.rob_size
+            ));
         }
         if self.iq_size < 4 || !self.iq_size.is_multiple_of(2) {
             return Err("issue queue size must be an even number >= 4".into());
@@ -317,7 +324,13 @@ impl CoreConfig {
             return Err("need at least one data-cache port".into());
         }
         for (name, c) in [("l1i", &self.l1i), ("l1d", &self.l1d), ("l2", &self.l2)] {
-            let sets = c.size_bytes / (u64::from(c.ways) * c.line_bytes);
+            let Some(set_bytes) = u64::from(c.ways).checked_mul(c.line_bytes).filter(|&b| b > 0)
+            else {
+                return Err(format!(
+                    "{name}: ways and line size must be positive, their product 64-bit"
+                ));
+            };
+            let sets = c.size_bytes / set_bytes;
             if sets == 0 || !sets.is_power_of_two() || !c.line_bytes.is_power_of_two() {
                 return Err(format!("{name}: sets and line size must be powers of two"));
             }
@@ -357,10 +370,32 @@ mod tests {
     #[test]
     fn issue_queue_is_capped_at_64_entries() {
         let c = CoreConfig { iq_size: 64, ..CoreConfig::default() };
-        c.validate().expect("64 entries fit the queue's bit index");
+        c.validate().expect("64 entries fit the queue's rank masks");
         let c = CoreConfig { iq_size: 66, ..CoreConfig::default() };
         let err = c.validate().expect_err("66 entries exceed the cap");
         assert!(err.contains("limit of 64"), "message names the limit: {err}");
+    }
+
+    #[test]
+    fn active_list_is_capped_at_the_id_lanes() {
+        let c = CoreConfig { rob_size: 1 << 16, ..CoreConfig::default() };
+        c.validate().expect("ids 0..2^16 fit the 16-bit lanes");
+        for rob_size in [(1 << 16) + 1, 1 << 40] {
+            let c = CoreConfig { rob_size, ..CoreConfig::default() };
+            let err = c.validate().expect_err("ids past 16 bits are refused");
+            assert!(err.contains("limit of 65536"), "message names the limit: {err}");
+        }
+    }
+
+    #[test]
+    fn caches_without_ways_or_lines_are_refused_not_divided_by() {
+        for (ways, line_bytes) in [(0, 64), (4, 0), (0, 0), (u32::MAX, u64::MAX)] {
+            let mut c = CoreConfig::default();
+            c.l2.ways = ways;
+            c.l2.line_bytes = line_bytes;
+            let err = c.validate().expect_err("degenerate cache geometry");
+            assert!(err.starts_with("l2:"), "message names the cache: {err}");
+        }
     }
 
     #[test]

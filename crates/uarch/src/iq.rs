@@ -15,28 +15,28 @@
 //! the topmost entries over dedicated long wires (charged separately, per
 //! Table 3's "Long Compaction" row).
 //!
-//! The slots are the only state; next to them the queue keeps a bit index
-//! derived from them (one `u64` bit per physical position, plus a wakeup
-//! table keyed by active-list id) so that insert, select, wakeup and
-//! compaction visit only the entries they affect. The index caps the queue
-//! at 64 entries; [`IssueQueue::audit`] checks it against the slots.
-//!
-//! The wakeup table lists, per producer tag, the active-list ids of the
-//! entries waiting on it, and maps each such id to its entry's position.
-//! Compaction therefore moves no table bits: it rewrites the position of
-//! each moved entry that still waits. Only entries with a pending operand
-//! (the `tagged` mask) own an id's position: an issued or invalid entry
-//! can outlive its active-list slot, whose id a new waiting entry may then
-//! reuse. Two waiting entries never share an id, since each holds a live
-//! active-list slot; [`IssueQueue::restore`] refuses state in which two
-//! tagged entries do.
+//! The queue stores its entries in priority-rank order as a struct of
+//! arrays: 16-bit lanes for the active-list id and operand tags, and a
+//! `u64` mask per remaining field (the replay ages bit-sliced). Physical
+//! positions, a rotation of ranks by `S/2` in the toggled mode, appear only
+//! at the API and in the energy counters. A broadcast compares the tag
+//! lanes with the producer id, compaction moves lanes with `copy_within`
+//! and shifts masks, and a toggle rotates both once. [`IqEntry`] and
+//! [`IqState`] are views built on demand.
 
 use crate::activity::IqActivity;
 use crate::config::IqMode;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
-/// Largest queue the bit index can hold: one `u64` bit per position.
+/// Largest queue the masks can hold: one `u64` bit per rank.
 pub(crate) const MAX_IQ_SIZE: usize = 64;
+
+/// Number of active-list ids the 16-bit id and tag lanes can name.
+pub(crate) const MAX_LANE_IDS: usize = 1 << u16::BITS;
+
+/// Bits of an [`EntryState::Issued`] age: one mask plane each.
+const AGE_BITS: usize = u32::BITS as usize;
 
 /// State of an occupied issue-queue entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,12 +79,6 @@ impl IqEntry {
     pub fn is_ready(&self) -> bool {
         self.state == EntryState::Waiting && self.src1_ready && self.src2_ready
     }
-
-    /// The distinct producer tags this entry's operands wait on.
-    fn tags(&self) -> impl Iterator<Item = u32> {
-        let src2 = self.src2_tag.filter(|&t| self.src1_tag != Some(t));
-        self.src1_tag.into_iter().chain(src2)
-    }
 }
 
 /// Serializable state of an [`IssueQueue`], captured by
@@ -100,13 +94,14 @@ pub struct IqState {
 }
 
 /// Checks that no two entries of `slots` with a pending operand share an
-/// active-list id: each such entry owns its id's wakeup position.
+/// active-list id. Each such entry holds a live active-list slot, so the
+/// pipeline never builds that state; state that has it came from elsewhere.
 ///
 /// # Errors
 ///
 /// Returns a message naming the shared id.
 pub(crate) fn check_tagged_ids(slots: &[Option<IqEntry>]) -> Result<(), String> {
-    let tagged = |slot: &Option<IqEntry>| slot.filter(|e| e.tags().next().is_some());
+    let tagged = |slot: &Option<IqEntry>| slot.filter(|e| e.src1_tag.or(e.src2_tag).is_some());
     for (i, a) in slots.iter().enumerate().filter_map(|(i, s)| tagged(s).map(|e| (i, e))) {
         if slots[i + 1..].iter().filter_map(tagged).any(|b| b.rob_id == a.rob_id) {
             return Err(format!("two waiting entries share active-list id {}", a.rob_id));
@@ -115,69 +110,160 @@ pub(crate) fn check_tagged_ids(slots: &[Option<IqEntry>]) -> Result<(), String> 
     Ok(())
 }
 
-/// Physical position of priority rank `rank` in a queue of `2 * half`
-/// entries.
-fn rank_to_position(rank: usize, half: usize, mode: IqMode) -> usize {
+/// Physical position of priority rank `index` in a queue of `2 * half`
+/// entries, and equally the rank of position `index`: in the toggled mode
+/// both are the same rotation by `half`.
+fn rotate(index: usize, half: usize, mode: IqMode) -> usize {
     match mode {
-        IqMode::Normal => rank,
-        IqMode::Toggled if rank < half => rank + half,
-        IqMode::Toggled => rank - half,
+        IqMode::Normal => index,
+        IqMode::Toggled if index < half => index + half,
+        IqMode::Toggled => index - half,
     }
 }
 
-/// The bit index of an [`IssueQueue`]: bit `p` of each mask describes
-/// slot `p`. Derived from the slots and kept in step with them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// One 16-bit value per rank, with a queue's worth of slack above the
+/// ranks: compaction copies a lane's whole suffix, a constant length.
+type Lane = [u16; 2 * MAX_IQ_SIZE];
+
+/// An id or tag as its 16-bit lane holds it (panics if it does not fit).
+fn lane(id: u32) -> u16 {
+    u16::try_from(id).expect("ids and tags fit the queue's 16-bit lanes")
+}
+
+/// The ranks `r` with `a[r] == value`, and those with `b[r] == value`,
+/// among the ranks below `end` rounded up to a multiple of four: each lane
+/// is compared four ranks to a `u64` word.
+fn lanes_equal(a: &Lane, b: &Lane, value: u16, end: usize) -> (u64, u64) {
+    const LOW: u64 = 0x7fff_7fff_7fff_7fff;
+    let pattern = u64::from(value) * 0x0001_0001_0001_0001;
+    // Sets the top bit (15, 31, 47, 63) of each field equal to `value`.
+    let hits = |quad: &[u16]| {
+        let diff = quad.iter().rev().fold(0, |word, &x| word << 16 | u64::from(x)) ^ pattern;
+        !(((diff & LOW) + LOW) | diff) & !LOW
+    };
+    let (mut in_a, mut in_b) = (0, 0);
+    let quads = a.chunks_exact(4).zip(b.chunks_exact(4)).take(end.div_ceil(4));
+    for (i, (qa, qb)) in quads.enumerate() {
+        // With `a`'s hits at bits 16k and `b`'s at 16k + 4, one multiply
+        // gathers them into bits 48..52 and 52..56; its other partial
+        // products land below bit 40 or past bit 63.
+        let both = (hits(qa) >> 15 | hits(qb) >> 11)
+            .wrapping_mul(1 << 48 | 1 << 33 | 1 << 18 | 1 << 3)
+            >> 48;
+        in_a |= (both & 0xf) << (4 * i);
+        in_b |= (both >> 4) << (4 * i);
+    }
+    (in_a, in_b)
+}
+
+/// One past the highest rank set in `mask`.
+fn end_of(mask: u64) -> usize {
+    64 - mask.leading_zeros() as usize
+}
+
+/// The per-rank fields of an [`IssueQueue`]: bit `r` of each mask
+/// describes the entry at priority rank `r`. Every mask lies within
+/// `occupied`; an entry is waiting unless it is `issued` or `invalid`.
+#[derive(Debug, Clone, Copy, Default)]
 struct Masks {
-    /// Slot holds an entry.
     occupied: u64,
-    /// Slot holds an entry with [`IqEntry::is_ready`].
-    ready: u64,
-    /// Slot holds an [`EntryState::Issued`] entry.
     issued: u64,
-    /// Slot holds an [`EntryState::Invalid`] entry.
     invalid: u64,
-    /// Slot holds an entry with an operand tag (listed in the waiter table).
-    tagged: u64,
+    src1_ready: u64,
+    src2_ready: u64,
+    /// The entry's `src1_tag` is `Some`, holding its `src1_tag` lane.
+    src1_tagged: u64,
+    /// The entry's `src2_tag` is `Some`, holding its `src2_tag` lane.
+    src2_tagged: u64,
+    is_mem: u64,
+    needs_fp_mul: u64,
+    /// Ages of the issued entries, bit-sliced: bit `r` of `age[b]` is bit
+    /// `b` of rank `r`'s age. Planes from `planes` up are zero.
+    age: [u64; AGE_BITS],
+    planes: usize,
 }
 
 impl Masks {
-    /// The masks describing `slots`.
-    fn of(slots: &[Option<IqEntry>]) -> Masks {
-        let mut masks = Masks::default();
-        for (pos, slot) in slots.iter().enumerate() {
-            if let Some(entry) = slot {
-                masks.set(1 << pos, entry);
+    /// Applies `f` to every mask, where `f` changes only the bits of the
+    /// ranks `touched`. The age planes lie within `issued`, so they are
+    /// left alone when no touched rank holds an issued entry.
+    fn apply(&mut self, touched: u64, f: impl Fn(u64) -> u64) {
+        let aged = self.issued & touched != 0;
+        for mask in [
+            &mut self.occupied,
+            &mut self.issued,
+            &mut self.invalid,
+            &mut self.src1_ready,
+            &mut self.src2_ready,
+            &mut self.src1_tagged,
+            &mut self.src2_tagged,
+            &mut self.is_mem,
+            &mut self.needs_fp_mul,
+        ] {
+            *mask = f(*mask);
+        }
+        if aged {
+            for plane in &mut self.age[..self.planes] {
+                *plane = f(*plane);
             }
         }
-        masks
     }
 
-    /// Sets `bit` in every mask that describes `entry`.
-    fn set(&mut self, bit: u64, entry: &IqEntry) {
-        self.occupied |= bit;
-        if entry.is_ready() {
-            self.ready |= bit;
+    /// Ranks holding a waiting entry with both operands available
+    /// ([`IqEntry::is_ready`]).
+    fn ready(&self) -> u64 {
+        self.occupied & !(self.issued | self.invalid) & self.src1_ready & self.src2_ready
+    }
+
+    /// One cycle of replay aging: every issued entry's age goes up by one
+    /// (wrapping past `u32::MAX`), and those that reach `window` become
+    /// invalid.
+    fn age_issued(&mut self, window: u32) {
+        let mut carry = self.issued;
+        for b in 0..AGE_BITS {
+            if carry == 0 {
+                break;
+            }
+            let plane = self.age[b];
+            self.age[b] = plane ^ carry;
+            carry &= plane;
+            self.planes = self.planes.max(b + 1);
         }
-        match entry.state {
-            EntryState::Waiting => {}
-            EntryState::Issued { .. } => self.issued |= bit,
-            EntryState::Invalid => self.invalid |= bit,
+        let expired = self.aged_at_least(window);
+        if expired == 0 {
+            return;
         }
-        if entry.src1_tag.is_some() || entry.src2_tag.is_some() {
-            self.tagged |= bit;
+        self.issued &= !expired;
+        self.invalid |= expired;
+        for plane in &mut self.age[..self.planes] {
+            *plane &= !expired;
+        }
+        while self.planes > 0 && self.age[self.planes - 1] == 0 {
+            self.planes -= 1;
         }
     }
 
-    /// Applies `f` to every mask.
-    fn map(self, f: impl Fn(u64) -> u64) -> Masks {
-        Masks {
-            occupied: f(self.occupied),
-            ready: f(self.ready),
-            issued: f(self.issued),
-            invalid: f(self.invalid),
-            tagged: f(self.tagged),
+    /// Issued ranks whose age is at least `min`: a bit-sliced compare,
+    /// high bit first.
+    fn aged_at_least(&self, min: u32) -> u64 {
+        if self.planes < AGE_BITS && min >> self.planes != 0 {
+            return 0; // every age is below 2^planes <= min
         }
+        let (mut above, mut equal) = (0, self.issued);
+        for (b, &plane) in self.age[..self.planes].iter().enumerate().rev() {
+            if min >> b & 1 == 1 {
+                equal &= plane;
+            } else {
+                above |= equal & plane;
+                equal &= !plane;
+            }
+        }
+        above | equal
+    }
+
+    /// The age of the issued entry at `bit`.
+    fn age_at(&self, bit: u64) -> u32 {
+        (0..self.planes).fold(0, |age, b| age | u32::from(self.age[b] & bit != 0) << b)
     }
 }
 
@@ -207,21 +293,18 @@ impl Masks {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IssueQueue {
-    slots: Vec<Option<IqEntry>>,
+    size: usize,
     mode: IqMode,
     replay_window: u32,
-    /// Per-position index of the slots.
+    /// Active-list id of the entry at each rank.
+    rob_id: Lane,
+    /// Operand-1 producer tag at each rank where `src1_tagged` is set.
+    src1_tag: Lane,
+    /// Operand-2 producer tag at each rank where `src2_tagged` is set.
+    src2_tag: Lane,
     masks: Masks,
-    /// Row `t` (`stride` words from `t * stride`) has bit `i` set iff the
-    /// tagged entry with active-list id `i` has an operand tagged `t`.
-    waiters: Vec<u64>,
-    /// Words per row of `waiters`: ids `0..stride * 64` fit.
-    stride: usize,
-    /// Rows of `waiters`: tags `0..tags` fit.
-    tags: usize,
-    /// `position[i]` is the physical position of the tagged entry with
-    /// active-list id `i`; stale for ids no tagged entry holds.
-    position: Vec<u8>,
+    /// Occupied ranks: `masks.occupied.count_ones()`, kept as a count.
+    count: usize,
 }
 
 impl IssueQueue {
@@ -230,51 +313,21 @@ impl IssueQueue {
     /// # Panics
     ///
     /// Panics if `size` is odd, below 4 (the two halves must be equal) or
-    /// above 64 (the bit index holds one position per `u64` bit).
+    /// above 64 (the masks hold one rank per `u64` bit).
     #[must_use]
     pub fn new(size: usize) -> Self {
         assert!(size >= 4 && size.is_multiple_of(2), "queue size must be an even number >= 4");
         assert!(size <= MAX_IQ_SIZE, "queue size must be at most {MAX_IQ_SIZE}");
         IssueQueue {
-            slots: vec![None; size],
+            size,
             mode: IqMode::Normal,
             replay_window: 2,
+            rob_id: [0; 2 * MAX_IQ_SIZE],
+            src1_tag: [0; 2 * MAX_IQ_SIZE],
+            src2_tag: [0; 2 * MAX_IQ_SIZE],
             masks: Masks::default(),
-            waiters: Vec::new(),
-            stride: 0,
-            tags: 0,
-            position: Vec::new(),
+            count: 0,
         }
-    }
-
-    /// Sizes the wakeup table for active-list ids and producer tags
-    /// `0..ids` up front, so that inserting such an entry never allocates.
-    /// A larger id or tag still works: the table grows to fit it.
-    pub(crate) fn reserve_tags(&mut self, ids: usize) {
-        self.grow(ids, ids);
-    }
-
-    /// Grows the wakeup table to hold at least ids `0..ids` and tags
-    /// `0..tags`, keeping its contents.
-    fn grow(&mut self, ids: usize, tags: usize) {
-        let stride = ids.div_ceil(64).max(self.stride);
-        let tags = tags.max(self.tags);
-        if stride != self.stride {
-            let mut rows = vec![0; tags * stride];
-            if self.stride > 0 {
-                for (row, old) in
-                    rows.chunks_exact_mut(stride).zip(self.waiters.chunks_exact(self.stride))
-                {
-                    row[..old.len()].copy_from_slice(old);
-                }
-            }
-            self.waiters = rows;
-            self.stride = stride;
-        } else {
-            self.waiters.resize(tags * stride, 0);
-        }
-        self.tags = tags;
-        self.position.resize(stride * 64, 0);
     }
 
     /// Sets the load-replay safety window (cycles between issue and the
@@ -286,13 +339,13 @@ impl IssueQueue {
     /// Queue capacity.
     #[must_use]
     pub fn size(&self) -> usize {
-        self.slots.len()
+        self.size
     }
 
     /// Occupied entries (valid + not-yet-compacted invalid).
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.masks.occupied.count_ones() as usize
+        self.count
     }
 
     /// Current head/tail mode.
@@ -303,11 +356,20 @@ impl IssueQueue {
 
     /// Switches the head/tail configuration.
     ///
-    /// Entries do **not** move: only the priority encoding and compaction
-    /// direction change, exactly as in the paper (transiently, older
-    /// instructions may have lower priority than newer ones until they
-    /// drain).
+    /// Entries do **not** move physically: only the priority encoding and
+    /// compaction direction change, exactly as in the paper (transiently,
+    /// older instructions may have lower priority than newer ones until
+    /// they drain). The rank-ordered lanes and masks rotate by `S/2`.
     pub fn set_mode(&mut self, mode: IqMode) {
+        if mode == self.mode {
+            return;
+        }
+        let (size, half) = (self.size, self.size / 2);
+        for lane in [&mut self.rob_id, &mut self.src1_tag, &mut self.src2_tag] {
+            lane[..size].rotate_left(half);
+        }
+        let within = u64::MAX >> (64 - size);
+        self.masks.apply(within, |m| ((m >> half) | (m << half)) & within);
         self.mode = mode;
     }
 
@@ -322,32 +384,16 @@ impl IssueQueue {
     /// Panics if `rank >= size()`.
     #[must_use]
     pub fn position_of_rank(&self, rank: usize) -> usize {
-        let s = self.slots.len();
+        let s = self.size;
         debug_assert!(rank < s, "rank {rank} out of range for queue of size {s}");
-        rank_to_position(rank, s / 2, self.mode)
+        rotate(rank, s / 2, self.mode)
     }
 
-    /// Reorders a mask indexed by physical position into priority order:
-    /// bit `r` of the result is bit [`position_of_rank(r)`] of `mask`. In
-    /// the toggled mode that is a rotation by `S/2` within the queue's `S`
-    /// bits, which is its own inverse: the same call maps back.
-    ///
-    /// [`position_of_rank(r)`]: IssueQueue::position_of_rank
-    fn by_rank(&self, mask: u64) -> u64 {
-        match self.mode {
-            IqMode::Normal => mask,
-            IqMode::Toggled => {
-                let s = self.slots.len();
-                let half = s / 2;
-                ((mask >> half) | (mask << half)) & (u64::MAX >> (64 - s))
-            }
-        }
-    }
-
-    /// One past the last occupied priority rank (0 when empty): the rank
-    /// the next insert takes.
-    fn tail_rank(&self) -> usize {
-        64 - self.by_rank(self.masks.occupied).leading_zeros() as usize
+    /// Priority rank of physical position `position` (panics past the
+    /// queue's size).
+    fn rank_of(&self, position: usize) -> usize {
+        assert!(position < self.size, "position {position} outside a {}-entry queue", self.size);
+        rotate(position, self.size / 2, self.mode)
     }
 
     /// Whether the queue is idle: select finds nothing to issue, and a
@@ -356,21 +402,20 @@ impl IssueQueue {
     /// run unbroken from the head, so compaction has nothing to move).
     #[must_use]
     pub(crate) fn is_idle(&self) -> bool {
-        let Masks { occupied, ready, issued, invalid, .. } = self.masks;
-        let occupied = self.by_rank(occupied);
-        ready | issued | invalid == 0 && occupied & occupied.wrapping_add(1) == 0
+        let m = &self.masks;
+        m.ready() | m.issued | m.invalid == 0 && m.occupied & m.occupied.wrapping_add(1) == 0
     }
 
     /// Physical half (0 = bottom, 1 = top) of a physical position.
     #[must_use]
     pub fn half_of(&self, position: usize) -> usize {
-        usize::from(position >= self.slots.len() / 2)
+        usize::from(position >= self.size / 2)
     }
 
     /// Whether [`insert`](IssueQueue::insert) would currently succeed.
     #[must_use]
     pub fn can_insert(&self) -> bool {
-        self.tail_rank() < self.slots.len()
+        end_of(self.masks.occupied) < self.size
     }
 
     /// Inserts a new entry at the tail (lowest-priority free slot).
@@ -378,16 +423,19 @@ impl IssueQueue {
     /// Returns `false` if the queue cannot accept the entry (the slot after
     /// the last occupied one, in priority order, is taken or the queue is
     /// full). Charges the payload-RAM write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry's id or an operand tag is 2^16 or above.
     pub fn insert(&mut self, entry: IqEntry, activity: &mut IqActivity) -> bool {
-        let rank = self.tail_rank();
-        if rank >= self.slots.len() {
+        // The rank after the last occupied one.
+        let rank = end_of(self.masks.occupied);
+        if rank >= self.size {
             // Occupied run touches the lowest-priority end; dispatch must
             // wait for compaction even though holes may exist below.
             return false;
         }
-        let pos = self.position_of_rank(rank);
-        debug_assert!(self.slots[pos].is_none());
-        self.place(pos, entry);
+        self.place(rank, &entry);
         activity.inserts += 1;
         activity.payload_accesses += 1; // payload RAM write
         true
@@ -403,15 +451,15 @@ impl IssueQueue {
     ///
     /// [`mark_issued`]: IssueQueue::mark_issued
     pub fn ready_positions(&self) -> impl Iterator<Item = usize> {
-        let (half, mode) = (self.slots.len() / 2, self.mode);
-        let mut ranks = self.by_rank(self.masks.ready);
+        let (half, mode) = (self.size / 2, self.mode);
+        let mut ranks = self.masks.ready();
         std::iter::from_fn(move || {
             if ranks == 0 {
                 return None;
             }
             let rank = ranks.trailing_zeros() as usize;
             ranks &= ranks - 1;
-            Some(rank_to_position(rank, half, mode))
+            Some(rotate(rank, half, mode))
         })
     }
 
@@ -422,17 +470,51 @@ impl IssueQueue {
     #[inline]
     #[must_use]
     pub fn ready_at_rank(&self, rank: usize) -> Option<usize> {
-        if rank >= self.slots.len() {
+        if rank >= self.size {
             return None;
         }
-        let pos = self.position_of_rank(rank);
-        (self.masks.ready & (1 << pos) != 0).then_some(pos)
+        (self.masks.ready() & (1 << rank) != 0).then(|| self.position_of_rank(rank))
     }
 
-    /// Entry at a physical position.
+    /// Entry at a physical position, built from the lanes and masks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position >= size()`.
     #[must_use]
-    pub fn entry(&self, position: usize) -> Option<&IqEntry> {
-        self.slots[position].as_ref()
+    pub fn entry(&self, position: usize) -> Option<IqEntry> {
+        let rank = self.rank_of(position);
+        let m = &self.masks;
+        let bit = 1u64 << rank;
+        if m.occupied & bit == 0 {
+            return None;
+        }
+        let has = |mask: u64| mask & bit != 0;
+        let state = if has(m.issued) {
+            EntryState::Issued { age: m.age_at(bit) }
+        } else if has(m.invalid) {
+            EntryState::Invalid
+        } else {
+            EntryState::Waiting
+        };
+        Some(IqEntry {
+            rob_id: u32::from(self.rob_id[rank]),
+            state,
+            src1_ready: has(m.src1_ready),
+            src2_ready: has(m.src2_ready),
+            src1_tag: has(m.src1_tagged).then(|| u32::from(self.src1_tag[rank])),
+            src2_tag: has(m.src2_tagged).then(|| u32::from(self.src2_tag[rank])),
+            is_mem: has(m.is_mem),
+            needs_fp_mul: has(m.needs_fp_mul),
+        })
+    }
+
+    /// What select reads of the entry at `position`, straight from the
+    /// lanes and masks: `(rob_id, is_mem, needs_fp_mul)`.
+    pub(crate) fn candidate(&self, position: usize) -> (u32, bool, bool) {
+        let rank = self.rank_of(position);
+        let has = |mask: u64| mask >> rank & 1 != 0;
+        (u32::from(self.rob_id[rank]), has(self.masks.is_mem), has(self.masks.needs_fp_mul))
     }
 
     /// Marks the entry at `position` as issued. Charges the payload-RAM
@@ -442,11 +524,11 @@ impl IssueQueue {
     ///
     /// Panics if the position holds no ready entry.
     pub fn mark_issued(&mut self, position: usize, activity: &mut IqActivity) {
-        let entry = self.slots[position].as_mut().expect("mark_issued on empty slot");
-        assert!(entry.is_ready(), "mark_issued on non-ready entry");
-        entry.state = EntryState::Issued { age: 0 };
-        self.masks.ready &= !(1 << position);
-        self.masks.issued |= 1 << position;
+        let bit = 1u64 << self.rank_of(position);
+        assert!(self.masks.occupied & bit != 0, "mark_issued on empty slot");
+        assert!(self.masks.ready() & bit != 0, "mark_issued on non-ready entry");
+        // A waiting entry has no age bits: it starts at age 0.
+        self.masks.issued |= bit;
         activity.payload_accesses += 1; // payload RAM read
         activity.selects += 1;
     }
@@ -457,46 +539,18 @@ impl IssueQueue {
     /// the power model splits it across both halves).
     pub fn broadcast(&mut self, rob_id: u32, activity: &mut IqActivity) {
         activity.broadcasts += 1;
-        let tag = rob_id as usize;
-        if tag >= self.tags {
+        let Ok(tag) = u16::try_from(rob_id) else { return }; // no lane holds it
+        let m = &mut self.masks;
+        let tagged = m.src1_tagged | m.src2_tagged;
+        if tagged == 0 {
             return;
         }
-        for word in tag * self.stride..(tag + 1) * self.stride {
-            let base = (word - tag * self.stride) * 64;
-            let mut waiting = std::mem::take(&mut self.waiters[word]);
-            while waiting != 0 {
-                let id = base + waiting.trailing_zeros() as usize;
-                waiting &= waiting - 1;
-                self.wake(id, rob_id);
-            }
-        }
-    }
-
-    /// Marks the operands tagged `rob_id` of the entry with id `id`
-    /// available.
-    fn wake(&mut self, id: usize, rob_id: u32) {
-        let pos = usize::from(self.position[id]);
-        // The pipeline never reuses an id a waiting entry holds, so the
-        // mapping is exact. Restored state that breaks that invariant in a
-        // way `restore` cannot see (an executing op retiring a waiting
-        // entry's id early) can leave it stale: wake nothing then.
-        let Some(slot) = self.slots[pos].as_mut().filter(|e| e.rob_id as usize == id) else {
-            return;
-        };
-        if slot.src1_tag == Some(rob_id) {
-            slot.src1_ready = true;
-            slot.src1_tag = None;
-        }
-        if slot.src2_tag == Some(rob_id) {
-            slot.src2_ready = true;
-            slot.src2_tag = None;
-        }
-        if slot.is_ready() {
-            self.masks.ready |= 1 << pos;
-        }
-        if slot.src1_tag.is_none() && slot.src2_tag.is_none() {
-            self.masks.tagged &= !(1 << pos);
-        }
+        let (hit1, hit2) = lanes_equal(&self.src1_tag, &self.src2_tag, tag, end_of(tagged));
+        let (woken1, woken2) = (m.src1_tagged & hit1, m.src2_tagged & hit2);
+        m.src1_ready |= woken1;
+        m.src1_tagged &= !woken1;
+        m.src2_ready |= woken2;
+        m.src2_tagged &= !woken2;
     }
 
     /// One clock tick: ages issued entries into the invalid (compactable)
@@ -518,25 +572,9 @@ impl IssueQueue {
             // gating control.
             return;
         }
-
-        // Age issued entries toward invalidation.
-        let mut issued = self.masks.issued;
-        while issued != 0 {
-            let pos = issued.trailing_zeros() as usize;
-            issued &= issued - 1;
-            let slot = self.slots[pos].as_mut().expect("an issued bit names an occupied slot");
-            let EntryState::Issued { age } = slot.state else {
-                unreachable!("an issued bit names an issued entry")
-            };
-            if age + 1 >= self.replay_window {
-                slot.state = EntryState::Invalid;
-                self.masks.issued &= !(1 << pos);
-                self.masks.invalid |= 1 << pos;
-            } else {
-                slot.state = EntryState::Issued { age: age + 1 };
-            }
+        if self.masks.issued != 0 {
+            self.masks.age_issued(self.replay_window);
         }
-
         self.compact(max_compact, activity);
     }
 
@@ -555,25 +593,25 @@ impl IssueQueue {
     /// two events as one block: they all shift by the same distance.
     /// Entries below the first event shift by zero and charge nothing.
     fn compact(&mut self, max_compact: usize, activity: &mut IqActivity) {
-        // The walk works on rank-ordered masks, in which a run of ranks is
-        // a run of bits even where its physical positions wrap.
-        let occupied = self.by_rank(self.masks.occupied);
-        let invalid = self.by_rank(self.masks.invalid);
+        let Masks { occupied, invalid, .. } = self.masks;
         let dense = occupied & occupied.wrapping_add(1) == 0;
         if max_compact == 0 || (dense && invalid == 0) {
             return;
         }
-        let mut ranked = self.masks.map(|m| self.by_rank(m));
-        let half = self.slots.len() / 2;
+        let half = self.size / 2;
         // `occupied` is non-empty (checked by `tick`), so `tail >= 1`.
-        let tail = 64 - occupied.leading_zeros() as usize;
+        let tail = end_of(occupied);
         let holes = !occupied & (u64::MAX >> (64 - tail));
         let mut gap = 0usize;
         let mut n_removed = 0usize;
         let mut wrapped = false;
-        // Ranks whose entry was removed, and moved away from.
+        // Removed ranks not yet cleared: the next run's shift clears them.
         let mut removed = 0u64;
-        let mut moved = 0u64;
+        // Entries moved, and moved or removed from ranks below `half`.
+        let mut moved = 0usize;
+        let (mut moved_low, mut removed_low) = (0usize, 0usize);
+        // How far the lanes above the last moved run have already shifted.
+        let mut lanes_shifted = 0;
         let mut rank = (holes | invalid).trailing_zeros() as usize;
         while rank < tail {
             // The next event: a hole, or an invalid entry while removal
@@ -594,7 +632,7 @@ impl IssueQueue {
                 let allowed = usize::from(!wrapped);
                 if !wrapped {
                     wrapped = true;
-                    let dest = rank_to_position(crossing.start - shift, half, self.mode);
+                    let dest = rotate(crossing.start - shift, half, self.mode);
                     activity.long_moves[self.half_of(dest)] += 1;
                 }
                 if crossing.len() > allowed {
@@ -603,161 +641,122 @@ impl IssueQueue {
             }
             let run = rank..stop.unwrap_or(event);
             if !run.is_empty() {
-                moved |= (u64::MAX >> (64 - run.len())) << run.start;
-                self.shift_run(run, shift, &mut ranked);
+                moved += run.len();
+                moved_low += run.end.min(half) - run.start.min(half);
+                self.shift_run(run, shift, removed, lanes_shifted);
+                (lanes_shifted, removed) = (shift, 0);
+            }
+            if let Some(stop) = stop {
+                // The entries from `stop` up stay put: undo their lane shift.
+                for lane in [&mut self.rob_id, &mut self.src1_tag, &mut self.src2_tag] {
+                    lane.copy_within(stop - lanes_shifted..tail - lanes_shifted, stop);
+                }
             }
             if stop.is_some() || event == tail {
                 break;
             }
 
             if holes & (1 << event) == 0 {
-                let pos = rank_to_position(event, half, self.mode);
-                self.clear_slot(pos);
-                ranked = ranked.map(|m| m & !(1 << event));
                 removed |= 1 << event;
+                removed_low += usize::from(event < half);
                 n_removed += 1;
             }
             gap += 1;
             rank = event + 1;
         }
-        self.masks = ranked.map(|m| self.by_rank(m));
+        if removed != 0 {
+            self.masks.apply(removed, |m| m & !removed);
+        }
+        self.count -= n_removed;
 
         // Charge by the physical half each entry moved from or was removed
         // in. A moved entry drives its entry-to-entry data wires and its mux
         // select wires; it also clocks its invalids-counter stages, as does
         // a removed one (entries with no invalids below them are clock
-        // gated: the paper's per-entry gating optimization).
-        let (moved, removed) = (self.by_rank(moved), self.by_rank(removed));
-        let bottom = (1u64 << half) - 1;
-        for (side, positions) in [bottom, !bottom].into_iter().enumerate() {
-            let moves = u64::from((moved & positions).count_ones());
-            activity.compact_moves[side] += moves;
-            activity.mux_selects[side] += moves;
-            activity.counter_entries[side] += moves + u64::from((removed & positions).count_ones());
+        // gated: the paper's per-entry gating optimization). The bottom
+        // half holds the low ranks in the normal mode, the high ones when
+        // toggled.
+        let low = [moved_low, moved_low + removed_low];
+        let high = [moved - moved_low, moved + n_removed - moved_low - removed_low];
+        let (bottom, top) = if self.mode == IqMode::Normal { (low, high) } else { (high, low) };
+        for (side, [moves, counted]) in [bottom, top].into_iter().enumerate() {
+            activity.compact_moves[side] += moves as u64;
+            activity.mux_selects[side] += moves as u64;
+            activity.counter_entries[side] += counted as u64;
         }
     }
 
     /// Moves the entries at ranks `run` (all occupied) down by `shift`
-    /// ranks into empty slots, carrying their index bits in the
-    /// rank-ordered `ranked` and the wakeup positions of the tagged ones.
-    fn shift_run(&mut self, run: std::ops::Range<usize>, shift: usize, ranked: &mut Masks) {
-        let half = self.slots.len() / 2;
+    /// ranks, onto ranks that are empty, removed or vacated by this
+    /// cycle's moves, and clears the ranks `removed` below the run.
+    ///
+    /// The masks move the run alone; the lanes move as suffixes. Those from
+    /// the run up already sit `lanes_shifted` ranks low, and the copy takes
+    /// everything above the run along, so a later run needs only its extra
+    /// shift.
+    fn shift_run(&mut self, run: Range<usize>, shift: usize, removed: u64, lanes_shifted: usize) {
+        if shift > lanes_shifted {
+            let from = run.start - lanes_shifted;
+            for lane in [&mut self.rob_id, &mut self.src1_tag, &mut self.src2_tag] {
+                lane.copy_within(from..from + MAX_IQ_SIZE, run.start - shift);
+            }
+        }
         let bits = (u64::MAX >> (64 - run.len())) << run.start;
-        let mut tagged = ranked.tagged & bits;
-        while tagged != 0 {
-            let rank = tagged.trailing_zeros() as usize;
-            tagged &= tagged - 1;
-            let from = rank_to_position(rank, half, self.mode);
-            let to = rank_to_position(rank - shift, half, self.mode);
-            let entry = self.slots[from].as_ref().expect("a tagged bit names an occupied slot");
-            self.position[entry.rob_id as usize] = to as u8;
-        }
-        *ranked = ranked.map(|m| (m & !bits) | ((m & bits) >> shift));
+        let touched = bits | bits >> shift | removed;
+        self.masks.apply(touched, |m| (m & !(bits | removed)) | ((m & bits) >> shift));
+    }
 
-        // The slots move in pieces whose source and destination positions
-        // are both contiguous: in the toggled mode source positions jump at
-        // rank `half` and destinations at rank `half + shift`.
-        let mut rank = run.start;
-        while rank < run.end {
-            let mut end = run.end;
-            if self.mode == IqMode::Toggled {
-                for cut in [half, half + shift] {
-                    if rank < cut && cut < end {
-                        end = cut;
-                    }
-                }
+    /// Writes `entry` into the empty rank `rank`.
+    fn place(&mut self, rank: usize, entry: &IqEntry) {
+        let bit = 1u64 << rank;
+        self.count += 1;
+        let m = &mut self.masks;
+        m.occupied |= bit;
+        match entry.state {
+            EntryState::Waiting => {}
+            EntryState::Issued { age } => {
+                m.issued |= bit;
+                m.age
+                    .iter_mut()
+                    .enumerate()
+                    .for_each(|(b, p)| *p |= u64::from(age >> b & 1) << rank);
+                m.planes = m.planes.max((u32::BITS - age.leading_zeros()) as usize);
             }
-            let len = end - rank;
-            let from = rank_to_position(rank, half, self.mode);
-            let to = rank_to_position(rank - shift, half, self.mode);
-            self.slots.copy_within(from..from + len, to);
-            // Empty the source slots the piece did not land on.
-            let vacated =
-                if to < from { from.max(to + len)..from + len } else { from..(from + len).min(to) };
-            self.slots[vacated].fill(None);
-            rank = end;
+            EntryState::Invalid => m.invalid |= bit,
         }
+        let flag = |on: bool| u64::from(on) << rank;
+        m.src1_ready |= flag(entry.src1_ready);
+        m.src2_ready |= flag(entry.src2_ready);
+        m.is_mem |= flag(entry.is_mem);
+        m.needs_fp_mul |= flag(entry.needs_fp_mul);
+        m.src1_tagged |= flag(entry.src1_tag.is_some());
+        m.src2_tagged |= flag(entry.src2_tag.is_some());
+        self.rob_id[rank] = lane(entry.rob_id);
+        self.src1_tag[rank] = lane(entry.src1_tag.unwrap_or(0));
+        self.src2_tag[rank] = lane(entry.src2_tag.unwrap_or(0));
     }
 
-    /// Writes `entry` into the empty slot `pos` and indexes it.
-    fn place(&mut self, pos: usize, entry: IqEntry) {
-        self.masks.set(1 << pos, &entry);
-        let id = entry.rob_id as usize;
-        if let Some(top) = entry.tags().max() {
-            if id >= self.position.len() || top as usize >= self.tags {
-                self.grow(id + 1, top as usize + 1);
-            }
-            self.position[id] = pos as u8;
-            for tag in entry.tags() {
-                self.waiters[tag as usize * self.stride + id / 64] |= 1 << (id % 64);
-            }
-        }
-        self.slots[pos] = Some(entry);
-    }
-
-    /// Empties the occupied slot `pos` and drops it from the wakeup table;
-    /// the caller clears its mask bits.
-    fn clear_slot(&mut self, pos: usize) {
-        let entry = self.slots[pos].take().expect("clearing an occupied slot");
-        let id = entry.rob_id as usize;
-        for tag in entry.tags() {
-            self.waiters[tag as usize * self.stride + id / 64] &= !(1 << (id % 64));
-        }
-    }
-
-    /// Whether row `tag` of the wakeup table lists id `id`.
-    fn listed(&self, tag: usize, id: usize) -> bool {
-        tag < self.tags
-            && id < self.stride * 64
-            && self.waiters[tag * self.stride + id / 64] & (1 << (id % 64)) != 0
-    }
-
-    /// Checks the index against the slots: each mask holds exactly the
-    /// positions whose slot it describes; each wakeup row lists exactly the
-    /// ids of the entries with an operand waiting on its tag, and each such
-    /// id maps to its entry's position.
+    /// Checks the masks' invariants: the occupied ranks lie within the
+    /// queue, number `count`, and hold every other mask; no entry is both
+    /// issued and invalid; age bits lie on issued ranks below the plane
+    /// count.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first disagreement.
+    /// Returns a message with the masks if one does not hold.
     pub fn audit(&self) -> Result<(), String> {
-        let derived = Masks::of(&self.slots);
-        if self.masks != derived {
-            return Err(format!("index {:x?} != {derived:x?} derived from the slots", self.masks));
-        }
-        for (pos, entry) in self.entries() {
-            let id = entry.rob_id as usize;
-            for tag in entry.tags() {
-                if !self.listed(tag as usize, id) {
-                    return Err(format!(
-                        "slot {pos} (id {id}) waits on tag {tag} but is not listed under it"
-                    ));
-                }
-                if usize::from(self.position[id]) != pos {
-                    return Err(format!(
-                        "slot {pos} waits under id {id}, which maps to position {}",
-                        self.position[id]
-                    ));
-                }
-            }
-        }
-        for (tag, row) in self.waiters.chunks_exact(self.stride.max(1)).enumerate() {
-            for (word, &bits) in row.iter().enumerate() {
-                let mut waiting = bits;
-                while waiting != 0 {
-                    let id = word * 64 + waiting.trailing_zeros() as usize;
-                    waiting &= waiting - 1;
-                    let pos = usize::from(self.position[id]);
-                    let waits = self.slots[pos].as_ref().is_some_and(|e| {
-                        e.rob_id as usize == id && e.tags().any(|t| t as usize == tag)
-                    });
-                    if !waits {
-                        return Err(format!(
-                            "tag {tag} lists id {id} at slot {pos}, which does not wait on it"
-                        ));
-                    }
-                }
-            }
+        let m = &self.masks;
+        let fields = [m.issued, m.invalid, m.src1_ready, m.src2_ready, m.src1_tagged];
+        let fields = fields.into_iter().chain([m.src2_tagged, m.is_mem, m.needs_fp_mul]);
+        let stray = fields.fold(m.occupied & !(u64::MAX >> (64 - self.size)), |stray, mask| {
+            stray | mask & !m.occupied
+        });
+        let aged = |b: usize| if b < m.planes { m.issued } else { 0 };
+        let stray_age = m.age.iter().enumerate().fold(0, |stray, (b, &p)| stray | p & !aged(b));
+        if stray | stray_age | m.issued & m.invalid != 0
+            || self.count != m.occupied.count_ones() as usize
+        {
+            return Err(format!("inconsistent masks {m:x?} for {} entries", self.count));
         }
         Ok(())
     }
@@ -765,41 +764,42 @@ impl IssueQueue {
     /// Captures the queue's full state for snapshotting.
     #[must_use]
     pub fn snapshot(&self) -> IqState {
-        IqState { slots: self.slots.clone(), mode: self.mode, replay_window: self.replay_window }
+        IqState {
+            slots: (0..self.size).map(|p| self.entry(p)).collect(),
+            mode: self.mode,
+            replay_window: self.replay_window,
+        }
     }
 
-    /// Restores state captured by [`snapshot`](IssueQueue::snapshot) and
-    /// rebuilds the index from the restored slots.
-    ///
-    /// Ids and operand tags size the wakeup table, so state from outside
-    /// the program must have them bounded first ([`Core::restore`] checks
-    /// them against the active list).
-    ///
-    /// [`Core::restore`]: crate::Core::restore
+    /// Restores state captured by [`snapshot`](IssueQueue::snapshot).
     ///
     /// # Errors
     ///
-    /// Returns a message if the captured slot count does not match this
-    /// queue's capacity (i.e. the snapshot was taken under a different
-    /// configuration), or if two entries with a pending operand share an
-    /// active-list id. The queue is left untouched on error.
+    /// Returns a message if the captured slot count is not this queue's
+    /// capacity, if two entries with a pending operand share an active-list
+    /// id, or if an id or tag does not fit the 16-bit lanes. The queue is
+    /// left untouched on error.
     pub fn restore(&mut self, state: &IqState) -> Result<(), String> {
-        if state.slots.len() != self.slots.len() {
+        if state.slots.len() != self.size {
             return Err(format!(
                 "issue-queue snapshot has {} slots, queue has {}",
                 state.slots.len(),
-                self.slots.len()
+                self.size
             ));
         }
         check_tagged_ids(&state.slots)?;
+        let ids =
+            state.slots.iter().flatten().flat_map(|e| [Some(e.rob_id), e.src1_tag, e.src2_tag]);
+        if let Some(id) = ids.flatten().find(|&id| id as usize >= MAX_LANE_IDS) {
+            return Err(format!("id {id} does not fit the queue's 16-bit lanes"));
+        }
         self.mode = state.mode;
         self.replay_window = state.replay_window;
-        self.slots.fill(None);
         self.masks = Masks::default();
-        self.waiters.fill(0);
+        self.count = 0;
         for (pos, slot) in state.slots.iter().enumerate() {
             if let Some(entry) = slot {
-                self.place(pos, *entry);
+                self.place(self.rank_of(pos), entry);
             }
         }
         Ok(())
@@ -808,22 +808,21 @@ impl IssueQueue {
     /// Removes every trace of instruction `rob_id` (used only by tests and
     /// draining; normal entries leave via compaction).
     pub fn evict(&mut self, rob_id: u32) {
-        for pos in 0..self.slots.len() {
-            if matches!(self.slots[pos], Some(e) if e.rob_id == rob_id) {
-                self.clear_slot(pos);
-                self.masks = self.masks.map(|m| m & !(1 << pos));
-            }
-        }
+        let Ok(id) = u16::try_from(rob_id) else { return }; // no lane holds it
+        let ranks = self.rob_id[..self.size].iter().enumerate().filter(|&(_, &x)| x == id);
+        let gone = self.masks.occupied & ranks.fold(0, |mask, (r, _)| mask | 1 << r);
+        self.masks.apply(gone, |m| m & !gone);
+        self.count -= gone.count_ones() as usize;
     }
 
     /// Positions (physical) of all occupied slots, for inspection.
     pub fn occupied_positions(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.slots.len()).filter(move |&p| self.slots[p].is_some())
+        (0..self.size).filter(move |&p| self.masks.occupied >> self.rank_of(p) & 1 != 0)
     }
 
-    /// Snapshot of all occupied entries (diagnostics).
-    pub fn entries(&self) -> impl Iterator<Item = (usize, &IqEntry)> + '_ {
-        self.slots.iter().enumerate().filter_map(|(p, slot)| slot.as_ref().map(|e| (p, e)))
+    /// All occupied entries by physical position (diagnostics).
+    pub fn entries(&self) -> impl Iterator<Item = (usize, IqEntry)> + '_ {
+        (0..self.size).filter_map(move |p| self.entry(p).map(|e| (p, e)))
     }
 }
 
@@ -996,17 +995,17 @@ mod tests {
         assert!(iq.insert(entry(5), &mut act));
         iq.mark_issued(1, &mut act);
         assert!(iq.insert(waiting_on(5, 9), &mut act));
-        iq.audit().expect("the reused id indexes the waiting entry");
+        iq.audit().expect("a shared id leaves the masks consistent");
         iq.mark_issued(0, &mut act);
         for _ in 0..4 {
             iq.tick(6, &mut act);
-            iq.audit().expect("compaction keeps the index");
+            iq.audit().expect("compaction keeps the masks consistent");
         }
         assert_eq!(iq.occupancy(), 1, "both issued entries compacted away");
         assert_eq!(iq.entry(0).map(|e| (e.rob_id, e.src1_tag)), Some((5, Some(9))));
         iq.broadcast(9, &mut act);
         assert_eq!(iq.ready_positions().collect::<Vec<_>>(), vec![0]);
-        iq.audit().expect("the woken entry leaves the table");
+        iq.audit().expect("the woken entry drops its tag");
     }
 
     #[test]
@@ -1021,7 +1020,48 @@ mod tests {
         // Once one of them has no pending operand, the id may be shared.
         state.slots[0] = Some(entry(3));
         iq.restore(&state).expect("one tagged holder");
-        iq.audit().expect("restored index");
+        iq.audit().expect("restored masks");
+    }
+
+    #[test]
+    fn restore_rejects_ids_beyond_the_lanes() {
+        let mut state = IssueQueue::new(8).snapshot();
+        state.slots[0] = Some(entry(1));
+        state.slots[1] = Some(waiting_on(2, 1 << 16));
+        let mut iq = IssueQueue::new(8);
+        let err = iq.restore(&state).expect_err("a 17-bit tag is refused");
+        assert!(err.contains("16-bit lanes"), "{err}");
+        assert_eq!(iq.occupancy(), 0, "a refused restore changes nothing");
+        state.slots[1] = Some(waiting_on(2, u32::from(u16::MAX)));
+        iq.restore(&state).expect("the largest 16-bit tag fits");
+        iq.broadcast(u32::from(u16::MAX), &mut IqActivity::default());
+        assert_eq!(iq.ready_positions().count(), 2);
+    }
+
+    #[test]
+    fn replay_ages_survive_a_round_trip_and_expire_at_the_window() {
+        let mut state = IssueQueue::new(8).snapshot();
+        state.replay_window = 6;
+        for (pos, age) in [(0, 0), (1, 4), (2, 5), (3, u32::MAX)] {
+            state.slots[pos] =
+                Some(IqEntry { state: EntryState::Issued { age }, ..entry(pos as u32) });
+        }
+        let mut iq = IssueQueue::new(8);
+        iq.restore(&state).expect("valid state");
+        assert_eq!(iq.snapshot(), state, "bit-sliced ages read back exactly");
+        iq.tick(0, &mut IqActivity::default());
+        let states: Vec<EntryState> = iq.entries().map(|(_, e)| e.state).collect();
+        // Age 4 reaches 5 (< 6); age 5 reaches the window; u32::MAX wraps to 0.
+        assert_eq!(
+            states,
+            [
+                EntryState::Issued { age: 1 },
+                EntryState::Issued { age: 5 },
+                EntryState::Invalid,
+                EntryState::Issued { age: 0 },
+            ]
+        );
+        iq.audit().expect("aging keeps the planes within the issued ranks");
     }
 
     #[test]

@@ -140,9 +140,8 @@ pub struct CoreState {
 
 /// Checks every active-list index a snapshot carries against an active
 /// list of `rob_size` entries: the pipeline indexes the list with them, and
-/// the issue queues size their wakeup tables by them. Waiting and
-/// executing instructions must also name occupied slots of the captured
-/// list.
+/// the issue queues hold them in 16-bit lanes. Waiting and executing
+/// instructions must also name occupied slots of the captured list.
 fn check_ids(state: &CoreState, rob_size: usize) -> Result<(), String> {
     let in_range = |what: std::fmt::Arguments, id: u32| {
         if (id as usize) < rob_size {
@@ -279,9 +278,6 @@ impl Core {
         let mut fp_iq = IssueQueue::new(cfg.iq_size);
         for iq in [&mut int_iq, &mut fp_iq] {
             iq.set_replay_window(cfg.replay_window);
-            // Wakeup tags are active-list indices: size the queues' tag
-            // tables once so no dispatch ever grows them.
-            iq.reserve_tags(cfg.rob_size);
         }
         let mut core = Core {
             bpred: BranchPredictor::new(cfg.bpred_history_bits, cfg.btb_entries),
@@ -946,18 +942,18 @@ impl Core {
             if unit_idx == n_units {
                 break;
             }
-            let entry = *self.int_iq.entry(pos).expect("ready position is occupied");
-            if entry.is_mem && mem_issued == self.cfg.dcache_ports {
+            let (rob_id, is_mem, _) = self.int_iq.candidate(pos);
+            if is_mem && mem_issued == self.cfg.dcache_ports {
                 continue; // cache ports exhausted; tree masks this request
             }
             let unit = units[unit_idx];
             unit_idx += 1;
-            if entry.is_mem {
+            if is_mem {
                 mem_issued += 1;
             }
             self.int_iq.mark_issued(pos, &mut self.activity.int_iq);
-            self.rob.set_state(entry.rob_id, RobState::Issued);
-            let op = self.rob.entry(entry.rob_id).op;
+            self.rob.set_state(rob_id, RobState::Issued);
+            let op = self.rob.entry(rob_id).op;
 
             // Register-file reads through this ALU's wired copy.
             for (copy, n) in self.wiring.read_charges(unit, op.src_count()) {
@@ -978,7 +974,7 @@ impl Core {
                 }
                 class => class.latency(),
             };
-            self.in_flight.push(InFlight { rob_id: entry.rob_id, remaining: latency });
+            self.in_flight.push(InFlight { rob_id, remaining: latency });
             self.activity.int_alu_ops[unit] += 1;
             self.stats.int_issued_per_unit[unit] += 1;
             self.stats.issued += 1;
@@ -998,8 +994,8 @@ impl Core {
         let mut adder_idx = 0usize;
         let mut mul_used = false;
         for pos in self.fp_iq.ready_positions() {
-            let entry = *self.fp_iq.entry(pos).expect("ready position is occupied");
-            let unit: Option<(UnitKind, usize)> = if entry.needs_fp_mul {
+            let (rob_id, _, needs_fp_mul) = self.fp_iq.candidate(pos);
+            let unit: Option<(UnitKind, usize)> = if needs_fp_mul {
                 if !mul_used && self.pool.is_available(UnitKind::FpMul, 0) {
                     mul_used = true;
                     Some((UnitKind::FpMul, 0))
@@ -1021,15 +1017,15 @@ impl Core {
             };
 
             self.fp_iq.mark_issued(pos, &mut self.activity.fp_iq);
-            self.rob.set_state(entry.rob_id, RobState::Issued);
-            let op = self.rob.entry(entry.rob_id).op;
+            self.rob.set_state(rob_id, RobState::Issued);
+            let op = self.rob.entry(rob_id).op;
             self.activity.fp_rf_reads += u64::from(op.src_count());
 
             let latency = op.class().latency();
             if op.class() == OpClass::FpDiv {
                 self.pool.occupy_fp_mul(latency);
             }
-            self.in_flight.push(InFlight { rob_id: entry.rob_id, remaining: latency });
+            self.in_flight.push(InFlight { rob_id, remaining: latency });
             match kind {
                 UnitKind::FpAdd => {
                     self.activity.fp_add_ops[unit] += 1;
@@ -1683,7 +1679,7 @@ mod tests {
     #[test]
     fn restore_rejects_an_out_of_range_operand_tag() {
         // Accepted, this tag would never be broadcast (the entry would
-        // never wake), and the queue would size its wakeup table by it.
+        // never wake), and it does not fit the queue's 16-bit tag lanes.
         let err = restore_edited("\"src1_tag\":", u64::from(u32::MAX));
         assert!(err.contains("operand tag 4294967295"), "{err}");
     }

@@ -1,10 +1,14 @@
-//! Differential test of the bit-indexed issue queue against a reference
-//! model: the scan-based queue it replaced, kept here verbatim in logic.
+//! Differential test of the rank-ordered issue queue against a reference
+//! model: the scan-based queue over physical slots that the bit-indexed
+//! designs replaced, kept here verbatim in logic.
 //!
-//! Both queues are driven through the same random operation sequences;
+//! The queues are driven through the same random operation sequences;
 //! after every operation their slots, mode, ready order, insert
-//! admission, occupancy and activity counters must agree exactly, and the
-//! indexed queue's bit index must audit clean against its slots.
+//! admission, occupancy and activity counters must agree exactly, and each
+//! queue under test must audit clean. Mid-sequence, a queue may be
+//! snapshotted and restored into a fresh one that is then driven
+//! alongside the original, and the mode may toggle while the queue is
+//! full, so the rotation of a whole queue's lanes and masks is covered.
 //!
 //! Entry ids are recycled the way the pipeline's active list recycles
 //! them, so a new waiting entry often shares its id with an issued or
@@ -253,7 +257,7 @@ impl ActiveList {
         let waits = |e: &IqEntry| {
             e.state == EntryState::Waiting || e.src1_tag.is_some() || e.src2_tag.is_some()
         };
-        if self.len > 0 && !iq.entries().any(|(_, e)| e.rob_id == head && waits(e)) {
+        if self.len > 0 && !iq.entries().any(|(_, e)| e.rob_id == head && waits(&e)) {
             self.head = (self.head + 1) % self.size;
             self.len -= 1;
         }
@@ -287,6 +291,8 @@ enum Op {
     Toggle,
     Evict(u32),
     SnapshotRestore,
+    RestoreAlongside,
+    FillAndToggle,
 }
 
 fn operand() -> impl Strategy<Value = Operand> {
@@ -305,6 +311,8 @@ fn op() -> impl Strategy<Value = Op> {
         1 => Just(Op::Toggle),
         1 => (0u32..128).prop_map(Op::Evict),
         1 => Just(Op::SnapshotRestore),
+        1 => Just(Op::RestoreAlongside),
+        1 => Just(Op::FillAndToggle),
     ]
 }
 
@@ -347,12 +355,45 @@ fn agree(
     Ok(())
 }
 
+/// The entry an insert of operands `a` and `b` builds.
+fn entry(rob_id: u32, a: Operand, b: Operand, is_mem: bool) -> IqEntry {
+    IqEntry {
+        rob_id,
+        state: EntryState::Waiting,
+        src1_ready: a.ready(),
+        src2_ready: b.ready(),
+        src1_tag: a.tag,
+        src2_tag: b.tag,
+        is_mem,
+        needs_fp_mul: false,
+    }
+}
+
+/// The queues under test, each with its own activity counters: the
+/// original, and any restored from its snapshots along the way.
+type UnderTest = Vec<(IssueQueue, IqActivity)>;
+
+/// Inserts `entry` into every queue and the reference; all must agree on
+/// whether it fits.
+fn insert_everywhere(
+    queues: &mut UnderTest,
+    reference: &mut ReferenceQueue,
+    ref_act: &mut IqActivity,
+    entry: IqEntry,
+) -> Result<bool, TestCaseError> {
+    let inserted = reference.insert(entry, ref_act);
+    for (iq, act) in queues.iter_mut() {
+        prop_assert_eq!(iq.insert(entry, act), inserted);
+    }
+    Ok(inserted)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every operation leaves the indexed queue exactly where the scan-based
-    /// reference leaves it, including every activity counter the power
-    /// model reads.
+    /// Every operation leaves each queue under test exactly where the
+    /// scan-based reference leaves it, including every activity counter
+    /// the power model reads.
     #[test]
     fn indexed_queue_matches_the_scan_based_reference(
         size in size(),
@@ -360,11 +401,11 @@ proptest! {
         ids in ring_size(),
         ops in prop::collection::vec(op(), 1..300),
     ) {
-        let mut iq = IssueQueue::new(size);
+        let mut queues: UnderTest = vec![(IssueQueue::new(size), IqActivity::default())];
         let mut reference = ReferenceQueue::new(size);
-        iq.set_replay_window(window);
+        queues[0].0.set_replay_window(window);
         reference.set_replay_window(window);
-        let (mut act, mut ref_act) = (IqActivity::default(), IqActivity::default());
+        let mut ref_act = IqActivity::default();
         let mut mode = IqMode::Normal;
         let mut active = ActiveList { size: ids, head: 0, len: 0 };
 
@@ -372,64 +413,151 @@ proptest! {
             match op {
                 Op::Insert(a, b, is_mem) => {
                     let Some(rob_id) = active.alloc() else { continue };
-                    let entry = IqEntry {
-                        rob_id,
-                        state: EntryState::Waiting,
-                        src1_ready: a.ready(),
-                        src2_ready: b.ready(),
-                        src1_tag: a.tag,
-                        src2_tag: b.tag,
-                        is_mem,
-                        needs_fp_mul: false,
-                    };
-                    let inserted = iq.insert(entry, &mut act);
-                    prop_assert_eq!(inserted, reference.insert(entry, &mut ref_act));
-                    if !inserted {
+                    let entry = entry(rob_id, a, b, is_mem);
+                    if !insert_everywhere(&mut queues, &mut reference, &mut ref_act, entry)? {
                         active.unalloc();
                     }
                 }
-                Op::Retire => active.retire(&iq),
+                Op::Retire => active.retire(&queues[0].0),
                 Op::IssueNth(n) => {
-                    let ready: Vec<usize> = iq.ready_positions().collect();
+                    let ready: Vec<usize> = queues[0].0.ready_positions().collect();
                     if !ready.is_empty() {
                         let pos = ready[n % ready.len()];
-                        iq.mark_issued(pos, &mut act);
+                        for (iq, act) in &mut queues {
+                            iq.mark_issued(pos, act);
+                        }
                         reference.mark_issued(pos, &mut ref_act);
                     }
                 }
                 Op::Broadcast(tag) => {
-                    iq.broadcast(tag, &mut act);
+                    for (iq, act) in &mut queues {
+                        iq.broadcast(tag, act);
+                    }
                     reference.broadcast(tag, &mut ref_act);
                 }
                 Op::Tick(max_compact) => {
-                    iq.tick(max_compact, &mut act);
+                    for (iq, act) in &mut queues {
+                        iq.tick(max_compact, act);
+                    }
                     reference.tick(max_compact, &mut ref_act);
                 }
                 Op::ReplayWindow(cycles) => {
-                    iq.set_replay_window(cycles);
+                    for (iq, _) in &mut queues {
+                        iq.set_replay_window(cycles);
+                    }
                     reference.set_replay_window(cycles);
                 }
                 Op::Toggle => {
                     mode = mode.flipped();
-                    iq.set_mode(mode);
+                    for (iq, _) in &mut queues {
+                        iq.set_mode(mode);
+                    }
                     reference.set_mode(mode);
                 }
                 Op::Evict(n) => {
                     let rob_id = n % active.size;
-                    iq.evict(rob_id);
+                    for (iq, _) in &mut queues {
+                        iq.evict(rob_id);
+                    }
                     reference.evict(rob_id);
                 }
                 Op::SnapshotRestore => {
-                    // Resume both from the captured state in fresh queues:
-                    // the index must rebuild from the slots alone.
-                    let state = iq.snapshot();
-                    iq = IssueQueue::new(size);
-                    iq.restore(&state).expect("same capacity");
+                    // Resume everything from the captured state in fresh
+                    // queues: the masks and lanes must rebuild from the
+                    // slots alone.
+                    let state = queues[0].0.snapshot();
+                    for (iq, _) in &mut queues {
+                        *iq = IssueQueue::new(size);
+                        iq.restore(&state).expect("same capacity");
+                    }
                     reference = ReferenceQueue::new(size);
                     reference.restore(&state);
                 }
+                Op::RestoreAlongside => {
+                    // A restored copy joins the original and must stay in
+                    // step with it from here on.
+                    if queues.len() < 3 {
+                        let (original, act) = &queues[0];
+                        let mut restored = IssueQueue::new(size);
+                        restored.restore(&original.snapshot()).expect("same capacity");
+                        let act = *act;
+                        queues.push((restored, act));
+                    }
+                }
+                Op::FillAndToggle => {
+                    // Fill with ready entries until the queue refuses one,
+                    // then toggle with every rank occupied.
+                    let ready = Operand { tag: None, odd_ready: false };
+                    while let Some(rob_id) = active.alloc() {
+                        let entry = entry(rob_id, ready, ready, rob_id % 3 == 0);
+                        if !insert_everywhere(&mut queues, &mut reference, &mut ref_act, entry)? {
+                            active.unalloc();
+                            break;
+                        }
+                    }
+                    mode = mode.flipped();
+                    for (iq, _) in &mut queues {
+                        iq.set_mode(mode);
+                    }
+                    reference.set_mode(mode);
+                }
             }
-            agree(&iq, &reference, &act, &ref_act, step)?;
+            for (iq, act) in &queues {
+                agree(iq, &reference, act, &ref_act, step)?;
+            }
         }
+    }
+}
+
+/// A full queue with every kind of entry (waiting on one or two tags,
+/// issued at several ages, invalid, memory ops) toggles back and forth
+/// exactly as the reference does, and wakes and compacts alike afterwards.
+#[test]
+fn toggling_a_full_queue_rotates_every_lane_and_mask() {
+    for size in [4, 32, 64] {
+        let mut iq = IssueQueue::new(size);
+        let mut reference = ReferenceQueue::new(size);
+        iq.set_replay_window(3);
+        reference.set_replay_window(3);
+        let (mut act, mut ref_act) = (IqActivity::default(), IqActivity::default());
+        for id in 0..size as u32 {
+            let tag = |k: u32| (id % k == 0).then_some(1000 + id % 7);
+            let entry = IqEntry {
+                rob_id: id,
+                state: EntryState::Waiting,
+                src1_ready: tag(2).is_none(),
+                src2_ready: tag(3).is_none(),
+                src1_tag: tag(2),
+                src2_tag: tag(3),
+                is_mem: id % 5 == 0,
+                needs_fp_mul: false,
+            };
+            assert!(iq.insert(entry, &mut act));
+            assert!(reference.insert(entry, &mut ref_act));
+        }
+        assert!(!iq.can_insert(), "the queue is full");
+        let ready: Vec<usize> = iq.ready_positions().collect();
+        for &pos in ready.iter().step_by(2) {
+            iq.mark_issued(pos, &mut act);
+            reference.mark_issued(pos, &mut ref_act);
+        }
+        iq.tick(0, &mut act);
+        reference.tick(0, &mut ref_act);
+        for mode in [IqMode::Toggled, IqMode::Normal, IqMode::Toggled] {
+            iq.set_mode(mode);
+            reference.set_mode(mode);
+            assert_eq!(iq.snapshot(), reference.snapshot(), "size {size}, {mode:?}");
+            iq.audit().expect("rotated masks stay consistent");
+        }
+        for tag in 1000..1007 {
+            iq.broadcast(tag, &mut act);
+            reference.broadcast(tag, &mut ref_act);
+        }
+        for _ in 0..4 {
+            iq.tick(2, &mut act);
+            reference.tick(2, &mut ref_act);
+        }
+        assert_eq!(iq.snapshot(), reference.snapshot(), "size {size} after wakeup and compaction");
+        assert_eq!(act, ref_act);
     }
 }

@@ -107,9 +107,24 @@ impl Xoshiro256 {
         assert!(max > 0, "geometric max must be positive");
         // Inverse-CDF sampling: k = ceil(ln(1-u)/ln(1-p)).
         let u = self.next_f64();
-        let k = ((1.0 - u).ln() / dist.ln_q).ceil();
-        let k = if k.is_finite() && k >= 1.0 { k as u64 } else { 1 };
-        k.min(max)
+        ceil_clamped((1.0 - u).ln() / dist.ln_q, max)
+    }
+}
+
+/// `ceil(x)` clamped to `1..=max`, with NaN and +inf giving 1, computed
+/// with integer steps: `f64::ceil` is a library call on baseline x86-64,
+/// which has no rounding instruction.
+#[inline]
+fn ceil_clamped(x: f64, max: u64) -> u64 {
+    // Below 2^63 the conversions to and from `i64` are single instructions.
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if x > 0.0 && x < TWO_63 {
+        let t = x as i64; // truncates exactly
+        (t as u64 + u64::from((t as f64) < x)).min(max)
+    } else if (TWO_63..f64::INFINITY).contains(&x) {
+        (x as u64).min(max) // already integral; the cast saturates at 2^64
+    } else {
+        1 // NaN, +inf and x <= 0
     }
 }
 
@@ -134,6 +149,61 @@ impl Geometric {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The float form `ceil_clamped` replaced.
+    fn ceil_clamped_by_float(x: f64, max: u64) -> u64 {
+        let k = x.ceil();
+        let k = if k.is_finite() && k >= 1.0 { k as u64 } else { 1 };
+        k.min(max)
+    }
+
+    #[test]
+    fn integer_ceil_matches_the_float_ceil() {
+        let maxes = [1, 2, 3, 63, 64, 1 << 20, (1 << 53) + 1, u64::MAX - 1, u64::MAX];
+        let edges = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0 - f64::EPSILON,
+            63.0,
+            63.5,
+            64.0,
+            9_007_199_254_740_991.0,
+            9_007_199_254_740_992.0,
+            9_007_199_254_740_994.0,
+            9_223_372_036_854_774_784.0,
+            9_223_372_036_854_775_808.0,
+            18_446_744_073_709_549_568.0,
+            18_446_744_073_709_551_616.0,
+            1e300,
+            f64::MAX,
+        ];
+        for &max in &maxes {
+            for &x in &edges {
+                assert_eq!(ceil_clamped(x, max), ceil_clamped_by_float(x, max), "x {x}, max {max}");
+            }
+        }
+        let mut r = Xoshiro256::new(42);
+        for i in 0..1_000_000u32 {
+            let max = maxes[i as usize % maxes.len()];
+            // Alternate draws as sampling makes them with arbitrary bit
+            // patterns (every sign, exponent, NaN payload and infinity).
+            let x = if i % 2 == 0 {
+                (1.0 - r.next_f64()).ln() / Geometric::new(1.0 + 64.0 * r.next_f64()).ln_q
+            } else {
+                f64::from_bits(r.next_u64())
+            };
+            assert_eq!(ceil_clamped(x, max), ceil_clamped_by_float(x, max), "x {x:e}, max {max}");
+        }
+    }
 
     #[test]
     fn deterministic_across_instances() {
