@@ -126,14 +126,14 @@ fn draw_global_policy(rng: &mut Xoshiro256, cfg: &SimConfig) -> GlobalPolicy {
     if rng.chance(0.3) {
         match &mut global {
             GlobalPolicy::Dvfs(p) => {
-                let short: Vec<_> = p.ladder.levels().iter().copied().take(2).collect();
-                p.ladder = OppLadder::from_levels(&short)
-                    .expect("truncated ladder keeps its nominal level 0");
+                let short: Vec<_> = p.ladder.as_slice().iter().copied().take(2).collect();
+                p.ladder =
+                    OppLadder::new(&short).expect("truncated ladder keeps its nominal level 0");
             }
             GlobalPolicy::FetchGate(p) | GlobalPolicy::ClockThrottle(p) => {
-                let short: Vec<_> = p.ladder.levels().iter().copied().take(2).collect();
-                p.ladder = DutyLadder::from_levels(&short)
-                    .expect("truncated ladder keeps its full-duty level 0");
+                let short: Vec<_> = p.ladder.as_slice().iter().copied().take(2).collect();
+                p.ladder =
+                    DutyLadder::new(&short).expect("truncated ladder keeps its full-duty level 0");
             }
             GlobalPolicy::None => unreachable!(),
         }
@@ -245,20 +245,17 @@ mod tests {
 
     #[test]
     fn batch_siblings_are_valid_and_batch_eligible() {
-        use powerbalance::batch_key;
-        use serde::json;
         let mut widths = std::collections::HashSet::new();
         for seed in (0..200u64).filter(|s| draws_batch(*s)) {
             let (base, _, _) = derive_case(seed);
             let siblings = derive_batch_siblings(seed, &base);
             assert!((2..=6).contains(&siblings.len()), "seed {seed}: width out of range");
             widths.insert(siblings.len());
-            let key = json::to_string(&batch_key(&siblings[0]));
             for (i, cfg) in siblings.iter().enumerate() {
                 cfg.validate().unwrap_or_else(|e| panic!("seed {seed} sibling {i} invalid: {e}"));
                 assert_eq!(
-                    json::to_string(&batch_key(cfg)),
-                    key,
+                    siblings[0].structural_difference(cfg),
+                    None,
                     "seed {seed} sibling {i} is not batch-eligible with sibling 0"
                 );
             }
@@ -365,24 +362,23 @@ mod tests {
         use powerbalance_uarch::DutyCycle;
 
         // Empty tables and ladders never validate.
-        assert!(TripTable::from_points(&[]).expect("fits").validate().is_err());
-        assert!(OppLadder::from_levels(&[]).expect("fits").validate().is_err());
-        assert!(DutyLadder::from_levels(&[]).expect("fits").validate().is_err());
+        assert!(TripTable::new(&[]).expect("fits").validate().is_err());
+        assert!(OppLadder::new(&[]).expect("fits").validate().is_err());
+        assert!(DutyLadder::new(&[]).expect("fits").validate().is_err());
 
         // Inverted hysteresis (clear at or above trip) is rejected.
         let inverted = TripPoint::new(TripSeverity::Passive, 350.0, 350.0);
-        assert!(TripTable::from_points(&[inverted]).expect("fits").validate().is_err());
+        assert!(TripTable::new(&[inverted]).expect("fits").validate().is_err());
 
         // A single-trip table is fine as long as its hysteresis is sane —
         // the generator's truncation path relies on this.
         let single = TripPoint::new(TripSeverity::Critical, 358.0, 357.0);
-        assert!(TripTable::from_points(&[single]).expect("fits").validate().is_ok());
+        assert!(TripTable::new(&[single]).expect("fits").validate().is_ok());
 
         // A ladder whose level 0 is not nominal is rejected wholesale when
         // wrapped in a policy, so a bad draw could never slip into a case.
-        let bad =
-            OppLadder::from_levels(&[OppLevel { duty: DutyCycle::new(3, 4), volt_scale: 0.9 }])
-                .expect("fits");
+        let bad = OppLadder::new(&[OppLevel { duty: DutyCycle::new(3, 4), volt_scale: 0.9 }])
+            .expect("fits");
         let policy = GlobalPolicy::Dvfs(powerbalance::DvfsParams {
             ladder: bad,
             ..powerbalance::DvfsParams::for_thresholds(&powerbalance::Thresholds::default())

@@ -337,7 +337,7 @@ impl MitigationWatch {
     fn critical_tripped(&self, hottest: f64) -> bool {
         self.global_trips().is_some_and(|trips| {
             trips
-                .points()
+                .as_slice()
                 .iter()
                 .any(|pt| pt.severity == TripSeverity::Critical && hottest >= pt.temp)
         })
@@ -348,9 +348,9 @@ impl MitigationWatch {
     /// steps back up.
     fn predict_ladder_step(&self, p: &mut SampleState, hottest: f64, now: u64) {
         let Some(trips) = self.global_trips() else { return };
-        let tripped = trips.points().iter().any(|pt| hottest >= pt.temp);
+        let tripped = trips.as_slice().iter().any(|pt| hottest >= pt.temp);
         let all_clear = trips
-            .points()
+            .as_slice()
             .iter()
             .filter(|pt| pt.severity != TripSeverity::Critical)
             .all(|pt| hottest <= pt.clear_temp);

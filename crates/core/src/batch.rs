@@ -34,20 +34,10 @@ use crate::{Error, RunResult, SimConfig, SimulatorState};
 use powerbalance_isa::{Detach, TraceSource};
 use powerbalance_mitigation::{MitigationConfig, ThermalManager};
 
-/// The part of a [`SimConfig`] that lockstep siblings must share: the
-/// whole configuration with `mitigation` normalized to the baseline.
-///
-/// Two configurations are batch-eligible exactly when their keys compare
-/// equal; campaign runners group jobs by (serialized) key.
-#[must_use]
-pub fn batch_key(config: &SimConfig) -> SimConfig {
-    SimConfig { mitigation: MitigationConfig::baseline(), ..config.clone() }
-}
-
 /// Steps K sibling configurations in lockstep over one shared trace.
 ///
-/// Siblings must agree on everything except [`SimConfig::mitigation`]
-/// (checked at construction; see [`batch_key`]). Results come back in
+/// Siblings must share one [`SimConfig::structure`], so they differ at
+/// most in `mitigation` (checked at construction). Results come back in
 /// sibling order and are bit-identical to K sequential
 /// [`crate::Simulator`] runs of the same configurations.
 ///
@@ -128,20 +118,18 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
     /// # Errors
     ///
     /// Returns [`Error::Config`] if `configs` is empty, any configuration
-    /// is invalid or multi-core, or two siblings differ outside
-    /// `mitigation`.
+    /// is invalid or multi-core, or two siblings differ in
+    /// [`structure`](SimConfig::structure).
     pub fn new(configs: Vec<SimConfig>, trace: T) -> Result<Self, Error> {
         let Some(first) = configs.first() else {
             return Err(Error::Config("a batch needs at least one sibling configuration".into()));
         };
-        let key = batch_key(first);
         for (i, c) in configs.iter().enumerate() {
             c.validate()?;
-            if i > 0 && batch_key(c) != key {
+            if let Some(field) = first.structural_difference(c) {
                 return Err(Error::Config(format!(
-                    "sibling {i} differs from sibling 0 outside `mitigation`; lockstep \
-                     siblings must share workload parameters, core, floorplan, package, \
-                     energy tables, cadence, and fidelity"
+                    "sibling {i} differs from sibling 0 outside `mitigation`: `{field}` \
+                     differs, and lockstep siblings must simulate one machine"
                 )));
             }
         }
@@ -312,6 +300,7 @@ mod tests {
     use crate::experiments::{self, PolicyKind};
     use crate::{Fidelity, Simulator};
     use powerbalance_isa::TraceCursor;
+    use powerbalance_sched::SchedulerKind;
     use powerbalance_thermal::ev6::FloorplanKind;
     use powerbalance_workloads::spec2000;
 
@@ -391,25 +380,64 @@ mod tests {
 
     #[test]
     fn ineligible_siblings_are_rejected() {
-        let configs = vec![
-            SimConfig::default(),
-            SimConfig { floorplan: FloorplanKind::IssueConstrained, ..SimConfig::default() },
-        ];
-        let trace = TraceCursor::new(spec2000::by_name("gzip").expect("profile").trace(3));
-        let err = BatchSimulator::new(configs, trace).expect_err("floorplans differ");
-        assert!(err.to_string().contains("outside `mitigation`"), "{err}");
+        let fast = SimConfig { fidelity: Fidelity::Fast, ..SimConfig::default() };
+        for (other, field) in [
+            (
+                SimConfig { floorplan: FloorplanKind::IssueConstrained, ..SimConfig::default() },
+                "floorplan",
+            ),
+            (SimConfig { sample_interval: 20_000, ..SimConfig::default() }, "sample_interval"),
+            (fast.clone(), "fidelity"),
+        ] {
+            let configs = vec![SimConfig::default(), other];
+            let trace = TraceCursor::new(spec2000::by_name("gzip").expect("profile").trace(3));
+            let err = BatchSimulator::new(configs, trace).expect_err("structures differ");
+            let msg = err.to_string();
+            assert!(msg.contains("outside `mitigation`"), "{msg}");
+            assert!(msg.contains(&format!("`{field}` differs")), "names {field}: {msg}");
+        }
+        let configs = vec![fast.clone(), SimConfig { fast_window: 400_000, ..fast }];
+        let trace = spec2000::by_name("gzip").expect("profile").trace(3);
+        let err = BatchSimulator::new(configs, trace).expect_err("macro windows differ");
+        assert!(err.to_string().contains("`fast_window` differs"), "{err}");
         let trace = TraceCursor::new(spec2000::by_name("gzip").expect("profile").trace(3));
         let err = BatchSimulator::<_>::new(vec![], trace).expect_err("empty batch");
         assert!(err.to_string().contains("at least one"), "{err}");
     }
 
     #[test]
-    fn batch_key_normalizes_only_mitigation() {
+    fn structure_ignores_only_fields_the_engine_does_not_read() {
         let a = experiments::policy(PolicyKind::Dvfs, FloorplanKind::IssueConstrained);
         let b = experiments::policy(PolicyKind::Combined, FloorplanKind::IssueConstrained);
-        assert_eq!(batch_key(&a), batch_key(&b));
+        assert_eq!(a.structure(), b.structure(), "mitigation is not structure");
         let c = experiments::policy(PolicyKind::Dvfs, FloorplanKind::AluConstrained);
-        assert_ne!(batch_key(&a), batch_key(&c));
+        assert_ne!(a.structure(), c.structure());
+        assert_eq!(a.structural_difference(&c), Some("floorplan"));
+
+        // Exact never reads the interval engine's fields, and one core
+        // places nothing.
+        let exact = SimConfig { fast_window: 40_000, fast_warmup: 0, ..a.clone() };
+        assert_eq!(exact.structure(), a.structure());
+        let one_core = SimConfig { scheduler: SchedulerKind::Threshold, ..a.clone() };
+        assert_eq!(one_core.structure(), a.structure());
+        assert_eq!(exact.structural_difference(&one_core), None);
+
+        // Under Fast they are the sampling cadence, and on several cores
+        // the scheduler's word is captured state.
+        let fast = SimConfig { fidelity: Fidelity::Fast, ..a.clone() };
+        for (other, field) in [
+            (SimConfig { fast_window: 40_000, ..fast.clone() }, "fast_window"),
+            (SimConfig { fast_warmup: 0, ..fast.clone() }, "fast_warmup"),
+            (SimConfig { mitigation: b.mitigation, ..a.clone() }, "fidelity"),
+        ] {
+            assert_ne!(fast.structure(), other.structure(), "{field}");
+            assert_eq!(fast.structural_difference(&other), Some(field));
+        }
+        let two = SimConfig { cores: 2, ..a.clone() };
+        let placed = SimConfig { scheduler: SchedulerKind::CoolestFirst, ..two.clone() };
+        assert_ne!(two.structure(), placed.structure());
+        assert_eq!(two.structural_difference(&placed), Some("scheduler"));
+        assert_eq!(two.structural_difference(&a), Some("cores"));
     }
 
     #[test]

@@ -272,6 +272,69 @@ impl SimConfig {
         }
         Ok(())
     }
+
+    /// The machine this configuration simulates: the whole config with
+    /// every field that cannot change the engine's state reset to its
+    /// default. That is `mitigation` (warmups never consult it, and
+    /// lockstep siblings each keep their own manager), `fast_window` and
+    /// `fast_warmup` under [`Fidelity::Exact`] (only the interval engine
+    /// reads them), and `scheduler` on one core (there is nothing to
+    /// place).
+    ///
+    /// Configs with equal structures may step in one lockstep batch, share
+    /// one warm-start snapshot, and resume each other's snapshots. This is
+    /// the only place that decides which fields are structure.
+    #[must_use]
+    pub fn structure(&self) -> SimConfig {
+        let exact = self.fidelity == Fidelity::Exact;
+        SimConfig {
+            mitigation: MitigationConfig::baseline(),
+            fast_window: if exact { DEFAULT_FAST_WINDOW } else { self.fast_window },
+            fast_warmup: if exact { DEFAULT_FAST_WARMUP } else { self.fast_warmup },
+            scheduler: if self.cores == 1 { SchedulerKind::default() } else { self.scheduler },
+            ..self.clone()
+        }
+    }
+
+    /// The first field in which the [`structure`](Self::structure)s of
+    /// `self` and `other` differ, or `None` when they are the same machine.
+    #[must_use]
+    pub fn structural_difference(&self, other: &SimConfig) -> Option<&'static str> {
+        let (a, b) = (self.structure(), other.structure());
+        // Destructured so that a new field cannot be left out of the list.
+        let SimConfig {
+            core,
+            floorplan,
+            package,
+            energy,
+            mitigation,
+            frequency_hz,
+            sample_interval,
+            warm_start,
+            fidelity,
+            fast_window,
+            fast_warmup,
+            cores,
+            scheduler,
+        } = &a;
+        [
+            ("core", *core == b.core),
+            ("floorplan", *floorplan == b.floorplan),
+            ("package", *package == b.package),
+            ("energy", *energy == b.energy),
+            ("mitigation", *mitigation == b.mitigation),
+            ("frequency_hz", *frequency_hz == b.frequency_hz),
+            ("sample_interval", *sample_interval == b.sample_interval),
+            ("warm_start", *warm_start == b.warm_start),
+            ("fidelity", *fidelity == b.fidelity),
+            ("fast_window", *fast_window == b.fast_window),
+            ("fast_warmup", *fast_warmup == b.fast_warmup),
+            ("cores", *cores == b.cores),
+            ("scheduler", *scheduler == b.scheduler),
+        ]
+        .into_iter()
+        .find_map(|(field, same)| (!same).then_some(field))
+    }
 }
 
 #[cfg(test)]

@@ -417,8 +417,6 @@ pub(crate) struct Grid {
     pub(crate) config: SimConfig,
     /// The per-core floorplan: lane power models, sensors, block names.
     pub(crate) core_plan: Floorplan,
-    /// One die: `config.cores` translated copies of `core_plan`.
-    pub(crate) die_plan: Floorplan,
     power: PowerModel,
     /// Per-block power of an idle (or frozen) core: pure leakage.
     idle_watts: Vec<f64>,
@@ -482,7 +480,6 @@ impl Grid {
             window_pos: 0,
             config: config.clone(),
             core_plan,
-            die_plan,
             power,
             idle_watts,
             dies: vec![die],
@@ -529,7 +526,6 @@ impl Grid {
         let grid = Grid {
             config: self.config.clone(),
             core_plan: self.core_plan.clone(),
-            die_plan: self.die_plan.clone(),
             power: self.power.clone(),
             idle_watts: self.idle_watts.clone(),
             dies: given,

@@ -48,7 +48,7 @@ mod result;
 mod simulator;
 mod snapshot;
 
-pub use batch::{batch_key, BatchPart, BatchSimulator};
+pub use batch::{BatchPart, BatchSimulator};
 pub use config::{Fidelity, SimConfig, DEFAULT_FAST_WINDOW};
 pub use error::Error;
 pub use multicore::{JobCore, MultiCoreResult, MultiCoreSimulator, MultiCoreState, TaskSet};
@@ -59,7 +59,7 @@ pub use snapshot::{FastEngineState, LaneState, SimulatorState, Snapshot, FORMAT_
 // The scheduling vocabulary rides along with the multi-core engine so
 // callers can build task queues without a direct `powerbalance-sched`
 // dependency.
-pub use powerbalance_sched::{SchedulerKind, SegmentLen, Task, TaskQueue, DEFAULT_MIGRATION_STALL};
+pub use powerbalance_sched::{SchedulerKind, SegmentLen, Task, DEFAULT_MIGRATION_STALL};
 
 // Re-export the subsystem vocabulary users need to configure runs.
 // `spec2000` and its `TraceGenerator` ride along so downstream crates

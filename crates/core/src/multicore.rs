@@ -4,10 +4,10 @@
 //! engine: N independent cores step against a single RC network built
 //! from N translated copies of the per-core floorplan
 //! ([`powerbalance_thermal::multicore::replicate`]), so adjacent cores
-//! couple laterally and a hot neighbor genuinely heats a cool one. A
-//! pluggable [`Scheduler`] places workload segments (a typed
-//! [`TaskSet`]) onto free cores; moving a job between cores charges a
-//! fetch-stall migration penalty.
+//! couple laterally and a hot neighbor genuinely heats a cool one. The
+//! configured [`SchedulerKind`]'s placement rule puts workload segments (a
+//! typed [`TaskSet`]) onto free cores; moving a job between cores charges
+//! a fetch-stall migration penalty.
 //!
 //! # The N = 1 contract
 //!
@@ -32,6 +32,7 @@
 //! all lanes are detailed together and skipped together and the shared
 //! thermal solve always sees one coherent die.
 //!
+//! [`SchedulerKind`]: powerbalance_sched::SchedulerKind
 //! [`SchedulerKind::Threshold`]: powerbalance_sched::SchedulerKind::Threshold
 
 use crate::engine::{Feed, Grid, LaneRef};
@@ -40,8 +41,8 @@ use crate::snapshot::{encode_bits, LaneState};
 use crate::{BlockTemperature, Error, RunResult, SimConfig};
 use powerbalance_isa::{MicroOp, TraceSource};
 use powerbalance_mitigation::ThermalManager;
-use powerbalance_sched::{CoreView, Scheduler, SegmentLen, Task, DEFAULT_MIGRATION_STALL};
-use powerbalance_thermal::{multicore, Floorplan, ThermalModel};
+use powerbalance_sched::{CoreView, SchedulerKind, SegmentLen, Task, DEFAULT_MIGRATION_STALL};
+use powerbalance_thermal::{multicore, ThermalModel};
 use powerbalance_uarch::Core;
 use serde::{Deserialize, Serialize};
 
@@ -191,7 +192,7 @@ pub struct MultiCoreState {
     pub fast_prefix_left: u64,
     /// Die-global macro-window phase.
     pub fast_window_pos: u64,
-    /// Scheduler rotation word ([`Scheduler::state_word`]).
+    /// Scheduler state word (see [`SchedulerKind::select`]).
     pub sched_word: u64,
     /// Job migrations performed.
     pub migrations: u64,
@@ -302,7 +303,9 @@ pub struct MultiCoreSimulator {
 /// The scheduler and the dispatch bookkeeping around it.
 #[derive(Debug)]
 struct Placement {
-    scheduler: Box<dyn Scheduler + Send>,
+    kind: SchedulerKind,
+    /// The scheduler's state word.
+    word: u64,
     /// Scheduler-view scratch.
     views: Vec<CoreView>,
     migrations: u64,
@@ -331,6 +334,7 @@ impl<T: TraceSource> Feed for Dispatch<'_, T> {
     fn dispatch(&mut self, grid: &mut Grid) -> bool {
         let blocks = grid.core_plan.blocks().len();
         let die = &mut grid.dies[0];
+        let theta = grid.config.mitigation.thresholds.max_temp;
         let placement = &mut *self.placement;
         while let Some(idx) = self.tasks.first_pending() {
             let temps = die.thermal.temperatures();
@@ -341,7 +345,8 @@ impl<T: TraceSource> Feed for Dispatch<'_, T> {
                     free: die.lanes[c].task.is_none(),
                 };
             }
-            let Some(c) = placement.scheduler.select(&placement.views) else {
+            let Some(c) = placement.kind.select(theta, &mut placement.word, &placement.views)
+            else {
                 break;
             };
             if !placement.views[c].free {
@@ -397,7 +402,8 @@ impl MultiCoreSimulator {
     pub fn new(config: SimConfig) -> Result<Self, Error> {
         let grid = Grid::new(&config, &[config.mitigation])?;
         let placement = Placement {
-            scheduler: config.scheduler.build(config.mitigation.thresholds.max_temp),
+            kind: config.scheduler,
+            word: 0,
             views: vec![CoreView { temp: 0.0, free: true }; config.cores],
             migrations: 0,
             migration_stall_cycles: 0,
@@ -411,18 +417,6 @@ impl MultiCoreSimulator {
     #[must_use]
     pub fn config(&self) -> &SimConfig {
         &self.grid.config
-    }
-
-    /// The full die floorplan (all cores tiled).
-    #[must_use]
-    pub fn die_floorplan(&self) -> &Floorplan {
-        &self.grid.die_plan
-    }
-
-    /// The per-core floorplan.
-    #[must_use]
-    pub fn core_floorplan(&self) -> &Floorplan {
-        &self.grid.core_plan
     }
 
     /// Number of cores on the die.
@@ -537,7 +531,7 @@ impl MultiCoreSimulator {
             warmed: die.warmed,
             fast_prefix_left,
             fast_window_pos,
-            sched_word: self.placement.scheduler.state_word(),
+            sched_word: self.placement.word,
             migrations: self.placement.migrations,
             migration_stall_cycles: self.placement.migration_stall_cycles,
             tasks_completed: self.placement.tasks_completed,
@@ -560,7 +554,7 @@ impl MultiCoreSimulator {
         let clock = (state.fast_prefix_left, state.fast_window_pos);
         self.grid.restore(&lanes, &state.thermal_node_bits, state.warmed, clock)?;
         let placement = &mut self.placement;
-        placement.scheduler.restore_word(state.sched_word);
+        placement.word = state.sched_word;
         placement.migrations = state.migrations;
         placement.migration_stall_cycles = state.migration_stall_cycles;
         placement.tasks_completed = state.tasks_completed;

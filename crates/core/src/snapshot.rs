@@ -168,8 +168,9 @@ pub(crate) fn decode_bits(bits: &[u64]) -> Vec<f64> {
 /// under and the workload (profile + generator position) driving it, so a
 /// snapshot file alone suffices to reconstruct and continue the run.
 ///
-/// Resuming under a configuration that differs **only in mitigation** is
-/// explicitly supported ([`resume_with_config`]): warmup phases never
+/// Resuming under a configuration with the same [`SimConfig::structure`]
+/// (so differing in mitigation) is explicitly supported
+/// ([`resume_with_config`]): warmup phases never
 /// consult the mitigation manager (see [`Simulator::run_warmup`]), so one
 /// warmed snapshot can seed measured runs of every technique variant.
 ///
@@ -222,13 +223,13 @@ impl Snapshot {
     /// Like [`resume`](Snapshot::resume), but builds the simulator from
     /// `config` instead of the captured configuration.
     ///
-    /// `config` must be *structurally compatible* with the snapshot: every
-    /// field except `mitigation` must match, because the captured state
-    /// vectors are shaped by (and their contents depend on) the core
-    /// geometry, floorplan, package, energy tables, frequency, and
-    /// sampling cadence. The mitigation technique is free to differ —
-    /// that is what lets a warm-start campaign share one warmup across
-    /// technique variants.
+    /// `config` must be *structurally compatible* with the snapshot: its
+    /// [`SimConfig::structure`] must equal the captured config's, because
+    /// the captured state vectors are shaped by (and their contents depend
+    /// on) the core geometry, floorplan, package, energy tables,
+    /// frequency, sampling cadence, fidelity and core count. The
+    /// mitigation technique is free to differ — that is what lets a
+    /// warm-start campaign share one warmup across technique variants.
     ///
     /// # Errors
     ///
@@ -244,63 +245,22 @@ impl Snapshot {
                 self.format_version
             )));
         }
-        let captured = &self.config;
-        let mismatch = |what: &str| {
-            Err(Error::Config(format!(
-                "snapshot is structurally incompatible: {what} differs from the captured config"
-            )))
-        };
-        if config.core != captured.core {
-            return mismatch("core");
+        if let Some(field) = config.structural_difference(&self.config) {
+            return Err(Error::Config(format!(
+                "snapshot is structurally incompatible: {field} differs from the captured config"
+            )));
         }
-        if config.floorplan != captured.floorplan {
-            return mismatch("floorplan");
-        }
-        if config.package != captured.package {
-            return mismatch("package");
-        }
-        if config.energy != captured.energy {
-            return mismatch("energy");
-        }
-        if config.frequency_hz != captured.frequency_hz {
-            return mismatch("frequency_hz");
-        }
-        if config.sample_interval != captured.sample_interval {
-            return mismatch("sample_interval");
-        }
-        if config.warm_start != captured.warm_start {
-            return mismatch("warm_start");
-        }
-        // A Fast run's state embeds window phase and extrapolated totals
-        // an Exact simulator has no meaning for (and vice versa), and two
-        // Fast runs with different macro windows sample on different
-        // cadences — so fidelity is structure, not policy.
-        if config.fidelity != captured.fidelity {
-            return mismatch("fidelity");
-        }
-        if config.fidelity == crate::Fidelity::Fast {
-            if config.fast_window != captured.fast_window {
-                return mismatch("fast_window");
-            }
-            if config.fast_warmup != captured.fast_warmup {
-                return mismatch("fast_warmup");
-            }
-        }
-        // The die geometry (and with it every state-vector length) depends
-        // on the core count, and the scheduler's rotation word is part of
-        // the captured state — both are structure, not policy.
-        if config.cores != captured.cores {
-            return mismatch("cores");
-        }
-        if config.cores > 1 && config.scheduler != captured.scheduler {
-            return mismatch("scheduler");
-        }
-
         let mut sim = Simulator::new(config)?;
         sim.restore_state(&self.state)?;
+        Ok((sim, self.resume_trace()))
+    }
+
+    /// The trace generator at the captured position, without a simulator.
+    #[must_use]
+    pub fn resume_trace(&self) -> TraceGenerator {
         let mut trace = TraceGenerator::new(self.profile.clone(), 0);
         trace.restore(&self.trace);
-        Ok((sim, trace))
+        trace
     }
 
     /// Serializes the snapshot as a compact JSON document.

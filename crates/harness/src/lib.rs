@@ -65,7 +65,7 @@ pub use runner::{
     CampaignOutcome, JobProgress, RunnerOptions, THREADS_ENV_VAR,
 };
 pub use spec::{CampaignSpec, NamedConfig};
-pub use warmstart::{compute_warmup_controlled, WarmStartCache, WarmupOutcome};
+pub use warmstart::WarmStartCache;
 
 /// Default simulated cycles per run: long enough for several heat/stall
 /// cycles under the compressed thermal constants.

@@ -4,9 +4,8 @@ use crate::result::{CampaignResult, JobResult};
 use crate::spec::CampaignSpec;
 use crate::warmstart::{WarmStartCache, WarmupOutcome};
 use powerbalance::{
-    batch_key, spec2000, BatchPart, BatchSimulator, Detach, Error, Fidelity, MultiCoreSimulator,
-    RunControl, RunResult, SimConfig, Snapshot, StopCause, Task, TaskSet, TraceCursor,
-    TraceGenerator,
+    spec2000, BatchPart, BatchSimulator, Detach, Error, Fidelity, MultiCoreSimulator, RunControl,
+    RunResult, SimConfig, Snapshot, StopCause, Task, TaskSet, TraceCursor, TraceGenerator,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -37,8 +36,8 @@ pub struct RunnerOptions {
     /// back to computation).
     pub resume: bool,
     /// Upper bound on how many batch-eligible jobs — same benchmark, same
-    /// measured cycle budget, configurations identical outside
-    /// `mitigation` (see [`powerbalance::batch_key`]) — execute together
+    /// measured cycle budget, one configuration structure (see
+    /// [`SimConfig::structure`]) — execute together
     /// in one lockstep [`BatchSimulator`] unit (default 6). `1` disables
     /// batching. Batched and scalar execution are bit-identical (pinned by
     /// the differential test layer), so this trades scheduling granularity
@@ -131,8 +130,9 @@ impl From<BatchPart<TraceGenerator>> for Donated {
 /// Single-core units run as a lockstep [`BatchSimulator`] — a one-sibling
 /// batch is the scalar engine. With a warmup budget, the shared warmup
 /// snapshot comes from `cache` (computed interruptibly at most once per
-/// key; the stop of a job blocked on it is observed) and is restored into
-/// the unforked batch. Under Exact fidelity siblings that may fork share
+/// key; a job stopped while blocked on it returns no results) and is
+/// restored into the unforked batch, whose trace resumes at the
+/// snapshot's position. Under Exact fidelity siblings that may fork share
 /// generated micro-ops through a [`TraceCursor`] ring; otherwise each die
 /// keeps a private generator clone, so skipped intervals stay O(1).
 /// Multi-core units (one config) run the multi-core engine; the warm-start
@@ -177,19 +177,15 @@ fn run_unit(
     let warm = if warmup_cycles > 0 {
         match cache.get_or_compute_controlled(bench, seed, warmup_cycles, first, control)? {
             WarmupOutcome::Ready(snapshot) => Some(snapshot),
-            WarmupOutcome::Stopped(cause) => {
-                // Nothing ran; report every sibling's empty result.
-                let batch = BatchSimulator::new(configs.to_vec(), profile.trace(seed))?;
-                return Ok((batch.results().into_iter().enumerate().collect(), cause));
-            }
+            WarmupOutcome::Stopped(cause) => return Ok((Vec::new(), cause)),
         }
     } else {
         None
     };
-    // `resume_with_config` validates structural compatibility and rebuilds
-    // the trace at its post-warmup position.
+    // The snapshot was keyed by `first`'s structure, which every sibling
+    // shares; the batch checks the state's shape when it restores it.
     let trace = match &warm {
-        Some(snapshot) => snapshot.resume_with_config(first.clone())?.1,
+        Some(snapshot) => snapshot.resume_trace(),
         None => profile.trace(seed),
     };
     let warm = warm.as_deref();
@@ -475,8 +471,8 @@ pub enum CampaignOutcome {
 /// and returns the results in deterministic spec order.
 ///
 /// Jobs are first grouped into execution *units*: batch-eligible siblings
-/// (same benchmark and cycle budget, configs identical outside
-/// `mitigation`) run together in one lockstep [`BatchSimulator`], up to
+/// (same benchmark and cycle budget, one [`SimConfig::structure`]) run
+/// together in one lockstep [`BatchSimulator`], up to
 /// [`RunnerOptions::max_batch`] per unit; everything else runs on the
 /// scalar path. Workers pull units from a shared queue, so scheduling
 /// stays fine-grained: a slow benchmark on one config does not serialize
@@ -609,7 +605,7 @@ pub fn run_campaign_controlled(
                                 &run_control,
                                 &mut stint,
                             )
-                            .expect("spec was validated and grouped by batch key before dispatch")
+                            .expect("spec was validated and grouped by structure before dispatch")
                         }
                         Work::Part { left, classes, .. } => {
                             classes.run(left, &run_control, &mut stint)
@@ -720,7 +716,7 @@ pub fn run_campaign_controlled(
 }
 
 /// Groups the spec's flat job indices into execution units: per benchmark,
-/// config slots sharing a (serialized [`batch_key`], measured cycle
+/// config slots sharing a ([`SimConfig::structure`], measured cycle
 /// budget) pair batch together in first-appearance order, chunked to
 /// `max_batch`; singleton groups fall through to the scalar path. With
 /// `max_batch <= 1` every job is its own unit — the pre-batching
@@ -734,7 +730,7 @@ pub fn plan_units(spec: &CampaignSpec, max_batch: usize) -> Vec<Vec<usize>> {
             units.extend((0..ncfg).map(|ci| vec![bench_index * ncfg + ci]));
             continue;
         }
-        let mut groups: Vec<(String, u64, Vec<usize>)> = Vec::new();
+        let mut groups: Vec<(SimConfig, u64, Vec<usize>)> = Vec::new();
         for config_index in 0..ncfg {
             // Multi-core jobs run the multi-core engine, which has its own
             // die-wide lockstep internally; keep them out of batch units.
@@ -742,7 +738,7 @@ pub fn plan_units(spec: &CampaignSpec, max_batch: usize) -> Vec<Vec<usize>> {
                 units.push(vec![bench_index * ncfg + config_index]);
                 continue;
             }
-            let key = serde::json::to_string(&batch_key(&spec.configs[config_index].config));
+            let key = spec.configs[config_index].config.structure();
             let cycles = spec.cycles_for(config_index);
             match groups.iter_mut().find(|(k, c, _)| *k == key && *c == cycles) {
                 Some((_, _, members)) => members.push(config_index),
@@ -1042,6 +1038,41 @@ mod tests {
         let (computed, _, hits) = cache.stats();
         assert_eq!(computed, 1, "second campaign reuses the first warmup");
         assert_eq!(hits, 1);
+    }
+
+    #[test]
+    fn exact_configs_differing_in_interval_fields_share_one_unit_and_one_warmup() {
+        // Exact never reads `fast_window`, so these two configs are one
+        // machine: they batch together and share a warmup.
+        let toggling = experiments::issue_queue(true);
+        let spec = CampaignSpec::new("structure")
+            .config("base", experiments::issue_queue(false))
+            .config("toggling", SimConfig { fast_window: 400_000, ..toggling })
+            .benchmark("gzip")
+            .cycles(30_000)
+            .warmup(20_000)
+            .seed(6);
+        assert_eq!(plan_units(&spec, 6), vec![vec![0, 1]]);
+        let cache = WarmStartCache::in_memory();
+        let outcome = run_campaign_controlled(
+            &spec,
+            &RunnerOptions::default(),
+            &CampaignControl::new(),
+            None,
+            Some(&cache),
+        )
+        .expect("valid spec");
+        let CampaignOutcome::Completed(result) = outcome else {
+            panic!("campaign should complete")
+        };
+        assert_eq!(cache.stats().0, 1, "one warmup serves both configs");
+        for job in &result.jobs {
+            let mut sim = Simulator::new(spec.configs[job.config_index].config.clone())
+                .expect("valid config");
+            let mut trace = spec2000::by_name("gzip").expect("known benchmark").trace(6);
+            sim.run_warmup(&mut trace, 20_000);
+            assert_eq!(job.result, sim.run(&mut trace, 30_000), "{}", job.config);
+        }
     }
 
     #[test]

@@ -4,17 +4,16 @@
 //! warmup-relevant configuration)` quadruple go through the exact same
 //! mitigation-free warmup (see [`Simulator::run_warmup`]), so computing it
 //! once and forking every measured run from the resulting [`Snapshot`] is
-//! free speedup. "Warmup-relevant" means every [`SimConfig`] field except
-//! `mitigation`: the warmup never consults the mitigation manager, so
-//! technique variants over the same machine share; different core
-//! geometries, floorplans, or packages do not.
+//! free speedup. "Warmup-relevant" means [`SimConfig::structure`]: the
+//! warmup never consults the mitigation manager, so technique variants
+//! over the same machine share; different core geometries, floorplans, or
+//! packages do not.
 //!
 //! [`WarmStartCache`] keeps computed snapshots in memory for the lifetime
 //! of a campaign (each computed exactly once; concurrent requesters wait
-//! on the first computation, interruptibly — see
-//! [`WarmStartCache::get_or_compute_controlled`]) and can additionally
-//! persist them to a checkpoint directory so later *processes* skip the
-//! warmup too:
+//! on the first computation, interruptibly, so a stopped job stops
+//! waiting) and can additionally persist them to a checkpoint directory
+//! so later *processes* skip the warmup too:
 //!
 //! * with a checkpoint directory set, every computed snapshot is written
 //!   to `<dir>/<fnv1a-of-key>.json` (atomically: temp file + rename);
@@ -24,9 +23,7 @@
 //!   collision, a stale file from an incompatible run, or a damaged state
 //!   falls back to recomputation instead of poisoning results).
 
-use powerbalance::{
-    spec2000, Error, MitigationConfig, RunControl, SimConfig, Simulator, Snapshot, StopCause,
-};
+use powerbalance::{spec2000, Error, RunControl, SimConfig, Simulator, Snapshot, StopCause};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -53,7 +50,7 @@ type Slot = Arc<SlotState>;
 
 /// How a controlled cache request ended.
 #[derive(Debug, Clone)]
-pub enum WarmupOutcome {
+pub(crate) enum WarmupOutcome {
     /// The snapshot is available (computed here, by another worker, or
     /// loaded from the checkpoint directory).
     Ready(Arc<Snapshot>),
@@ -118,16 +115,16 @@ impl WarmStartCache {
     ///
     /// Includes the snapshot format version (so a format bump invalidates
     /// on-disk checkpoints), the benchmark, seed, and warmup budget, and
-    /// the full configuration with `mitigation` normalized to the baseline
-    /// — the warmup never consults the mitigation manager, so configs
-    /// differing only there share a key.
+    /// the configuration's [`SimConfig::structure`] — the warmup never
+    /// consults the mitigation manager, so configs differing only there
+    /// share a key.
     #[must_use]
     pub fn key(bench: &str, seed: u64, warmup_cycles: u64, config: &SimConfig) -> String {
         format!(
             "{{\"format_version\":{},\"bench\":{},\"seed\":{seed},\"warmup_cycles\":{warmup_cycles},\"config\":{}}}",
             powerbalance::FORMAT_VERSION,
             serde::json::to_string(bench),
-            serde::json::to_string(&normalized(config)),
+            serde::json::to_string(&config.structure()),
         )
     }
 
@@ -140,8 +137,8 @@ impl WarmStartCache {
     /// Returns the warmup snapshot for the quadruple, computing (or
     /// loading from the checkpoint directory) at most once per key.
     ///
-    /// The returned snapshot was captured under `config` with its
-    /// mitigation normalized to the baseline; resume it into the actual
+    /// The returned snapshot was captured under `config`'s
+    /// [`structure`](SimConfig::structure); resume it into the actual
     /// measured config with [`Snapshot::resume_with_config`].
     ///
     /// # Errors
@@ -189,7 +186,7 @@ impl WarmStartCache {
     ///
     /// Returns [`Error::Config`] if the benchmark is unknown or the
     /// configuration fails validation.
-    pub fn get_or_compute_controlled(
+    pub(crate) fn get_or_compute_controlled(
         &self,
         bench: &str,
         seed: u64,
@@ -291,7 +288,7 @@ impl WarmStartCache {
         if self.resume {
             if let Some(dir) = &self.checkpoint_dir {
                 let path = Self::checkpoint_path(dir, key);
-                if let Some(snapshot) = load_checkpoint(&path, key, normalized(config)) {
+                if let Some(snapshot) = load_checkpoint(&path, key, config.structure()) {
                     *self.loaded.lock().unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
                     return Ok(Ok(Arc::new(snapshot)));
                 }
@@ -315,9 +312,10 @@ impl WarmStartCache {
 /// Runs the mitigation-free warmup and captures it as a [`Snapshot`],
 /// checking `control` between sampling windows.
 ///
-/// The simulator is built with the mitigation normalized to the baseline,
-/// making the captured snapshot canonical for its cache key no matter
-/// which technique variant requested it first.
+/// The simulator is built from `config`'s
+/// [`structure`](SimConfig::structure), making the captured snapshot
+/// canonical for its cache key no matter which technique variant requested
+/// it first.
 ///
 /// The outer `Result` is the configuration check; the inner one is the
 /// control: `Ok(Err(cause))` means the warmup was stopped early and **no**
@@ -328,7 +326,7 @@ impl WarmStartCache {
 ///
 /// Returns [`Error::Config`] if the benchmark is unknown or `config`
 /// fails validation.
-pub fn compute_warmup_controlled(
+fn compute_warmup_controlled(
     bench: &str,
     seed: u64,
     warmup_cycles: u64,
@@ -337,20 +335,13 @@ pub fn compute_warmup_controlled(
 ) -> Result<Result<Snapshot, StopCause>, Error> {
     let profile = spec2000::by_name(bench)
         .ok_or_else(|| Error::Config(format!("unknown benchmark '{bench}'")))?;
-    let mut sim = Simulator::new(normalized(config))?;
+    let mut sim = Simulator::new(config.structure())?;
     let mut trace = profile.trace(seed);
     let cause = sim.run_warmup_controlled(&mut trace, warmup_cycles, control);
     if !cause.is_completed() {
         return Ok(Err(cause));
     }
     Ok(Ok(Snapshot::capture(&sim, &profile, &trace)))
-}
-
-/// `config` with its mitigation normalized to the baseline: the warmup
-/// never consults the manager, so this is the configuration every warmup
-/// snapshot is captured and keyed under.
-fn normalized(config: &SimConfig) -> SimConfig {
-    SimConfig { mitigation: MitigationConfig::baseline(), ..config.clone() }
 }
 
 /// 64-bit FNV-1a — the checkpoint file-name hash. Stable across runs and
@@ -367,7 +358,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Loads the checkpoint for `key`, or `None` if it cannot be trusted: an
 /// unreadable file, another key's file, or a snapshot that does not
 /// resume (format version, structure, or state shape) into a simulator
-/// built from `config`, the key's normalized configuration.
+/// built from `config`, the key's structure.
 fn load_checkpoint(path: &Path, key: &str, config: SimConfig) -> Option<Snapshot> {
     let text = std::fs::read_to_string(path).ok()?;
     let file: CheckpointFile = serde::json::from_str(&text).ok()?;
@@ -493,6 +484,27 @@ mod tests {
             WarmStartCache::key("gzip", 1, 100, &base),
             WarmStartCache::key("gzip", 1, 200, &base)
         );
+        // The key is the structure: Exact ignores the interval-engine
+        // fields and one core ignores the scheduler, and a config at
+        // their defaults keeps the key it always had, so checkpoint files
+        // written before still hit.
+        let default = SimConfig::default();
+        let exact = SimConfig {
+            fast_window: 40_000,
+            fast_warmup: 0,
+            scheduler: powerbalance::SchedulerKind::Threshold,
+            ..default.clone()
+        };
+        let expected = format!(
+            "{{\"format_version\":{},\"bench\":\"gzip\",\"seed\":1,\"warmup_cycles\":100,\
+             \"config\":{}}}",
+            powerbalance::FORMAT_VERSION,
+            serde::json::to_string(&default)
+        );
+        assert_eq!(WarmStartCache::key("gzip", 1, 100, &default), expected);
+        assert_eq!(WarmStartCache::key("gzip", 1, 100, &exact), expected);
+        let fast = SimConfig { fidelity: powerbalance::Fidelity::Fast, ..exact };
+        assert_ne!(WarmStartCache::key("gzip", 1, 100, &fast), expected);
     }
 
     #[test]

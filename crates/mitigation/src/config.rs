@@ -1,6 +1,7 @@
 //! Mitigation configuration.
 
 use crate::zones::{TripPoint, TripSeverity, TripTable};
+use crate::InlineList;
 use powerbalance_uarch::DutyCycle;
 use serde::json::{Error, Value};
 use serde::{Deserialize, Serialize};
@@ -88,6 +89,12 @@ pub struct OppLevel {
     pub volt_scale: f64,
 }
 
+impl Default for OppLevel {
+    fn default() -> Self {
+        OppLevel::nominal()
+    }
+}
+
 impl OppLevel {
     /// Nominal operating point: full frequency, nominal voltage.
     #[must_use]
@@ -103,53 +110,15 @@ impl OppLevel {
 }
 
 /// A discrete DVFS ladder, level 0 = nominal, deeper levels slower/cooler.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OppLadder {
-    levels: [OppLevel; MAX_OPPS],
-    len: usize,
-}
+pub type OppLadder = InlineList<OppLevel, MAX_OPPS>;
 
 impl OppLadder {
-    /// Builds a ladder from `levels` (level 0 first).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if more than [`MAX_OPPS`] levels are given.
-    pub fn from_levels(levels: &[OppLevel]) -> Result<Self, String> {
-        if levels.len() > MAX_OPPS {
-            return Err(format!(
-                "OPP ladder holds at most {MAX_OPPS} levels, got {}",
-                levels.len()
-            ));
-        }
-        let mut ladder = OppLadder { levels: [OppLevel::nominal(); MAX_OPPS], len: levels.len() };
-        ladder.levels[..levels.len()].copy_from_slice(levels);
-        Ok(ladder)
-    }
-
-    /// The active levels, nominal first.
-    #[must_use]
-    pub fn levels(&self) -> &[OppLevel] {
-        &self.levels[..self.len]
-    }
-
-    /// Number of levels.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the ladder has no levels (invalid; see [`validate`](Self::validate)).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The operating point at `level`, clamped to the deepest level so a
     /// snapshot restored into a shorter ladder stays well-defined.
     #[must_use]
     pub fn level(&self, level: usize) -> OppLevel {
-        self.levels[level.min(self.len.saturating_sub(1))]
+        let levels = self.as_slice();
+        levels.get(level).or(levels.last()).copied().unwrap_or_default()
     }
 
     /// Validates the ladder: non-empty, level 0 nominal, every duty valid,
@@ -159,21 +128,21 @@ impl OppLadder {
     ///
     /// Returns a description of the first problem found.
     pub fn validate(&self) -> Result<(), String> {
-        if self.len == 0 {
+        let Some(first) = self.as_slice().first() else {
             return Err("OPP ladder must contain at least one level".into());
-        }
-        if self.levels[0] != OppLevel::nominal() {
+        };
+        if *first != OppLevel::nominal() {
             return Err(
                 "OPP ladder level 0 must be the nominal point (full duty, volt_scale 1)".into()
             );
         }
-        for (i, l) in self.levels().iter().enumerate() {
+        for (i, l) in self.as_slice().iter().enumerate() {
             l.duty.validate().map_err(|e| format!("OPP level {i}: {e}"))?;
             if !(l.volt_scale > 0.0 && l.volt_scale <= 1.0) {
                 return Err(format!("OPP level {i}: volt_scale must be in (0, 1]"));
             }
         }
-        for (i, w) in self.levels().windows(2).enumerate() {
+        for (i, w) in self.as_slice().windows(2).enumerate() {
             if w[1].duty.fraction() > w[0].duty.fraction() || w[1].volt_scale > w[0].volt_scale {
                 return Err(format!(
                     "OPP ladder must slow down monotonically (level {} regresses)",
@@ -185,78 +154,16 @@ impl OppLadder {
     }
 }
 
-impl Serialize for OppLadder {
-    fn serialize(&self) -> Value {
-        Value::Array(self.levels().iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<'de> Deserialize<'de> for OppLadder {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let items = value.as_array()?;
-        if items.len() > MAX_OPPS {
-            return Err(Error::custom(format!(
-                "OPP ladder holds at most {MAX_OPPS} levels, got {}",
-                items.len()
-            )));
-        }
-        let mut levels = [OppLevel::nominal(); MAX_OPPS];
-        for (slot, item) in levels.iter_mut().zip(items) {
-            *slot = OppLevel::deserialize(item)?;
-        }
-        Ok(OppLadder { levels, len: items.len() })
-    }
-}
-
 /// A discrete duty-cycle ladder for fetch gating / clock throttling,
 /// level 0 = ungated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DutyLadder {
-    levels: [DutyCycle; MAX_GATE_LEVELS],
-    len: usize,
-}
+pub type DutyLadder = InlineList<DutyCycle, MAX_GATE_LEVELS>;
 
 impl DutyLadder {
-    /// Builds a ladder from `levels` (ungated first).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if more than [`MAX_GATE_LEVELS`] levels are given.
-    pub fn from_levels(levels: &[DutyCycle]) -> Result<Self, String> {
-        if levels.len() > MAX_GATE_LEVELS {
-            return Err(format!(
-                "duty ladder holds at most {MAX_GATE_LEVELS} levels, got {}",
-                levels.len()
-            ));
-        }
-        let mut ladder =
-            DutyLadder { levels: [DutyCycle::full(); MAX_GATE_LEVELS], len: levels.len() };
-        ladder.levels[..levels.len()].copy_from_slice(levels);
-        Ok(ladder)
-    }
-
-    /// The active levels, ungated first.
-    #[must_use]
-    pub fn levels(&self) -> &[DutyCycle] {
-        &self.levels[..self.len]
-    }
-
-    /// Number of levels.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the ladder has no levels (invalid; see [`validate`](Self::validate)).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The duty at `level`, clamped to the deepest level.
     #[must_use]
     pub fn level(&self, level: usize) -> DutyCycle {
-        self.levels[level.min(self.len.saturating_sub(1))]
+        let levels = self.as_slice();
+        levels.get(level).or(levels.last()).copied().unwrap_or_default()
     }
 
     /// Validates the ladder: non-empty, level 0 ungated, every duty valid,
@@ -266,16 +173,16 @@ impl DutyLadder {
     ///
     /// Returns a description of the first problem found.
     pub fn validate(&self) -> Result<(), String> {
-        if self.len == 0 {
+        let Some(first) = self.as_slice().first() else {
             return Err("duty ladder must contain at least one level".into());
-        }
-        if self.levels[0] != DutyCycle::full() {
+        };
+        if *first != DutyCycle::full() {
             return Err("duty ladder level 0 must be the ungated duty".into());
         }
-        for (i, d) in self.levels().iter().enumerate() {
+        for (i, d) in self.as_slice().iter().enumerate() {
             d.validate().map_err(|e| format!("duty level {i}: {e}"))?;
         }
-        for (i, w) in self.levels().windows(2).enumerate() {
+        for (i, w) in self.as_slice().windows(2).enumerate() {
             if w[1].fraction() > w[0].fraction() {
                 return Err(format!(
                     "duty ladder must gate harder monotonically (level {} regresses)",
@@ -287,35 +194,12 @@ impl DutyLadder {
     }
 }
 
-impl Serialize for DutyLadder {
-    fn serialize(&self) -> Value {
-        Value::Array(self.levels().iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<'de> Deserialize<'de> for DutyLadder {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let items = value.as_array()?;
-        if items.len() > MAX_GATE_LEVELS {
-            return Err(Error::custom(format!(
-                "duty ladder holds at most {MAX_GATE_LEVELS} levels, got {}",
-                items.len()
-            )));
-        }
-        let mut levels = [DutyCycle::full(); MAX_GATE_LEVELS];
-        for (slot, item) in levels.iter_mut().zip(items) {
-            *slot = DutyCycle::deserialize(item)?;
-        }
-        Ok(DutyLadder { levels, len: items.len() })
-    }
-}
-
 /// The trip table the global ladders react to: step down when the Passive
 /// point trips, freeze when the Critical point trips (same backstop
 /// temperature as the spatial techniques, so peak temperature is equalized
 /// across the ablation).
 fn ladder_trips(th: &Thresholds) -> TripTable {
-    TripTable::from_points(&[
+    TripTable::new(&[
         TripPoint::new(
             TripSeverity::Passive,
             th.max_temp - th.toggle_proximity,
@@ -342,7 +226,7 @@ impl DvfsParams {
     /// The default ladder and trips for the given thresholds.
     #[must_use]
     pub fn for_thresholds(th: &Thresholds) -> Self {
-        let ladder = OppLadder::from_levels(&[
+        let ladder = OppLadder::new(&[
             OppLevel::nominal(),
             OppLevel { duty: DutyCycle::new(7, 8), volt_scale: 0.95 },
             OppLevel { duty: DutyCycle::new(3, 4), volt_scale: 0.9 },
@@ -379,7 +263,7 @@ impl GateParams {
     /// The default ladder and trips for the given thresholds.
     #[must_use]
     pub fn for_thresholds(th: &Thresholds) -> Self {
-        let ladder = DutyLadder::from_levels(&[
+        let ladder = DutyLadder::new(&[
             DutyCycle::full(),
             DutyCycle::new(3, 4),
             DutyCycle::new(1, 2),
@@ -682,17 +566,21 @@ mod tests {
 
     #[test]
     fn ladder_validation_rejects_degenerate_ladders() {
-        // Empty ladders.
-        assert!(OppLadder::from_levels(&[]).expect("fits").validate().is_err());
-        assert!(DutyLadder::from_levels(&[]).expect("fits").validate().is_err());
+        // Empty ladders: refused, yet a lookup into one stays defined.
+        let empty = OppLadder::new(&[]).expect("fits");
+        assert!(empty.validate().is_err());
+        assert_eq!(empty.level(2), OppLevel::nominal());
+        let empty = DutyLadder::new(&[]).expect("fits");
+        assert!(empty.validate().is_err());
+        assert_eq!(empty.level(2), DutyCycle::full());
         // Level 0 must be nominal / ungated.
-        let l = OppLadder::from_levels(&[OppLevel { duty: DutyCycle::new(1, 2), volt_scale: 1.0 }])
+        let l = OppLadder::new(&[OppLevel { duty: DutyCycle::new(1, 2), volt_scale: 1.0 }])
             .expect("fits");
         assert!(l.validate().is_err());
-        let d = DutyLadder::from_levels(&[DutyCycle::new(1, 2)]).expect("fits");
+        let d = DutyLadder::new(&[DutyCycle::new(1, 2)]).expect("fits");
         assert!(d.validate().is_err());
         // Speeding back up deeper in the ladder is rejected.
-        let l = OppLadder::from_levels(&[
+        let l = OppLadder::new(&[
             OppLevel::nominal(),
             OppLevel { duty: DutyCycle::new(1, 2), volt_scale: 0.8 },
             OppLevel { duty: DutyCycle::new(3, 4), volt_scale: 0.8 },
@@ -708,13 +596,13 @@ mod tests {
         // MitigationConfig::validate.
         let mut cfg = MitigationConfig::dvfs();
         if let GlobalPolicy::Dvfs(ref mut p) = cfg.global {
-            p.trips = TripTable::from_points(&[TripPoint::new(TripSeverity::Hot, 356.0, 356.0)])
-                .expect("fits");
+            p.trips =
+                TripTable::new(&[TripPoint::new(TripSeverity::Hot, 356.0, 356.0)]).expect("fits");
         }
         assert!(cfg.validate().is_err());
         let mut cfg = MitigationConfig::fetch_gating();
         if let GlobalPolicy::FetchGate(ref mut p) = cfg.global {
-            p.trips = TripTable::from_points(&[]).expect("fits");
+            p.trips = TripTable::new(&[]).expect("fits");
         }
         assert!(cfg.validate().is_err(), "empty trip table must be rejected");
         MitigationConfig::spatial_all().validate().expect("spatial presets stay valid");

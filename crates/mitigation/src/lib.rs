@@ -53,6 +53,7 @@
 
 pub mod actuators;
 mod config;
+mod list;
 mod manager;
 mod policy;
 mod sensors;
@@ -63,6 +64,7 @@ pub use config::{
     DutyLadder, DvfsParams, GateParams, GlobalPolicy, MitigationConfig, OppLadder, OppLevel,
     Thresholds, MAX_GATE_LEVELS, MAX_OPPS,
 };
+pub use list::InlineList;
 pub use manager::{ManagerState, MitigationStats, ThermalManager, RF_GUARD};
 pub use policy::PolicyState;
 pub use sensors::Sensors;

@@ -172,7 +172,7 @@ fn decide_techniques(
             }
             let active = usize::from(moves[1] > moves[0]);
             let quiet = 1 - active;
-            let passive = q[active].trips.points()[0];
+            let passive = q[active].trips.as_slice()[0];
             if q[active].temp(temps) >= passive.temp
                 && q[active].temp(temps) - q[quiet].temp(temps) > th.toggle_delta
             {
@@ -198,7 +198,7 @@ fn decide_techniques(
             } else {
                 (UnitKind::FpMul, 0, &zones.fp_mul, &mut mul_enabled)
             };
-            let hot = zone.trips.points()[0];
+            let hot = zone.trips.as_slice()[0];
             let t = zone.temp(temps);
             if *enabled {
                 if t >= hot.temp {
@@ -215,7 +215,7 @@ fn decide_techniques(
     // Register-file copy turnoff per the configured staleness solution.
     if cfg.rf_turnoff {
         for (copy, zone) in zones.int_reg.iter().enumerate() {
-            let hot = zone.trips.points()[0];
+            let hot = zone.trips.as_slice()[0];
             let t = zone.temp(temps);
             if pred.rf[copy] {
                 if t >= hot.temp {
@@ -284,7 +284,7 @@ fn reenable_cooled(
     core: &Core,
     out: &mut Vec<Actuation>,
 ) {
-    let cooled = |z: &ThermalZone| z.temp(temps) <= z.trips.points()[0].clear_temp;
+    let cooled = |z: &ThermalZone| z.temp(temps) <= z.trips.as_slice()[0].clear_temp;
     if cfg.alu_turnoff {
         for (i, z) in zones.int_alus.iter().enumerate() {
             if !core.unit_enabled(UnitKind::IntAlu, i) && cooled(z) {

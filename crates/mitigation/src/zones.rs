@@ -21,12 +21,10 @@
 //!   ladders; these are user-configurable and validated (see
 //!   [`TripTable::validate`]).
 
-use crate::{MitigationConfig, Sensors, Thresholds};
-use serde::json::{Error, Value};
+use crate::{InlineList, MitigationConfig, Sensors, Thresholds};
 use serde::{Deserialize, Serialize};
 
-/// Maximum trip points per table (bounded inline storage keeps the config
-/// `Copy` and the per-sample path allocation-free, per DESIGN.md §9).
+/// Maximum trip points per table.
 pub const MAX_TRIPS: usize = 4;
 
 /// How urgent a tripped point is.
@@ -81,47 +79,17 @@ impl TripPoint {
     }
 }
 
-const FILL: TripPoint = TripPoint::new(TripSeverity::Passive, 0.0, -1.0);
-
-/// An ordered trip-point table (ascending trip temperatures).
-///
-/// Storage is a bounded inline array so tables stay `Copy` and zone
-/// construction never allocates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TripTable {
-    points: [TripPoint; MAX_TRIPS],
-    len: usize,
+impl Default for TripPoint {
+    /// An inert point (tripping at 0 K) filling a table's unused slots.
+    fn default() -> Self {
+        TripPoint::new(TripSeverity::Passive, 0.0, -1.0)
+    }
 }
 
+/// An ordered trip-point table (ascending trip temperatures).
+pub type TripTable = InlineList<TripPoint, MAX_TRIPS>;
+
 impl TripTable {
-    /// Builds a table from `points` (in ascending trip-temperature order).
-    ///
-    /// Only the capacity bound is checked here; semantic validity (ordering,
-    /// hysteresis direction, non-emptiness) is checked by
-    /// [`validate`](Self::validate) so that deserialized configs surface
-    /// their problems through the normal config-validation path.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if more than [`MAX_TRIPS`] points are given.
-    pub fn from_points(points: &[TripPoint]) -> Result<Self, String> {
-        if points.len() > MAX_TRIPS {
-            return Err(format!(
-                "trip table holds at most {MAX_TRIPS} points, got {}",
-                points.len()
-            ));
-        }
-        let mut table = TripTable { points: [FILL; MAX_TRIPS], len: points.len() };
-        table.points[..points.len()].copy_from_slice(points);
-        Ok(table)
-    }
-
-    /// The active trip points, in ascending trip-temperature order.
-    #[must_use]
-    pub fn points(&self) -> &[TripPoint] {
-        &self.points[..self.len]
-    }
-
     /// Validates the table: non-empty, every point valid, temperatures
     /// non-decreasing.
     ///
@@ -129,13 +97,13 @@ impl TripTable {
     ///
     /// Returns a description of the first problem found.
     pub fn validate(&self) -> Result<(), String> {
-        if self.len == 0 {
+        if self.is_empty() {
             return Err("trip table must contain at least one point".into());
         }
-        for p in self.points() {
+        for p in self.as_slice() {
             p.validate()?;
         }
-        for w in self.points().windows(2) {
+        for w in self.as_slice().windows(2) {
             if w[1].temp < w[0].temp {
                 return Err(format!(
                     "trip points out of order: {} K before {} K",
@@ -149,46 +117,23 @@ impl TripTable {
     /// The highest-temperature point tripped by `temp`, if any.
     #[must_use]
     pub fn highest_tripped(&self, temp: f64) -> Option<&TripPoint> {
-        self.points().iter().rev().find(|p| temp >= p.temp)
+        self.as_slice().iter().rev().find(|p| temp >= p.temp)
     }
 
     /// Whether a point of the given severity is tripped by `temp`.
     #[must_use]
     pub fn tripped(&self, severity: TripSeverity, temp: f64) -> bool {
-        self.points().iter().any(|p| p.severity == severity && temp >= p.temp)
+        self.as_slice().iter().any(|p| p.severity == severity && temp >= p.temp)
     }
 
     /// Whether `temp` is at or below every non-critical point's clear
     /// temperature (the ladder may relax).
     #[must_use]
     pub fn all_clear(&self, temp: f64) -> bool {
-        self.points()
+        self.as_slice()
             .iter()
             .filter(|p| p.severity != TripSeverity::Critical)
             .all(|p| temp <= p.clear_temp)
-    }
-}
-
-impl Serialize for TripTable {
-    fn serialize(&self) -> Value {
-        Value::Array(self.points().iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<'de> Deserialize<'de> for TripTable {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let items = value.as_array()?;
-        if items.len() > MAX_TRIPS {
-            return Err(Error::custom(format!(
-                "trip table holds at most {MAX_TRIPS} points, got {}",
-                items.len()
-            )));
-        }
-        let mut points = [FILL; MAX_TRIPS];
-        for (slot, item) in points.iter_mut().zip(items) {
-            *slot = TripPoint::deserialize(item)?;
-        }
-        Ok(TripTable { points, len: items.len() })
     }
 }
 
@@ -283,7 +228,7 @@ impl Zones {
 /// (Passive); an overheated half cannot be turned off, so the critical
 /// point is the freeze trigger.
 fn iq_trips(th: &Thresholds) -> TripTable {
-    TripTable::from_points(&[
+    TripTable::new(&[
         TripPoint::new(
             TripSeverity::Passive,
             th.max_temp - th.toggle_proximity,
@@ -298,7 +243,7 @@ fn iq_trips(th: &Thresholds) -> TripTable {
 /// hysteresis margin; the limit is also the freeze trigger when turnoff is
 /// not enabled.
 fn unit_trips(th: &Thresholds) -> TripTable {
-    TripTable::from_points(&[
+    TripTable::new(&[
         TripPoint::new(TripSeverity::Hot, th.max_temp, th.max_temp - th.reenable_margin),
         TripPoint::new(TripSeverity::Critical, th.max_temp, th.max_temp - th.reenable_margin),
     ])
@@ -308,7 +253,7 @@ fn unit_trips(th: &Thresholds) -> TripTable {
 /// Register-file copy table: shutdown sits `guard` kelvin below critical
 /// (the staleness solution 1 write-through band).
 fn rf_trips(th: &Thresholds, guard: f64) -> TripTable {
-    TripTable::from_points(&[
+    TripTable::new(&[
         TripPoint::new(TripSeverity::Hot, th.max_temp - guard, th.max_temp - th.reenable_margin),
         TripPoint::new(TripSeverity::Critical, th.max_temp, th.max_temp - th.reenable_margin),
     ])
@@ -321,7 +266,7 @@ mod tests {
     use powerbalance_thermal::ev6;
 
     fn table(points: &[TripPoint]) -> TripTable {
-        TripTable::from_points(points).expect("fits")
+        TripTable::new(points).expect("fits")
     }
 
     #[test]
@@ -362,7 +307,7 @@ mod tests {
     #[test]
     fn too_many_points_rejected_at_construction() {
         let p = TripPoint::new(TripSeverity::Passive, 350.0, 349.0);
-        assert!(TripTable::from_points(&[p; MAX_TRIPS + 1]).is_err());
+        assert!(TripTable::new(&[p; MAX_TRIPS + 1]).is_err());
     }
 
     #[test]
@@ -402,19 +347,19 @@ mod tests {
 
         // Bit-exact equality with the expressions the manager historically
         // inlined — the spatial policy's comparisons depend on this.
-        let passive = zones.int_q[0].trips.points()[0];
+        let passive = zones.int_q[0].trips.as_slice()[0];
         assert_eq!(passive.temp.to_bits(), (th.max_temp - th.toggle_proximity).to_bits());
-        let unit_hot = zones.int_alus[3].trips.points()[0];
+        let unit_hot = zones.int_alus[3].trips.as_slice()[0];
         assert_eq!(unit_hot.temp.to_bits(), th.max_temp.to_bits());
         assert_eq!(unit_hot.clear_temp.to_bits(), (th.max_temp - th.reenable_margin).to_bits());
-        let rf_hot = zones.int_reg[0].trips.points()[0];
+        let rf_hot = zones.int_reg[0].trips.as_slice()[0];
         assert_eq!(rf_hot.temp.to_bits(), (th.max_temp - crate::RF_GUARD).to_bits());
 
         // Solution 2 removes the guard band.
         let mut stale = cfg;
         stale.rf_stale_copy = true;
         let zones2 = Zones::new(&sensors, &stale);
-        let rf_hot2 = zones2.int_reg[0].trips.points()[0];
+        let rf_hot2 = zones2.int_reg[0].trips.as_slice()[0];
         assert_eq!(rf_hot2.temp.to_bits(), th.max_temp.to_bits());
     }
 

@@ -1,9 +1,10 @@
 //! Thermal-aware schedulers for the multi-core simulator.
 //!
-//! A [`Scheduler`] places pending workload segments onto cores using
+//! A [`SchedulerKind`] places pending workload segments onto cores using
 //! nothing but a per-core [`CoreView`] (current hottest-block temperature
-//! and whether the core is free). Three policies ship, spanning the
-//! design space the related work stakes out:
+//! and whether the core is free) and one state word
+//! ([`SchedulerKind::select`]). Three policies ship, spanning the design
+//! space the related work stakes out:
 //!
 //! * [`SchedulerKind::RoundRobin`] — thermally blind rotation. The
 //!   baseline every thermal-aware policy is measured against, and the
@@ -20,16 +21,13 @@
 //!   `(θ + h_max)/2` — a closed-form bound the test suite pins.
 //!
 //! The crate is deliberately free of simulator dependencies: policies
-//! see only `&[CoreView]`, and the typed [`Task`] queue is generic over
-//! its payload (the simulator threads its trace sources through it).
-//! That is what lets `tests/oracle_bounds.rs` drive the *same* policy
-//! implementations with the abstract Chrobak recurrence and compare
-//! against analytic fixed points.
+//! see only `&[CoreView]`, and a [`Task`] is generic over its payload
+//! (the simulator threads its trace sources through it). That is what
+//! lets `tests/oracle_bounds.rs` drive the *same* placement rule with the
+//! abstract Chrobak recurrence and compare against analytic fixed points.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::collections::VecDeque;
 
 /// Scheduler selector vocabulary: config files, CLI `--scheduler`, and
 /// the fuzzer draw from this list.
@@ -66,15 +64,30 @@ impl SchedulerKind {
         Self::ALL.into_iter().find(|k| k.name() == name)
     }
 
-    /// Instantiates the policy. `threshold` is the admission temperature
-    /// θ (kelvin in the simulator, model units in the abstract tests);
-    /// only [`SchedulerKind::Threshold`] reads it.
-    #[must_use]
-    pub fn build(self, threshold: f64) -> Box<dyn Scheduler + Send> {
+    /// Picks a core for the next pending segment, or `None` to defer it.
+    /// Deferral blocks the queue head — segments are dispatched in FIFO
+    /// order, never reordered around a deferred one.
+    ///
+    /// The rule is a pure function of its arguments, so the multi-core
+    /// engine stays reproducible (and the fuzzer's replay exact).
+    /// `theta` is the admission temperature θ (kelvin in the simulator,
+    /// model units in the abstract tests); only
+    /// [`SchedulerKind::Threshold`] reads it. `word` is the policy's whole
+    /// state, which the engine snapshots: RoundRobin keeps the next core
+    /// of its rotation there, and the other kinds leave it alone.
+    pub fn select(self, theta: f64, word: &mut u64, cores: &[CoreView]) -> Option<usize> {
         match self {
-            SchedulerKind::RoundRobin => Box::new(RoundRobin::new()),
-            SchedulerKind::CoolestFirst => Box::new(CoolestFirst),
-            SchedulerKind::Threshold => Box::new(Threshold::new(threshold)),
+            SchedulerKind::RoundRobin => {
+                // The word comes back from snapshots: reduce it before
+                // adding, so no restored value can overflow.
+                let n = cores.len() as u64;
+                let c =
+                    (0..n).map(|off| (*word % n + off) % n).find(|&c| cores[c as usize].free)?;
+                *word = (c + 1) % n;
+                Some(c as usize)
+            }
+            SchedulerKind::CoolestFirst => coolest_free(cores, f64::INFINITY),
+            SchedulerKind::Threshold => coolest_free(cores, theta),
         }
     }
 }
@@ -89,114 +102,6 @@ pub struct CoreView {
     /// `true` when the core has no running segment (and no pending
     /// migration stall) and can accept work.
     pub free: bool,
-}
-
-/// A placement policy. Implementations must be deterministic functions
-/// of their own state and the observed [`CoreView`]s — the multi-core
-/// engine's reproducibility (and the fuzzer's replay) depends on it.
-pub trait Scheduler: std::fmt::Debug {
-    /// Which policy this is (round-trips through [`SchedulerKind`]).
-    fn kind(&self) -> SchedulerKind;
-
-    /// Picks a core for the next pending segment, or `None` to defer it.
-    /// Deferral blocks the queue head — segments are dispatched in FIFO
-    /// order, never reordered around a deferred one.
-    fn select(&mut self, cores: &[CoreView]) -> Option<usize>;
-
-    /// Opaque state word for snapshotting (rotation pointers and the
-    /// like). Stateless policies return 0.
-    fn state_word(&self) -> u64 {
-        0
-    }
-
-    /// Restores [`state_word`](Self::state_word).
-    fn restore_word(&mut self, _word: u64) {}
-}
-
-/// Thermally blind rotation: cores take turns in index order.
-#[derive(Debug, Clone, Default)]
-pub struct RoundRobin {
-    next: usize,
-}
-
-impl RoundRobin {
-    /// A rotation starting at core 0.
-    #[must_use]
-    pub fn new() -> Self {
-        RoundRobin::default()
-    }
-}
-
-impl Scheduler for RoundRobin {
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::RoundRobin
-    }
-
-    fn select(&mut self, cores: &[CoreView]) -> Option<usize> {
-        let n = cores.len();
-        for off in 0..n {
-            let c = (self.next + off) % n;
-            if cores[c].free {
-                self.next = (c + 1) % n;
-                return Some(c);
-            }
-        }
-        None
-    }
-
-    fn state_word(&self) -> u64 {
-        self.next as u64
-    }
-
-    fn restore_word(&mut self, word: u64) {
-        self.next = word as usize;
-    }
-}
-
-/// Hung-style allocation: the coolest free core wins (ties go to the
-/// lowest index, keeping the policy deterministic).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CoolestFirst;
-
-impl Scheduler for CoolestFirst {
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::CoolestFirst
-    }
-
-    fn select(&mut self, cores: &[CoreView]) -> Option<usize> {
-        coolest_free(cores, f64::INFINITY)
-    }
-}
-
-/// Chrobak-style admission: coolest-first, but never start a segment on
-/// a core at or above θ — defer and let it cool instead.
-#[derive(Debug, Clone, Copy)]
-pub struct Threshold {
-    theta: f64,
-}
-
-impl Threshold {
-    /// A policy admitting work only on cores strictly cooler than `theta`.
-    #[must_use]
-    pub fn new(theta: f64) -> Self {
-        Threshold { theta }
-    }
-
-    /// The admission threshold θ.
-    #[must_use]
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-}
-
-impl Scheduler for Threshold {
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::Threshold
-    }
-
-    fn select(&mut self, cores: &[CoreView]) -> Option<usize> {
-        coolest_free(cores, self.theta)
-    }
 }
 
 /// Index of the coolest free core strictly below `limit`, ties to the
@@ -251,57 +156,6 @@ impl<P> Task<P> {
     }
 }
 
-/// FIFO queue of pending segments. Dispatch order is queue order; a
-/// deferred head blocks the queue (no overtaking), which is what makes
-/// the threshold policy's deferral observable rather than silently
-/// reordered away.
-#[derive(Debug, Default)]
-pub struct TaskQueue<P> {
-    tasks: VecDeque<Task<P>>,
-}
-
-impl<P> TaskQueue<P> {
-    /// An empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        TaskQueue { tasks: VecDeque::new() }
-    }
-
-    /// Appends a segment at the back.
-    pub fn push(&mut self, task: Task<P>) {
-        self.tasks.push_back(task);
-    }
-
-    /// The segment that would dispatch next, if any.
-    #[must_use]
-    pub fn peek(&self) -> Option<&Task<P>> {
-        self.tasks.front()
-    }
-
-    /// Removes and returns the head segment.
-    pub fn pop(&mut self) -> Option<Task<P>> {
-        self.tasks.pop_front()
-    }
-
-    /// Number of pending segments.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// `true` when no segments are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-}
-
-impl<P> FromIterator<Task<P>> for TaskQueue<P> {
-    fn from_iter<I: IntoIterator<Item = Task<P>>>(iter: I) -> Self {
-        TaskQueue { tasks: iter.into_iter().collect() }
-    }
-}
-
 /// Default migration penalty: cycles the destination core spends
 /// fetch-stalled (quiesced at idle power) before a migrated job's
 /// segment starts, modeling pipeline drain plus a cold front-end.
@@ -319,61 +173,64 @@ mod tests {
     fn kinds_round_trip_names() {
         for kind in SchedulerKind::ALL {
             assert_eq!(SchedulerKind::from_name(kind.name()), Some(kind));
-            assert_eq!(kind.build(350.0).kind(), kind);
         }
         assert_eq!(SchedulerKind::from_name("fifo"), None);
     }
 
     #[test]
     fn round_robin_rotates_and_skips_busy() {
-        let mut rr = RoundRobin::new();
+        let rr = |word: &mut u64, cores: &[CoreView]| {
+            SchedulerKind::RoundRobin.select(350.0, word, cores)
+        };
+        let mut word = 0;
         let free = views(&[0.0; 3], &[true, true, true]);
-        assert_eq!(rr.select(&free), Some(0));
-        assert_eq!(rr.select(&free), Some(1));
-        assert_eq!(rr.select(&free), Some(2));
-        assert_eq!(rr.select(&free), Some(0));
+        assert_eq!(rr(&mut word, &free), Some(0));
+        assert_eq!(rr(&mut word, &free), Some(1));
+        assert_eq!(rr(&mut word, &free), Some(2));
+        assert_eq!(rr(&mut word, &free), Some(0));
         let busy1 = views(&[0.0; 3], &[false, false, true]);
-        assert_eq!(rr.select(&busy1), Some(2));
-        assert_eq!(rr.select(&views(&[0.0; 3], &[false, false, false])), None);
+        assert_eq!(rr(&mut word, &busy1), Some(2));
+        assert_eq!(rr(&mut word, &views(&[0.0; 3], &[false, false, false])), None);
     }
 
     #[test]
     fn round_robin_state_word_round_trips() {
-        let mut rr = RoundRobin::new();
+        let rr = SchedulerKind::RoundRobin;
         let free = views(&[0.0; 4], &[true; 4]);
-        rr.select(&free);
-        rr.select(&free);
-        let word = rr.state_word();
-        let mut copy = RoundRobin::new();
-        copy.restore_word(word);
-        assert_eq!(copy.select(&free), rr.select(&free));
+        let mut word = 0;
+        rr.select(0.0, &mut word, &free);
+        rr.select(0.0, &mut word, &free);
+        assert_eq!(word, 2, "the word is the next core of the rotation");
+        let mut copy = word;
+        assert_eq!(rr.select(0.0, &mut copy, &free), rr.select(0.0, &mut word, &free));
+        assert_eq!(copy, word);
+        // The stateless kinds leave the word alone.
+        for kind in [SchedulerKind::CoolestFirst, SchedulerKind::Threshold] {
+            kind.select(1.0, &mut word, &free);
+            assert_eq!(word, copy, "{kind:?}");
+        }
+        // A word restored from a damaged snapshot still names a core.
+        let mut word = u64::MAX;
+        assert_eq!(rr.select(0.0, &mut word, &free), Some(3), "u64::MAX % 4");
+        assert_eq!(word, 0);
     }
 
     #[test]
     fn coolest_first_picks_min_temp_ties_to_lowest_index() {
-        let mut cf = CoolestFirst;
-        assert_eq!(cf.select(&views(&[5.0, 3.0, 4.0], &[true; 3])), Some(1));
-        assert_eq!(cf.select(&views(&[5.0, 3.0, 3.0], &[true; 3])), Some(1));
-        assert_eq!(cf.select(&views(&[5.0, 3.0, 4.0], &[true, false, true])), Some(2));
-        assert_eq!(cf.select(&views(&[5.0], &[false])), None);
+        let mut word = 0;
+        let mut cf = |cores: &[CoreView]| SchedulerKind::CoolestFirst.select(0.0, &mut word, cores);
+        assert_eq!(cf(&views(&[5.0, 3.0, 4.0], &[true; 3])), Some(1));
+        assert_eq!(cf(&views(&[5.0, 3.0, 3.0], &[true; 3])), Some(1));
+        assert_eq!(cf(&views(&[5.0, 3.0, 4.0], &[true, false, true])), Some(2));
+        assert_eq!(cf(&views(&[5.0], &[false])), None);
     }
 
     #[test]
     fn threshold_defers_above_theta() {
-        let mut th = Threshold::new(4.0);
-        assert_eq!(th.select(&views(&[5.0, 3.0], &[true; 2])), Some(1));
-        assert_eq!(th.select(&views(&[5.0, 4.0], &[true; 2])), None, "at θ is refused");
-        assert_eq!(th.select(&views(&[3.9, 3.5], &[true, false])), Some(0));
-    }
-
-    #[test]
-    fn task_queue_is_fifo() {
-        let mut q: TaskQueue<&str> =
-            [Task::unbounded(0, "a"), Task::ops(1, 10, "b")].into_iter().collect();
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek().map(|t| t.job), Some(0));
-        assert_eq!(q.pop().map(|t| t.payload), Some("a"));
-        assert_eq!(q.pop().map(|t| t.payload), Some("b"));
-        assert!(q.is_empty());
+        let mut word = 0;
+        let mut th = |cores: &[CoreView]| SchedulerKind::Threshold.select(4.0, &mut word, cores);
+        assert_eq!(th(&views(&[5.0, 3.0], &[true; 2])), Some(1));
+        assert_eq!(th(&views(&[5.0, 4.0], &[true; 2])), None, "at θ is refused");
+        assert_eq!(th(&views(&[3.9, 3.5], &[true, false])), Some(0));
     }
 }

@@ -1,9 +1,9 @@
 //! Scheduler-oracle bound tests.
 //!
-//! These drive the *real* policy implementations with the abstract
-//! cooling model of Chrobak et al. (temperature-aware scheduling with
-//! provable bounds): unit-length jobs, one arrival per step, and the
-//! recurrence
+//! These drive the *real* placement rule ([`SchedulerKind::select`]) with
+//! the abstract cooling model of Chrobak et al. (temperature-aware
+//! scheduling with provable bounds): unit-length jobs, one arrival per
+//! step, and the recurrence
 //!
 //! ```text
 //! T' = (T + h) / 2   while running a job of heat h,
@@ -31,7 +31,7 @@
 //! 0.575 ≤ B, while RoundRobin's 2/3 exceeds B — the adversarial case
 //! proving these assertions are falsifiable.
 
-use powerbalance_sched::{CoreView, Scheduler, SchedulerKind};
+use powerbalance_sched::{CoreView, SchedulerKind};
 use std::collections::VecDeque;
 
 const H: f64 = 1.0;
@@ -54,15 +54,16 @@ struct ModelRun {
     completed: usize,
 }
 
-/// Steps the Chrobak recurrence under `sched` for `steps` steps on
-/// `cores` cores. `arrival(step)` yields each step's job heat. Deferred
+/// Steps the Chrobak recurrence under `kind` (admission threshold
+/// [`THETA`]) for `steps` steps on `cores` cores. `arrival(step)` yields each step's job heat. Deferred
 /// jobs wait in a FIFO backlog; each core runs at most one job per step.
 fn run_model(
-    sched: &mut dyn Scheduler,
+    kind: SchedulerKind,
     cores: usize,
     steps: usize,
     arrival: impl Fn(usize) -> f64,
 ) -> ModelRun {
+    let mut word = 0;
     let mut temps = vec![0.0; cores];
     let mut backlog: VecDeque<f64> = VecDeque::new();
     let mut run = ModelRun { peak: 0.0, steady_peak: 0.0, max_backlog: 0, completed: 0 };
@@ -78,7 +79,7 @@ fn run_model(
                 .zip(&assigned)
                 .map(|(&temp, a)| CoreView { temp, free: a.is_none() })
                 .collect();
-            let Some(core) = sched.select(&views) else { break };
+            let Some(core) = kind.select(THETA, &mut word, &views) else { break };
             assert!(assigned[core].is_none(), "policy placed two jobs on core {core}");
             assigned[core] = Some(heat);
             backlog.pop_front();
@@ -113,8 +114,7 @@ fn alternating(step: usize) -> f64 {
 
 #[test]
 fn round_robin_violates_the_bound_on_the_adversarial_instance() {
-    let mut rr = SchedulerKind::RoundRobin.build(THETA);
-    let run = run_model(rr.as_mut(), 2, STEPS, alternating);
+    let run = run_model(SchedulerKind::RoundRobin, 2, STEPS, alternating);
     // Rotation parity locks onto arrival parity: core 0 eats every hot
     // job and converges on the closed-form peak 2H/3 — above the bound.
     let expected = 2.0 * H / 3.0;
@@ -134,8 +134,7 @@ fn round_robin_violates_the_bound_on_the_adversarial_instance() {
 
 #[test]
 fn coolest_first_respects_the_bound_with_closed_form_peak() {
-    let mut cf = SchedulerKind::CoolestFirst.build(THETA);
-    let run = run_model(cf.as_mut(), 2, STEPS, alternating);
+    let run = run_model(SchedulerKind::CoolestFirst, 2, STEPS, alternating);
     // Period-4 per-core pattern (H, idle, idle, C): T* = (H + 8C)/15,
     // running peak (T* + H)/2 = (8H + 4C)/15 = 0.56 for H=1, C=0.1.
     let expected = (8.0 * H + 4.0 * C) / 15.0;
@@ -150,8 +149,7 @@ fn coolest_first_respects_the_bound_with_closed_form_peak() {
 
 #[test]
 fn threshold_policy_respects_the_admission_bound() {
-    let mut th = SchedulerKind::Threshold.build(THETA);
-    let run = run_model(th.as_mut(), 2, STEPS, alternating);
+    let run = run_model(SchedulerKind::Threshold, 2, STEPS, alternating);
     // Admission below θ caps every running peak at (θ + h_max)/2 by
     // construction; θ = 0.15 gives 0.575 ≤ B = 0.6.
     let cap = (THETA + H) / 2.0;
@@ -174,8 +172,7 @@ fn threshold_policy_holds_the_cap_even_under_all_hot_load() {
     // 2H/3 — while the threshold policy defers instead and never exceeds
     // its admission cap. This is the separation that makes "threshold
     // respects the bound" a property of the policy, not of the load.
-    let mut cf = SchedulerKind::CoolestFirst.build(THETA);
-    let cf_run = run_model(cf.as_mut(), 2, STEPS, |_| H);
+    let cf_run = run_model(SchedulerKind::CoolestFirst, 2, STEPS, |_| H);
     let expected = 2.0 * H / 3.0;
     assert!(
         (cf_run.steady_peak - expected).abs() < EPS,
@@ -184,8 +181,7 @@ fn threshold_policy_holds_the_cap_even_under_all_hot_load() {
     );
     assert!(cf_run.steady_peak > BOUND);
 
-    let mut th = SchedulerKind::Threshold.build(THETA);
-    let th_run = run_model(th.as_mut(), 2, STEPS, |_| H);
+    let th_run = run_model(SchedulerKind::Threshold, 2, STEPS, |_| H);
     let cap = (THETA + H) / 2.0;
     assert!(
         th_run.peak <= cap + EPS,

@@ -182,12 +182,6 @@ pub fn alu_constrained() -> Floorplan {
     build(FloorplanKind::AluConstrained)
 }
 
-/// Floorplan with the integer register file as thermal bottleneck.
-#[must_use]
-pub fn regfile_constrained() -> Floorplan {
-    build(FloorplanKind::RegfileConstrained)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -121,11 +121,6 @@ impl ThermalModel {
             .expect("at least one block")
     }
 
-    /// Sets every node to `t` kelvin.
-    pub fn set_uniform(&mut self, t: f64) {
-        self.temps.fill(t);
-    }
-
     /// Temperatures of **all** RC nodes, including the internal package
     /// nodes behind the floorplan blocks.
     ///

@@ -269,12 +269,6 @@ impl RegFileWiring {
         self.mapping
     }
 
-    /// Replaces the mapping policy (the paper compares policies on
-    /// otherwise-identical hardware).
-    pub fn set_mapping(&mut self, mapping: MappingPolicy) {
-        self.mapping = mapping;
-    }
-
     /// Number of register-file copies.
     #[must_use]
     pub fn copies(&self) -> usize {

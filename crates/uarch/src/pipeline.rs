@@ -476,59 +476,6 @@ impl Core {
         &self.wiring
     }
 
-    /// Number of ready (issuable) entries in the integer queue right now.
-    #[must_use]
-    pub fn int_ready_count(&self) -> usize {
-        self.int_iq.ready_positions().count()
-    }
-
-    /// Current integer issue-queue occupancy (valid + pending-invalid).
-    #[must_use]
-    pub fn int_iq_occupancy(&self) -> usize {
-        self.int_iq.occupancy()
-    }
-
-    /// Instructions currently executing in functional units.
-    #[must_use]
-    pub fn in_flight_count(&self) -> usize {
-        self.in_flight.len()
-    }
-
-    /// Active-list occupancy.
-    #[must_use]
-    pub fn rob_occupancy(&self) -> usize {
-        self.rob.len()
-    }
-
-    /// Fetch-queue occupancy.
-    #[must_use]
-    pub fn fetch_queue_len(&self) -> usize {
-        self.fetch_queue.len()
-    }
-
-    /// Diagnostic snapshot of the integer issue queue's occupied entries:
-    /// `(physical_position, rob_id, state, src1_tag, src2_tag, producer
-    /// states)`.
-    #[must_use]
-    pub fn debug_int_iq(&self) -> Vec<String> {
-        self.int_iq
-            .entries()
-            .map(|(p, e)| {
-                let tag_state = |tag: Option<u32>| match tag {
-                    None => "rdy".to_string(),
-                    Some(t) => format!("{t}:{:?}", self.rob.entry(t).state),
-                };
-                format!(
-                    "pos{p} rob{} {:?} s1={} s2={}",
-                    e.rob_id,
-                    e.state,
-                    tag_state(e.src1_tag),
-                    tag_state(e.src2_tag)
-                )
-            })
-            .collect()
-    }
-
     /// The integer issue queue (read-only; used by invariant checkers to
     /// audit occupancy accounting and compaction age order).
     #[must_use]
