@@ -270,10 +270,11 @@ impl<T: Detach + Clone> BatchSimulator<T> {
     ///
     /// Call it between runs, that is at a window boundary. The donor keeps
     /// the classes whose traces are furthest behind and gives away the
-    /// leading ones, so a shared trace ring copies only the short window
-    /// ahead of them. Both halves then run the remaining budget on their
-    /// own, and every sibling's result is the one the unsplit batch would
-    /// have produced.
+    /// leading ones. A shared trace ring hands over its chunks from theirs
+    /// on without copying them, which the donor's laggards still need
+    /// anyway; only its partly filled last chunk is copied. Both halves
+    /// then run the remaining budget on their own, and every sibling's
+    /// result is the one the unsplit batch would have produced.
     pub fn split_off(&mut self) -> Option<BatchPart<T>> {
         let classes = self.grid.dies.len();
         if classes < 2 {

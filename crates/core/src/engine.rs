@@ -173,11 +173,8 @@ impl Lane {
     /// A copy of this lane with its own core, carrying the current
     /// window's context but no checker or history.
     fn fork(&self) -> Lane {
-        let mut core =
-            Core::new(self.core.config().clone()).expect("the parent was built from this config");
-        core.restore(&self.core.snapshot()).expect("a core restores its own snapshot");
         Lane {
-            core,
+            core: self.core.clone(),
             temp_sum: self.temp_sum.clone(),
             temp_samples: self.temp_samples,
             temp_max: self.temp_max.clone(),

@@ -81,6 +81,12 @@ impl ArchReg {
         self.0 as usize
     }
 
+    /// The register whose flat index is `raw`, unchecked, as the trace
+    /// ring unpacks it.
+    pub(crate) const fn from_raw(raw: u8) -> Self {
+        ArchReg(raw)
+    }
+
     /// The index within this register's own class (e.g. `3` for both `r3`
     /// and `f3`).
     #[must_use]

@@ -262,6 +262,50 @@ pub struct Core {
     stats: CoreStats,
 }
 
+impl Clone for Core {
+    /// A copy that steps exactly like the original (what a batch fork
+    /// needs), with the op logs off and every growable buffer given the
+    /// original's capacity, so the copy's cycles never allocate either.
+    fn clone(&self) -> Self {
+        let mut fetch_queue = VecDeque::with_capacity(self.fetch_queue.capacity());
+        fetch_queue.extend(self.fetch_queue.iter().copied());
+        let mut in_flight = Vec::with_capacity(self.in_flight.capacity());
+        in_flight.extend_from_slice(&self.in_flight);
+        Core {
+            cfg: self.cfg.clone(),
+            now: self.now,
+            frozen: self.frozen,
+            trace_done: self.trace_done,
+            next_uid: self.next_uid,
+            bpred: self.bpred.clone(),
+            mem: self.mem.clone(),
+            int_iq: self.int_iq.clone(),
+            fp_iq: self.fp_iq.clone(),
+            rob: self.rob.clone(),
+            rename: self.rename.clone(),
+            lsq_used: self.lsq_used,
+            pool: self.pool.clone(),
+            wiring: self.wiring.clone(),
+            int_usable: self.int_usable,
+            fp_add_usable: self.fp_add_usable,
+            rf_writes_enabled: self.rf_writes_enabled,
+            fetch_duty: self.fetch_duty,
+            clock_duty: self.clock_duty,
+            rotation: self.rotation,
+            fetch_queue,
+            fetch_stall: self.fetch_stall,
+            redirect_uid: self.redirect_uid,
+            last_fetch_line: self.last_fetch_line,
+            in_flight,
+            writeback_scratch: Vec::with_capacity(self.writeback_scratch.capacity()),
+            fetch_log: None,
+            commit_log: None,
+            activity: self.activity,
+            stats: self.stats,
+        }
+    }
+}
+
 impl Core {
     /// Builds a core from `cfg`.
     ///
@@ -645,8 +689,14 @@ impl Core {
     /// The result is exactly that of calling [`cycle`](Core::cycle) in such
     /// a loop, but a *quiet span* — a run of cycles in which the pipeline
     /// can change nothing but its counters, typically while a cache miss is
-    /// outstanding — is applied in one step.
+    /// outstanding — is applied in one step, and so is a frozen core's
+    /// whole budget.
     pub fn advance<T: TraceSource>(&mut self, trace: &mut T, budget: u64) -> u64 {
+        if self.frozen && !self.is_done() {
+            // Nothing but the clock moves, so the core stays undone.
+            self.skip_frozen(budget);
+            return budget;
+        }
         let mut ran = 0;
         while ran < budget {
             let quiet = self.quiet_span(budget - ran);
@@ -737,6 +787,17 @@ impl Core {
         self.stats.int_iq_occupancy_sum += self.int_iq.occupancy() as u64 * span;
         self.stats.fp_iq_occupancy_sum += self.fp_iq.occupancy() as u64 * span;
         self.stats.rob_occupancy_sum += self.rob.len() as u64 * span;
+    }
+
+    /// Applies `span` frozen cycles: exactly the counter updates that
+    /// stepping each of them would make.
+    fn skip_frozen(&mut self, span: u64) {
+        self.now += span;
+        self.stats.cycles += span;
+        self.activity.cycles += span;
+        self.activity.int_iq.gating_cycles += span;
+        self.activity.fp_iq.gating_cycles += span;
+        self.stats.frozen_cycles += span;
     }
 
     /// Advances the core by one clock cycle.
@@ -1531,6 +1592,33 @@ mod tests {
         // A drained core still runs one cycle per call, as the loop does.
         assert_eq!(fast.advance(&mut fast_trace, 1_000), 1);
         assert_eq!(fast.advance(&mut fast_trace, 0), 0);
+    }
+
+    #[test]
+    fn a_cloned_core_steps_like_a_restored_one() {
+        let mut core = Core::new(CoreConfig::default()).expect("valid config");
+        let mut trace = SliceTrace::new(mixed_ops());
+        core.enable_op_log();
+        for _ in 0..300 {
+            core.cycle(&mut trace);
+        }
+        let mut cloned = core.clone();
+        assert!(cloned.fetch_log.is_none() && cloned.commit_log.is_none(), "logs stay off");
+        let mut restored = Core::new(CoreConfig::default()).expect("valid config");
+        restored.restore(&core.snapshot()).expect("same config");
+        assert_eq!(cloned.snapshot(), restored.snapshot());
+        let mut other = trace.clone();
+        cloned.set_frozen(true);
+        restored.set_frozen(true);
+        assert_eq!(cloned.advance(&mut trace, 40), restored.advance(&mut other, 40));
+        cloned.set_frozen(false);
+        restored.set_frozen(false);
+        while !restored.is_done() {
+            cloned.cycle(&mut trace);
+            restored.cycle(&mut other);
+            assert_eq!(cloned.snapshot(), restored.snapshot(), "cycle {}", restored.now());
+        }
+        assert!(cloned.is_done());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator. Each public
 //! engine — the scalar `Simulator`, a 2-core `MultiCoreSimulator`, an
-//! unforked 2-sibling `BatchSimulator`, and a `BatchSimulator` forked into
+//! unforked 2-sibling `BatchSimulator` reading a cursor ring (whose chunks
+//! are recycled, not reallocated), and a `BatchSimulator` forked into
 //! six classes and stepped with a worker pool's idle probe read at every
 //! window boundary — first runs a 20-window warmup, long
 //! enough for every growable structure (in-flight list, fetch queue,
@@ -108,8 +109,10 @@ fn steady_state_loop_allocates_nothing() {
     assert_eq!(batch.class_count(), 1, "identical siblings never fork");
 
     // eon forks all six policies in the first window after its warmup.
-    // Each class keeps its own generator clone: a shared cursor ring grows
-    // with the classes' spread, which is not a per-window cost.
+    // Each class keeps its own generator clone: a shared cursor ring takes
+    // a new chunk whenever the classes' spread grows by one, a cost of
+    // the spread rather than of the window. In lockstep (above) the ring
+    // reuses its one spare chunk and allocates nothing.
     let family: Vec<SimConfig> = PolicyKind::ALL
         .iter()
         .map(|&kind| experiments::policy(kind, FloorplanKind::IssueConstrained))

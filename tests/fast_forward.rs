@@ -12,7 +12,7 @@
 //! duty-cycle gating and freezes.
 
 use powerbalance::{experiments, IqMode, MappingPolicy};
-use powerbalance_isa::{ExecDomain, TraceSource};
+use powerbalance_isa::{ExecDomain, SliceTrace, TraceSource};
 use powerbalance_uarch::{Core, CoreConfig, DutyCycle, UnitKind};
 use powerbalance_workloads::{spec2000, TraceGenerator};
 
@@ -112,4 +112,43 @@ fn advance_matches_per_cycle_stepping_across_freezes() {
     for bench in ["mcf", "mesa"] {
         check("freeze", bench, &CoreConfig::default(), freeze);
     }
+}
+
+/// A frozen core's budget is applied in one step; a frozen core whose
+/// trace has drained still runs exactly one cycle per call, as the
+/// stepping loop does.
+#[test]
+fn advance_matches_per_cycle_stepping_on_frozen_cores_drained_or_not() {
+    let profile = spec2000::by_name("mesa").expect("known benchmark");
+    let ops: Vec<_> = {
+        let mut trace = profile.trace(7);
+        (0..2_000).map(|_| trace.next_op().expect("an endless generator")).collect()
+    };
+    let mut fast = Core::new(CoreConfig::default()).expect("valid config");
+    let mut slow = Core::new(CoreConfig::default()).expect("valid config");
+    let mut fast_trace = SliceTrace::new(ops.clone());
+    let mut slow_trace = SliceTrace::new(ops);
+    let mut w = 0;
+    // Alternate frozen and running spans of odd lengths until the trace
+    // drains, then keep calling on the frozen, drained core.
+    while w < 40 || !slow.is_done() {
+        assert!(w < 10_000, "the trace never drained");
+        let frozen = w % 2 == 0 || slow.is_done();
+        fast.set_frozen(frozen);
+        slow.set_frozen(frozen);
+        let budget = [0, 1, 7, 333, 2_500][w % 5];
+        let ran = fast.advance(&mut fast_trace, budget);
+        assert_eq!(ran, step(&mut slow, &mut slow_trace, budget), "call {w}");
+        if frozen && slow.is_done() {
+            assert_eq!(ran, budget.min(1), "a drained frozen core runs one cycle");
+        }
+        assert!(
+            fast.snapshot() == slow.snapshot(),
+            "call {w}: {:?} vs {:?}",
+            fast.stats(),
+            slow.stats()
+        );
+        w += 1;
+    }
+    assert!(fast.stats().frozen_cycles > 2_500, "{:?}", fast.stats());
 }
