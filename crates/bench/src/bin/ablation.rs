@@ -64,7 +64,7 @@ fn main() {
         }
     };
     if smoke {
-        args.cycles = args.cycles.min(SMOKE_CYCLES);
+        args.run.cycles = args.run.cycles.min(SMOKE_CYCLES);
         let campaigns =
             policy_sweep(&args, &[FloorplanKind::IssueConstrained], Some(SMOKE_MAX_TEMP));
         args.finish(&campaigns.iter().collect::<Vec<_>>());
@@ -131,12 +131,12 @@ fn multicore_sweep(args: &BenchArgs) {
                 let mut tasks = TaskSet::new(
                     (0..SEGMENTS_PER_JOB).flat_map(|s| (0..cores as u64).map(move |j| (s, j))).map(
                         |(s, j)| {
-                            let stream = args.seed.wrapping_add(j * 16 + s);
+                            let stream = args.run.seed.wrapping_add(j * 16 + s);
                             Task::ops(j, SEGMENT_OPS, profile.trace(stream))
                         },
                     ),
                 );
-                let result = sim.run(&mut tasks, args.cycles);
+                let result = sim.run(&mut tasks, args.run.cycles);
                 let violations = sim.finish_checking();
 
                 let merged = result.merged();

@@ -18,8 +18,7 @@
 
 pub mod fuzz;
 
-use powerbalance_harness::{run_campaign, CampaignResult, CampaignSpec, RunnerOptions};
-use std::path::PathBuf;
+use powerbalance_harness::{run_campaign, CampaignResult, CampaignSpec, RunFlags, RunnerOptions};
 
 pub use powerbalance_harness::{DEFAULT_CYCLES, DEFAULT_SEED};
 
@@ -39,39 +38,12 @@ OPTIONS:
   --help          show this help";
 
 /// Command-line arguments common to every bench binary.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BenchArgs {
-    /// Simulated cycles per run.
-    pub cycles: u64,
-    /// Workload seed, threaded into every trace.
-    pub seed: u64,
-    /// Worker-pool size override (`--threads`).
-    pub threads: Option<usize>,
-    /// Where to write the JSON artifact, if requested (`--json`).
-    pub json: Option<PathBuf>,
+    /// The campaign flags shared with the CLI's `run` verb.
+    pub run: RunFlags,
     /// Suppress per-job progress lines (`--quiet`).
     pub quiet: bool,
-    /// Mitigation-free warmup cycles before each measured run (`--warmup`).
-    pub warmup: u64,
-    /// Warmup-snapshot checkpoint directory (`--checkpoint-dir`).
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Load matching snapshots from the checkpoint dir (`--resume`).
-    pub resume: bool,
-}
-
-impl Default for BenchArgs {
-    fn default() -> Self {
-        BenchArgs {
-            cycles: DEFAULT_CYCLES,
-            seed: DEFAULT_SEED,
-            threads: None,
-            json: None,
-            quiet: false,
-            warmup: 0,
-            checkpoint_dir: None,
-            resume: false,
-        }
-    }
 }
 
 impl BenchArgs {
@@ -85,37 +57,16 @@ impl BenchArgs {
         let mut parsed = BenchArgs::default();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            let mut value =
-                |name: &str| it.next().cloned().ok_or_else(|| format!("{name} requires a value"));
+            if parsed.run.take(flag, &mut it)? {
+                continue;
+            }
             match flag.as_str() {
-                "--cycles" => {
-                    parsed.cycles =
-                        value("--cycles")?.parse().map_err(|e| format!("--cycles: {e}"))?;
-                }
-                "--seed" => {
-                    parsed.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
-                }
-                "--threads" => {
-                    parsed.threads =
-                        Some(value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?);
-                }
-                "--json" => parsed.json = Some(PathBuf::from(value("--json")?)),
                 "--quiet" => parsed.quiet = true,
-                "--warmup" => {
-                    parsed.warmup =
-                        value("--warmup")?.parse().map_err(|e| format!("--warmup: {e}"))?;
-                }
-                "--checkpoint-dir" => {
-                    parsed.checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")?));
-                }
-                "--resume" => parsed.resume = true,
                 "--help" | "-h" => return Err("help".to_string()),
                 other => return Err(format!("unknown flag '{other}'")),
             }
         }
-        if parsed.resume && parsed.checkpoint_dir.is_none() {
-            return Err("--resume requires --checkpoint-dir".to_string());
-        }
+        parsed.run.check()?;
         Ok(parsed)
     }
 
@@ -144,19 +95,13 @@ impl BenchArgs {
     /// warmup budget.
     #[must_use]
     pub fn spec(&self, name: &str) -> CampaignSpec {
-        CampaignSpec::new(name).cycles(self.cycles).seed(self.seed).warmup(self.warmup)
+        self.run.spec(name)
     }
 
     /// The runner options for this invocation.
     #[must_use]
     pub fn runner_options(&self) -> RunnerOptions {
-        RunnerOptions {
-            threads: self.threads,
-            progress: !self.quiet,
-            checkpoint_dir: self.checkpoint_dir.clone(),
-            resume: self.resume,
-            ..RunnerOptions::default()
-        }
+        self.run.runner_options(!self.quiet)
     }
 
     /// Runs `spec` on the worker pool.
@@ -178,7 +123,7 @@ impl BenchArgs {
     /// tool a silently missing artifact is worse than a dead run — but it
     /// is reported as a plain message, not a panic backtrace.
     pub fn finish(&self, campaigns: &[&CampaignResult]) {
-        let Some(path) = &self.json else { return };
+        let Some(path) = &self.run.json else { return };
         let text = match campaigns {
             [only] => only.to_json(),
             many => serde::json::to_string_pretty(&many.to_vec()),
@@ -225,10 +170,10 @@ mod tests {
             "--quiet",
         ]))
         .expect("valid command line");
-        assert_eq!(a.cycles, 5000);
-        assert_eq!(a.seed, 7);
-        assert_eq!(a.threads, Some(2));
-        assert_eq!(a.json.as_deref(), Some(std::path::Path::new("out.json")));
+        assert_eq!(a.run.cycles, 5000);
+        assert_eq!(a.run.seed, 7);
+        assert_eq!(a.run.threads, Some(2));
+        assert_eq!(a.run.json.as_deref(), Some(std::path::Path::new("out.json")));
         assert!(a.quiet);
     }
 
@@ -236,8 +181,8 @@ mod tests {
     fn defaults_match_the_paper_budget() {
         let a = BenchArgs::parse_from(&[]).expect("empty is valid");
         assert_eq!(a, BenchArgs::default());
-        assert_eq!(a.cycles, DEFAULT_CYCLES);
-        assert_eq!(a.seed, DEFAULT_SEED);
+        assert_eq!(a.run.cycles, DEFAULT_CYCLES);
+        assert_eq!(a.run.seed, DEFAULT_SEED);
     }
 
     #[test]
@@ -252,7 +197,8 @@ mod tests {
 
     #[test]
     fn spec_carries_cycles_and_seed() {
-        let a = BenchArgs { cycles: 123, seed: 9, warmup: 4_000, ..BenchArgs::default() };
+        let run = RunFlags { cycles: 123, seed: 9, warmup: 4_000, ..RunFlags::default() };
+        let a = BenchArgs { run, ..BenchArgs::default() };
         let spec = a.spec("t");
         assert_eq!(spec.cycles, 123);
         assert_eq!(spec.seed, 9);
@@ -270,9 +216,9 @@ mod tests {
             "--resume",
         ]))
         .expect("valid command line");
-        assert_eq!(a.warmup, 20_000);
-        assert_eq!(a.checkpoint_dir.as_deref(), Some(std::path::Path::new("ckpts")));
-        assert!(a.resume);
+        assert_eq!(a.run.warmup, 20_000);
+        assert_eq!(a.run.checkpoint_dir.as_deref(), Some(std::path::Path::new("ckpts")));
+        assert!(a.run.resume);
         let opts = a.runner_options();
         assert!(opts.resume);
         assert_eq!(opts.checkpoint_dir.as_deref(), Some(std::path::Path::new("ckpts")));

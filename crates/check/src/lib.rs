@@ -7,13 +7,13 @@
 //! temperatures. This crate makes those behaviours mechanically falsifiable
 //! with three independent layers (DESIGN.md §10):
 //!
-//! * an **architectural oracle** ([`oracle`]): an in-order reference
+//! * an **architectural oracle** (`oracle`): an in-order reference
 //!   executor over the same fetched micro-op stream that cross-checks the
 //!   out-of-order core's retired-instruction count, retirement order, and
 //!   final architectural register/memory state (tracked as *last-writer
 //!   identity*, since micro-ops carry no data values);
 //! * **runtime invariant checkers** on the pipeline, mitigation, and
-//!   thermal layers ([`invariants`], [`mitigation`], [`thermal`]): FIFO
+//!   thermal layers (`invariants`, `mitigation`, `thermal`): FIFO
 //!   retirement, issue-queue occupancy accounting, compaction age order,
 //!   select trees never granting busy or turned-off units, mitigation
 //!   transitions matching an independent re-implementation of the manager's
@@ -247,21 +247,9 @@ impl RuntimeChecker {
         self.oracle.finish(core, &mut self.sink);
     }
 
-    /// The retained violations (at most [`MAX_RETAINED`]), in detection order.
+    /// The retained violations (at most 64), in detection order.
     #[must_use]
     pub fn violations(&self) -> &[Violation] {
         &self.sink.violations
-    }
-
-    /// Total violations detected, including those beyond the retention cap.
-    #[must_use]
-    pub fn total_violations(&self) -> u64 {
-        self.sink.total
-    }
-
-    /// `true` if no invariant has failed so far.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.sink.total == 0
     }
 }

@@ -21,10 +21,9 @@ use powerbalance::{
     experiments::{self, AluPolicy, PolicyKind},
     FloorplanKind, MappingPolicy, MitigationConfig, SchedulerKind, SimConfig,
 };
-use powerbalance_harness::{run_campaign, CampaignSpec, JobResult, RunnerOptions};
+use powerbalance_harness::{run_campaign, JobResult, RunFlags};
 use powerbalance_server::ServerConfig;
 use powerbalance_workloads::spec2000;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -130,13 +129,16 @@ struct RunArgs {
     benches: Vec<String>,
     label: String,
     config: SimConfig,
-    cycles: u64,
-    seed: u64,
-    threads: Option<usize>,
-    json: Option<PathBuf>,
-    warmup: u64,
-    checkpoint_dir: Option<PathBuf>,
-    resume: bool,
+    flags: RunFlags,
+}
+
+/// The shared flags read as fields of the parsed command line.
+impl std::ops::Deref for RunArgs {
+    type Target = RunFlags;
+
+    fn deref(&self) -> &RunFlags {
+        &self.flags
+    }
 }
 
 fn parse_run(args: &[String]) -> Result<RunArgs, String> {
@@ -144,8 +146,7 @@ fn parse_run(args: &[String]) -> Result<RunArgs, String> {
     let mut floorplan = FloorplanKind::Baseline;
     let mut cores = 1usize;
     let mut scheduler = SchedulerKind::RoundRobin;
-    let mut cycles = 1_000_000u64;
-    let mut seed = 42u64;
+    let mut flags = RunFlags::default();
     let mut toggling = false;
     let mut turnoff = false;
     let mut round_robin = false;
@@ -153,14 +154,12 @@ fn parse_run(args: &[String]) -> Result<RunArgs, String> {
     let mut policy: Option<PolicyKind> = None;
     let mut max_temp: Option<f64> = None;
     let mut fidelity = powerbalance::Fidelity::Exact;
-    let mut threads = None;
-    let mut json = None;
-    let mut warmup = 0u64;
-    let mut checkpoint_dir = None;
-    let mut resume = false;
 
     let mut it = args.iter();
     while let Some(flag) = it.next() {
+        if flags.take(flag, &mut it)? {
+            continue;
+        }
         let mut value =
             |name: &str| it.next().cloned().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
@@ -181,10 +180,6 @@ fn parse_run(args: &[String]) -> Result<RunArgs, String> {
                     format!("unknown scheduler '{name}' (round-robin | coolest-first | threshold)")
                 })?;
             }
-            "--cycles" => {
-                cycles = value("--cycles")?.parse().map_err(|e| format!("--cycles: {e}"))?
-            }
-            "--seed" => seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--toggling" => toggling = true,
             "--turnoff" => turnoff = true,
             "--round-robin" => round_robin = true,
@@ -206,15 +201,6 @@ fn parse_run(args: &[String]) -> Result<RunArgs, String> {
                 max_temp =
                     Some(value("--max-temp")?.parse().map_err(|e| format!("--max-temp: {e}"))?)
             }
-            "--threads" => {
-                threads = Some(value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?)
-            }
-            "--json" => json = Some(PathBuf::from(value("--json")?)),
-            "--warmup" => {
-                warmup = value("--warmup")?.parse().map_err(|e| format!("--warmup: {e}"))?
-            }
-            "--checkpoint-dir" => checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")?)),
-            "--resume" => resume = true,
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
@@ -305,38 +291,14 @@ fn parse_run(args: &[String]) -> Result<RunArgs, String> {
         label.push_str(&format!("+{cores}core+{}", scheduler.name()));
     }
 
-    if resume && checkpoint_dir.is_none() {
-        return Err("--resume requires --checkpoint-dir".to_string());
-    }
+    flags.check()?;
 
-    Ok(RunArgs {
-        benches,
-        label,
-        config,
-        cycles,
-        seed,
-        threads,
-        json,
-        warmup,
-        checkpoint_dir,
-        resume,
-    })
+    Ok(RunArgs { benches, label, config, flags })
 }
 
 fn run(args: RunArgs) -> Result<(), String> {
-    let spec = CampaignSpec::new("cli-run")
-        .config(&args.label, args.config)
-        .benchmarks(args.benches)
-        .cycles(args.cycles)
-        .seed(args.seed)
-        .warmup(args.warmup);
-    let options = RunnerOptions {
-        threads: args.threads,
-        progress: spec.job_count() > 1,
-        checkpoint_dir: args.checkpoint_dir,
-        resume: args.resume,
-        ..RunnerOptions::default()
-    };
+    let spec = args.flags.spec("cli-run").config(&args.label, args.config).benchmarks(args.benches);
+    let options = args.flags.runner_options(spec.job_count() > 1);
     let campaign = run_campaign(&spec, &options).map_err(|e| e.to_string())?;
 
     for (i, job) in campaign.jobs.iter().enumerate() {
@@ -345,7 +307,7 @@ fn run(args: RunArgs) -> Result<(), String> {
         }
         report(job);
     }
-    if let Some(path) = &args.json {
+    if let Some(path) = &args.flags.json {
         campaign.write_json(path).map_err(|e| format!("writing {}: {e}", path.display()))?;
         eprintln!("wrote {}", path.display());
     }

@@ -137,8 +137,8 @@ pub struct SimConfig {
     /// under [`Fidelity::Exact`]) before interval sampling engages.
     /// Ignored under [`Fidelity::Exact`].
     pub fast_warmup: u64,
-    /// Number of cores tiled on the die (1..=[`MAX_CORES`]). `1` is the
-    /// scalar single-core machine every golden artifact was pinned on;
+    /// Number of cores tiled on the die (1..=8). `1` is the scalar
+    /// single-core machine every golden artifact was pinned on;
     /// above 1 the floorplan is replicated with lateral RC coupling
     /// between adjacent cores and runs under
     /// [`crate::MultiCoreSimulator`].

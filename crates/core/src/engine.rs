@@ -101,6 +101,7 @@ pub(crate) struct LaneRef<'a> {
     pub(crate) temp_sum_bits: &'a [u64],
     pub(crate) temp_max_bits: &'a [u64],
     pub(crate) temp_samples: u64,
+    pub(crate) window_watts_bits: &'a [u64],
     pub(crate) fast: &'a FastEngineState,
     pub(crate) stall_left: u64,
 }
@@ -113,6 +114,7 @@ impl<'a> From<&'a LaneState> for LaneRef<'a> {
             temp_sum_bits: &s.temp_sum_bits,
             temp_max_bits: &s.temp_max_bits,
             temp_samples: s.temp_samples,
+            window_watts_bits: &s.window_watts_bits,
             fast: &s.fast,
             stall_left: s.stall_left,
         }
@@ -127,9 +129,7 @@ pub(crate) struct Lane {
     temp_sum: Vec<f64>,
     temp_samples: u64,
     temp_max: Vec<f64>,
-    /// Interval-engine basis and extrapolated totals. The clock fields
-    /// stay zero (the grid owns the clock) and `window_watts_bits` stays
-    /// empty (the held power lives decoded in `window_watts`).
+    /// Interval-engine basis and extrapolated totals.
     fast: FastEngineState,
     /// Per-block power held from the last detailed window.
     window_watts: Vec<f64>,
@@ -330,10 +330,8 @@ impl Lane {
             temp_sum_bits: encode_bits(&self.temp_sum),
             temp_max_bits: encode_bits(&self.temp_max),
             temp_samples: self.temp_samples,
-            fast: FastEngineState {
-                window_watts_bits: encode_bits(&self.window_watts),
-                ..self.fast.clone()
-            },
+            window_watts_bits: encode_bits(&self.window_watts),
+            fast: self.fast.clone(),
             stall_left: self.stall_left,
         }
     }
@@ -345,13 +343,8 @@ impl Lane {
         self.temp_sum = decode_bits(state.temp_sum_bits);
         self.temp_max = decode_bits(state.temp_max_bits);
         self.temp_samples = state.temp_samples;
-        self.window_watts = decode_bits(&state.fast.window_watts_bits);
-        self.fast = FastEngineState {
-            prefix_left: 0,
-            window_pos: 0,
-            window_watts_bits: Vec::new(),
-            ..state.fast.clone()
-        };
+        self.window_watts = decode_bits(state.window_watts_bits);
+        self.fast = state.fast.clone();
         self.stall_left = state.stall_left;
         self.task = None;
     }
@@ -932,7 +925,7 @@ impl Grid {
             for (what, len) in [
                 ("temperature sums", lane.temp_sum_bits.len()),
                 ("temperature maxima", lane.temp_max_bits.len()),
-                ("fast-engine power vector", lane.fast.window_watts_bits.len()),
+                ("fast-engine power vector", lane.window_watts_bits.len()),
             ] {
                 if len != blocks {
                     return Err(Error::Config(format!(
@@ -1112,7 +1105,7 @@ mod tests {
         let mut t = trace("gzip", 3);
         sim.run(&mut t, 30_000);
         let mut bad = sim.state();
-        bad.fast.window_watts_bits.pop();
+        bad.window_watts_bits.pop();
         sim.run(&mut t, 30_000);
         let before = sim.state();
         assert!(sim.restore_state(&bad).is_err(), "short power vector is rejected");

@@ -1,7 +1,7 @@
 //! The top-level simulator: core + power + thermal + mitigation.
 
 use crate::engine::{Feed, Grid, LaneRef};
-use crate::snapshot::{encode_bits, FastEngineState};
+use crate::snapshot::encode_bits;
 use crate::{Error, RunResult, SimConfig, SimulatorState};
 use powerbalance_isa::TraceSource;
 use powerbalance_mitigation::ThermalManager;
@@ -277,7 +277,7 @@ impl Simulator {
     #[must_use]
     pub fn state(&self) -> SimulatorState {
         let lane = self.grid.lane_state(0);
-        let (prefix_left, window_pos) = self.grid.clock();
+        let (fast_prefix_left, fast_window_pos) = self.grid.clock();
         let die = &self.grid.dies[0];
         SimulatorState {
             core: lane.core,
@@ -287,7 +287,10 @@ impl Simulator {
             temp_max_bits: lane.temp_max_bits,
             temp_samples: lane.temp_samples,
             warmed: die.warmed,
-            fast: FastEngineState { prefix_left, window_pos, ..lane.fast },
+            fast_prefix_left,
+            fast_window_pos,
+            window_watts_bits: lane.window_watts_bits,
+            fast: lane.fast,
         }
     }
 
@@ -364,10 +367,11 @@ pub(crate) fn restore_single(grid: &mut Grid, state: &SimulatorState) -> Result<
         temp_sum_bits: &state.temp_sum_bits,
         temp_max_bits: &state.temp_max_bits,
         temp_samples: state.temp_samples,
+        window_watts_bits: &state.window_watts_bits,
         fast: &state.fast,
         stall_left: 0,
     };
-    let clock = (state.fast.prefix_left, state.fast.window_pos);
+    let clock = (state.fast_prefix_left, state.fast_window_pos);
     grid.restore(&[lane], &state.thermal_node_bits, state.warmed, clock)
 }
 

@@ -56,7 +56,7 @@ use serde::{Deserialize, Serialize};
 /// mismatched versions outright — there is no migration machinery, by
 /// design: snapshots are caches of recomputable state, so invalidating
 /// them on a version bump is always safe.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Serializable dynamic state of a [`Simulator`] (everything except the
 /// configuration it was built from and the trace driving it).
@@ -82,26 +82,30 @@ pub struct SimulatorState {
     pub temp_samples: u64,
     /// Whether the warm-start settle has already happened.
     pub warmed: bool,
-    /// Interval-engine state; zeros under [`crate::Fidelity::Exact`].
+    /// Interval-engine warmup-prefix cycles still to run in detail before
+    /// interval sampling engages (0 under [`crate::Fidelity::Exact`]).
+    pub fast_prefix_left: u64,
+    /// Sub-intervals completed in the current interval-engine macro
+    /// window (`0` = the next sub-interval is detailed).
+    pub fast_window_pos: u64,
+    /// IEEE-754 bit patterns of the per-block power the interval engine
+    /// holds over skipped sub-intervals (zeros under
+    /// [`crate::Fidelity::Exact`]).
+    pub window_watts_bits: Vec<u64>,
+    /// The interval engine's extrapolation basis and totals.
     pub fast: FastEngineState,
 }
 
-/// Serialized dynamic state of the [`crate::Fidelity::Fast`] interval
-/// engine: the macro-window phase, the held power vector, the last
-/// detailed window's statistics deltas, and the extrapolated totals. A
-/// mid-window capture resumes bit-exactly because all of it round-trips.
+/// Serialized per-core state of the [`crate::Fidelity::Fast`] interval
+/// engine: the last detailed window's activity and statistics deltas
+/// (the extrapolation basis) and the extrapolated totals. The die-wide
+/// clock and the held power vector travel beside it, in
+/// [`SimulatorState`] and [`LaneState`]. A mid-window capture resumes
+/// bit-exactly because all of it round-trips.
 ///
-/// Under [`crate::Fidelity::Exact`] every field is zero/empty-of-zeros.
+/// Under [`crate::Fidelity::Exact`] every field stays zero.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FastEngineState {
-    /// Detailed warmup-prefix cycles still to run before interval
-    /// sampling engages.
-    pub prefix_left: u64,
-    /// Sub-intervals completed in the current macro window (`0` = the
-    /// next sub-interval is detailed).
-    pub window_pos: u64,
-    /// IEEE-754 bit patterns of the held per-block power vector.
-    pub window_watts_bits: Vec<u64>,
     /// Integer issue-queue activity of the last detailed window (fed to
     /// skipped-interval mitigation consults).
     pub window_int_iq: powerbalance_uarch::IqActivity,
@@ -146,6 +150,8 @@ pub struct LaneState {
     pub temp_max_bits: Vec<u64>,
     /// Non-stalled samples behind `temp_sum_bits`.
     pub temp_samples: u64,
+    /// Bit patterns of the per-block power the interval engine holds.
+    pub window_watts_bits: Vec<u64>,
     /// Interval-engine lane state (basis + extrapolated totals).
     pub fast: FastEngineState,
     /// Remaining migration fetch-stall cycles.
@@ -183,7 +189,8 @@ pub struct Snapshot {
     pub config: SimConfig,
     /// The workload profile driving the run.
     pub profile: WorkloadProfile,
-    /// The trace generator's dynamic state (RNG, position, ring state).
+    /// The trace generator's dynamic state (RNG, position, register and
+    /// branch counters).
     pub trace: TraceState,
     /// The simulator's dynamic state.
     pub state: SimulatorState,
@@ -351,6 +358,29 @@ mod tests {
         let doc = format!("{{\"format_version\":{}}}", FORMAT_VERSION + 1);
         let err = Snapshot::from_json(&doc).expect_err("future version");
         assert!(err.to_string().contains("format version"), "{err}");
+    }
+
+    #[test]
+    fn a_queued_op_naming_no_register_is_refused() {
+        // A fetched op whose destination byte lies past the 64 register
+        // names would index past the rename map at its dispatch.
+        let profile = spec2000::by_name("gzip").expect("profile");
+        let mut trace = profile.trace(1);
+        let mut sim = Simulator::new(SimConfig::default()).expect("valid config");
+        sim.run(&mut trace, 20_000);
+        let json = Snapshot::capture(&sim, &profile, &trace).to_json();
+        let queue = json.find("\"fetch_queue\":[").expect("the core has a fetch queue");
+        let at = queue + json[queue..].find("\"dest\":").expect("a queued op has a dest") + 7;
+        let digits = json[at..].bytes().take_while(u8::is_ascii_digit).count();
+        assert!(digits > 0, "the first queued op names a destination");
+        let edited = format!("{}200{}", &json[..at], &json[at + digits..]);
+
+        let err = Snapshot::from_json(&edited).expect_err("register 200 does not exist");
+        assert!(matches!(&err, Error::Config(m) if m.contains("register 200")), "{err}");
+        let (mut resumed, mut trace) = Snapshot::from_json(&json)
+            .and_then(|snap| snap.resume())
+            .expect("the unedited snapshot resumes");
+        resumed.run(&mut trace, 20_000);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! makes that a first-class, reusable subsystem:
 //!
 //! * [`CampaignSpec`] — the typed description of a campaign: named
-//!   [`SimConfig`]s, a benchmark list, cycles, and the workload seed;
+//!   [`SimConfig`](powerbalance::SimConfig)s, a benchmark list, cycles, and the workload seed;
 //! * [`run_campaign`] — a bounded work-stealing pool (`std::thread::scope`
 //!   over a shared work queue) that schedules batch-eligible sibling jobs into
 //!   lockstep [`powerbalance::BatchSimulator`] units (bit-identical to
@@ -15,16 +15,20 @@
 //!   load-balance instead of serializing every config behind the slowest
 //!   benchmark;
 //! * [`CampaignResult`] — structured, serializable results: one
-//!   [`JobResult`] per (benchmark, config) with the full [`RunResult`],
-//!   per-job wall time, and simulated-cycles/second throughput, writable as
-//!   a JSON artifact via the in-repo serializer (`serde::json`);
+//!   [`JobResult`] per (benchmark, config) with the full
+//!   [`RunResult`](powerbalance::RunResult), per-job wall time, and
+//!   simulated-cycles/second throughput, writable as a JSON artifact via
+//!   the in-repo serializer (`serde::json`);
 //! * [`speedup`] — shared IPC-speedup math with explicit handling of
 //!   fully-frozen (IPC 0) baselines;
 //! * [`WarmStartCache`] — warm-start snapshot caching: campaigns with a
 //!   [`CampaignSpec::warmup_cycles`] budget compute each distinct
 //!   mitigation-free warmup once, fork every technique variant's measured
 //!   run from the shared [`powerbalance::Snapshot`], and can persist the
-//!   snapshots to a checkpoint directory for later processes.
+//!   snapshots to a checkpoint directory for later processes;
+//! * [`RunFlags`] — the campaign flags (`--cycles`, `--seed`, `--threads`,
+//!   `--json`, `--warmup`, `--checkpoint-dir`, `--resume`) that the CLI
+//!   and the bench binaries parse alike.
 //!
 //! Worker count resolves from, in order: an explicit request (CLI
 //! `--threads`), the `POWERBALANCE_THREADS` environment variable, and
@@ -53,12 +57,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod flags;
 mod result;
 mod runner;
 mod spec;
 pub mod speedup;
 mod warmstart;
 
+pub use flags::RunFlags;
 pub use result::{CampaignResult, JobResult};
 pub use runner::{
     plan_units, resolve_threads, run_campaign, run_campaign_controlled, CampaignControl,

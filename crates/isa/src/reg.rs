@@ -49,8 +49,23 @@ impl fmt::Display for RegClass {
 /// assert_eq!(r3.class_index(), 3);
 /// assert_eq!(f0.class_index(), 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct ArchReg(u8);
+
+/// Refuses a byte outside `0..TOTAL_ARCH_REGS`: register tables are
+/// indexed by [`ArchReg::flat_index`], so a decoded name must fit them.
+impl<'de> Deserialize<'de> for ArchReg {
+    fn deserialize(value: &serde::json::Value) -> Result<Self, serde::json::Error> {
+        let raw = u8::deserialize(value)?;
+        if raw < TOTAL_ARCH_REGS {
+            Ok(ArchReg(raw))
+        } else {
+            Err(serde::json::Error::custom(format!(
+                "register {raw} is outside the {TOTAL_ARCH_REGS}-register name space"
+            )))
+        }
+    }
+}
 
 impl ArchReg {
     /// Creates an integer register name.
@@ -160,6 +175,17 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn fp_range_checked() {
         let _ = ArchReg::fp(FP_ARCH_REGS);
+    }
+
+    #[test]
+    fn decoding_refuses_names_outside_the_register_space() {
+        let last = u64::from(TOTAL_ARCH_REGS) - 1;
+        let decoded = ArchReg::deserialize(&serde::json::Value::U64(last)).expect("in range");
+        assert_eq!(decoded, ArchReg::fp(FP_ARCH_REGS - 1));
+        for raw in [u64::from(TOTAL_ARCH_REGS), 200] {
+            let err = ArchReg::deserialize(&serde::json::Value::U64(raw)).expect_err("outside");
+            assert!(err.to_string().contains(&format!("register {raw}")), "{err}");
+        }
     }
 
     #[test]

@@ -32,8 +32,9 @@ struct BlockIndices {
 /// [`Floorplan::blocks`], ready to feed into
 /// [`powerbalance_thermal::ThermalModel::step`].
 ///
-/// Unified-L2 accesses are counted by the core but charged to no block:
-/// like the EV6 the paper models, the L2 is outside the hot die area.
+/// Unified-L2 accesses are charged to no block (so the core does not
+/// count them): like the EV6 the paper models, the L2 is outside the hot
+/// die area.
 ///
 /// # Statelessness
 ///

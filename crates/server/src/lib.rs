@@ -2,10 +2,10 @@
 //!
 //! A std-only HTTP/1.1 daemon (no external dependencies, per the
 //! workspace's offline vendoring policy) that accepts JSON
-//! [`CampaignSpec`](powerbalance_harness::CampaignSpec) submissions, runs
-//! them on a bounded worker pool with a process-wide
-//! [`WarmStartCache`](powerbalance_harness::WarmStartCache), and serves
-//! status, results, cancellation, health, and Prometheus metrics:
+//! [`CampaignSpec`] submissions, runs them on a bounded worker pool with
+//! a process-wide [`WarmStartCache`](powerbalance_harness::WarmStartCache),
+//! and serves status, results, cancellation, health, and Prometheus
+//! metrics:
 //!
 //! | Route                         | Meaning                                        |
 //! |-------------------------------|------------------------------------------------|

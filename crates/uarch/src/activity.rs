@@ -35,8 +35,6 @@ pub struct IqActivity {
     pub payload_accesses: u64,
     /// Select-tree grants (one per issued instruction; global).
     pub selects: u64,
-    /// Instructions inserted into the queue.
-    pub inserts: u64,
 }
 
 impl IqActivity {
@@ -44,21 +42,6 @@ impl IqActivity {
     #[must_use]
     pub fn total_moves(&self) -> u64 {
         self.compact_moves[0] + self.compact_moves[1]
-    }
-
-    /// Merges `other` into `self`.
-    pub fn merge(&mut self, other: &IqActivity) {
-        for h in 0..2 {
-            self.compact_moves[h] += other.compact_moves[h];
-            self.mux_selects[h] += other.mux_selects[h];
-            self.long_moves[h] += other.long_moves[h];
-            self.counter_entries[h] += other.counter_entries[h];
-        }
-        self.gating_cycles += other.gating_cycles;
-        self.broadcasts += other.broadcasts;
-        self.payload_accesses += other.payload_accesses;
-        self.selects += other.selects;
-        self.inserts += other.inserts;
     }
 }
 
@@ -71,8 +54,6 @@ impl IqActivity {
 pub struct ActivitySample {
     /// Cycles covered by this sample.
     pub cycles: u64,
-    /// Instructions committed in this window.
-    pub commits: u64,
     /// Integer issue-queue activity.
     pub int_iq: IqActivity,
     /// Floating-point issue-queue activity.
@@ -95,8 +76,6 @@ pub struct ActivitySample {
     pub icache_accesses: u64,
     /// L1 data-cache accesses.
     pub dcache_accesses: u64,
-    /// Unified L2 accesses.
-    pub l2_accesses: u64,
     /// Branch-predictor lookups.
     pub bpred_lookups: u64,
     /// Rename/map-table operations.
@@ -107,65 +86,14 @@ pub struct ActivitySample {
     pub lsq_ops: u64,
 }
 
-impl ActivitySample {
-    /// Merges `other` into `self` (summing every counter).
-    pub fn merge(&mut self, other: &ActivitySample) {
-        self.cycles += other.cycles;
-        self.commits += other.commits;
-        self.int_iq.merge(&other.int_iq);
-        self.fp_iq.merge(&other.fp_iq);
-        for i in 0..6 {
-            self.int_alu_ops[i] += other.int_alu_ops[i];
-        }
-        for i in 0..4 {
-            self.fp_add_ops[i] += other.fp_add_ops[i];
-        }
-        self.fp_mul_ops += other.fp_mul_ops;
-        for i in 0..2 {
-            self.int_rf_reads[i] += other.int_rf_reads[i];
-            self.int_rf_writes[i] += other.int_rf_writes[i];
-        }
-        self.fp_rf_reads += other.fp_rf_reads;
-        self.fp_rf_writes += other.fp_rf_writes;
-        self.icache_accesses += other.icache_accesses;
-        self.dcache_accesses += other.dcache_accesses;
-        self.l2_accesses += other.l2_accesses;
-        self.bpred_lookups += other.bpred_lookups;
-        self.rename_ops += other.rename_ops;
-        self.rob_ops += other.rob_ops;
-        self.lsq_ops += other.lsq_ops;
-    }
-
-    /// Total integer-ALU operations across all units.
-    #[must_use]
-    pub fn total_int_alu_ops(&self) -> u64 {
-        self.int_alu_ops.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn merge_sums_everything() {
-        let mut a = ActivitySample { cycles: 10, commits: 5, ..Default::default() };
-        a.int_alu_ops[0] = 3;
-        a.int_iq.compact_moves[1] = 7;
-        let mut b = ActivitySample { cycles: 90, commits: 45, ..Default::default() };
-        b.int_alu_ops[0] = 4;
-        b.int_iq.compact_moves[1] = 2;
-        a.merge(&b);
-        assert_eq!(a.cycles, 100);
-        assert_eq!(a.commits, 50);
-        assert_eq!(a.int_alu_ops[0], 7);
-        assert_eq!(a.int_iq.compact_moves[1], 9);
-    }
-
-    #[test]
     fn default_is_zero() {
         let s = ActivitySample::default();
-        assert_eq!(s.total_int_alu_ops(), 0);
+        assert_eq!(s.int_alu_ops, [0; 6]);
         assert_eq!(s.int_iq.total_moves(), 0);
     }
 }

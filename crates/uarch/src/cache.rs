@@ -189,17 +189,6 @@ impl Cache {
     }
 }
 
-/// Latency outcome of a hierarchy access, with the levels that were touched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemAccess {
-    /// Total latency in cycles.
-    pub latency: u32,
-    /// Whether the L2 was accessed (L1 missed).
-    pub touched_l2: bool,
-    /// Whether main memory was accessed (L2 missed).
-    pub touched_memory: bool,
-}
-
 /// The L1I/L1D + unified L2 + memory hierarchy.
 ///
 /// Instruction and data L1s are private; both miss into the shared L2. The
@@ -226,41 +215,32 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Instruction fetch of the line containing `pc`.
-    pub fn fetch(&mut self, pc: u64) -> MemAccess {
+    /// Instruction fetch of the line containing `pc`; returns its latency
+    /// in cycles.
+    pub fn fetch(&mut self, pc: u64) -> u32 {
         let l1 = self.l1i.config.latency;
         match self.l1i.access(pc) {
-            CacheOutcome::Hit => {
-                MemAccess { latency: l1, touched_l2: false, touched_memory: false }
-            }
-            CacheOutcome::Miss => self.l2_fill(pc, l1),
+            CacheOutcome::Hit => l1,
+            CacheOutcome::Miss => l1 + self.l2_fill(pc),
         }
     }
 
-    /// Data access (load or store) to `addr`.
-    pub fn data_access(&mut self, addr: u64) -> MemAccess {
+    /// Data access (load or store) to `addr`; returns its latency in
+    /// cycles.
+    pub fn data_access(&mut self, addr: u64) -> u32 {
         let l1 = self.l1d.config.latency;
         match self.l1d.access(addr) {
-            CacheOutcome::Hit => {
-                MemAccess { latency: l1, touched_l2: false, touched_memory: false }
-            }
-            CacheOutcome::Miss => self.l2_fill(addr, l1),
+            CacheOutcome::Hit => l1,
+            CacheOutcome::Miss => l1 + self.l2_fill(addr),
         }
     }
 
-    fn l2_fill(&mut self, addr: u64, l1_latency: u32) -> MemAccess {
-        let l2_latency = self.l2.config.latency;
+    /// Latency beyond the L1 of a line the L1 missed.
+    fn l2_fill(&mut self, addr: u64) -> u32 {
+        let l2 = self.l2.config.latency;
         match self.l2.access(addr) {
-            CacheOutcome::Hit => MemAccess {
-                latency: l1_latency + l2_latency,
-                touched_l2: true,
-                touched_memory: false,
-            },
-            CacheOutcome::Miss => MemAccess {
-                latency: l1_latency + l2_latency + self.memory_latency,
-                touched_l2: true,
-                touched_memory: true,
-            },
+            CacheOutcome::Hit => l2,
+            CacheOutcome::Miss => l2 + self.memory_latency,
         }
     }
 
@@ -364,12 +344,8 @@ mod tests {
             CacheConfig::l2_default(),
             250,
         );
-        let cold = h.data_access(0x4000_0000);
-        assert_eq!(cold.latency, 2 + 12 + 250);
-        assert!(cold.touched_memory);
-        let warm = h.data_access(0x4000_0000);
-        assert_eq!(warm.latency, 2);
-        assert!(!warm.touched_l2);
+        assert_eq!(h.data_access(0x4000_0000), 2 + 12 + 250, "cold: L1, L2 and memory");
+        assert_eq!(h.data_access(0x4000_0000), 2, "warm: an L1 hit");
     }
 
     #[test]
@@ -384,10 +360,8 @@ mod tests {
         for i in 0..64u64 {
             let _ = h.data_access(i * 64);
         }
-        let again = h.data_access(0);
-        assert!(again.touched_l2, "L1 should have evicted line 0");
-        assert!(!again.touched_memory, "L2 should still hold line 0");
-        assert_eq!(again.latency, 2 + 12);
+        // L1 evicted line 0; the L2 still holds it.
+        assert_eq!(h.data_access(0), 2 + 12);
     }
 
     #[test]

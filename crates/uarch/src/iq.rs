@@ -436,7 +436,6 @@ impl IssueQueue {
             return false;
         }
         self.place(rank, &entry);
-        activity.inserts += 1;
         activity.payload_accesses += 1; // payload RAM write
         true
     }
@@ -856,7 +855,6 @@ mod tests {
         }
         let occupied: Vec<usize> = iq.occupied_positions().collect();
         assert_eq!(occupied, vec![0, 1, 2]);
-        assert_eq!(act.inserts, 3);
         assert_eq!(act.payload_accesses, 3);
     }
 

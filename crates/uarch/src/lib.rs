@@ -51,7 +51,7 @@ mod rob;
 
 pub use activity::{ActivitySample, IqActivity};
 pub use bpred::{BranchPredictor, BranchPredictorState};
-pub use cache::{Cache, CacheOutcome, CacheState, MemAccess, MemoryHierarchy, MemoryState};
+pub use cache::{Cache, CacheOutcome, CacheState, MemoryHierarchy, MemoryState};
 pub use config::{CacheConfig, CoreConfig, DutyCycle, IqMode, MappingPolicy, SelectPolicy};
 pub use exec::{
     units_in_order, FuPool, FuPoolState, ReadCharges, RegFileWiring, UnitKind, WiringState,

@@ -26,12 +26,6 @@ pub struct CoreStats {
     pub issued: u64,
     /// Instructions committed.
     pub committed: u64,
-    /// Branches fetched.
-    pub branches: u64,
-    /// Cycles fetch was stalled waiting on a mispredicted branch.
-    pub redirect_stall_cycles: u64,
-    /// Cycles fetch was stalled on instruction-cache misses.
-    pub icache_stall_cycles: u64,
     /// Issues per integer ALU (static-priority asymmetry shows up here).
     pub int_issued_per_unit: [u64; 6],
     /// Issues per FP adder.
@@ -40,25 +34,8 @@ pub struct CoreStats {
     pub fp_mul_issued: u64,
     /// Sum of integer issue-queue occupancy over cycles (for averages).
     pub int_iq_occupancy_sum: u64,
-    /// Sum of FP issue-queue occupancy over cycles.
-    pub fp_iq_occupancy_sum: u64,
     /// Cumulative reads per integer register-file copy.
     pub int_rf_reads: [u64; 2],
-    /// Loads executed.
-    pub loads: u64,
-    /// Stores executed.
-    pub stores: u64,
-    /// Histogram of instructions issued per cycle (index = count, capped
-    /// at 6). Reveals whether issue is bursty or steady.
-    pub issue_histogram: [u64; 7],
-    /// Cycles where the integer queue had occupants but nothing ready.
-    pub int_iq_blocked_cycles: u64,
-    /// Sum of active-list occupancy over cycles (for averages).
-    pub rob_occupancy_sum: u64,
-    /// Dispatch-stall events by cause: `[rob_full, lsq_full, iq_full,
-    /// fetch_queue_empty_or_not_ready]`, counted once per dispatch cycle
-    /// that ended early.
-    pub dispatch_stalls: [u64; 4],
     /// Cycles skipped by global clock throttling (the whole pipeline sat
     /// out the gated portion of the clock duty cycle). Distinct from
     /// `frozen_cycles` so the two techniques stay separately attributable.
@@ -183,9 +160,9 @@ fn check_ids(state: &CoreState, rob_size: usize) -> Result<(), String> {
 
 /// The simulated 6-wide out-of-order core.
 ///
-/// Drive it with [`Core::cycle`] (one clock), [`Core::advance`] (a cycle
-/// budget, quiet spans applied in one step) or [`Core::run`]; inspect
-/// progress with [`Core::stats`]; drain per-window activity with
+/// Drive it with [`Core::cycle`] (one clock) or [`Core::advance`] (a cycle
+/// budget, quiet spans applied in one step); inspect progress with
+/// [`Core::stats`]; drain per-window activity with
 /// [`Core::take_activity`]. Mitigation controllers steer the core through
 /// [`Core::set_iq_mode`], [`Core::set_unit_enabled`],
 /// [`Core::set_rf_copy_enabled`], and [`Core::set_frozen`].
@@ -673,16 +650,6 @@ impl Core {
         Ok(())
     }
 
-    /// Runs until the trace drains or `max_cycles` elapse; returns cycles
-    /// executed by this call. An already drained core runs no cycle.
-    pub fn run<T: TraceSource>(&mut self, trace: &mut T, max_cycles: u64) -> u64 {
-        if self.is_done() {
-            0
-        } else {
-            self.advance(trace, max_cycles)
-        }
-    }
-
     /// Advances the core by up to `budget` cycles, stopping after the first
     /// cycle that leaves it [done](Core::is_done); returns the cycles run.
     ///
@@ -736,7 +703,7 @@ impl Core {
             span = span.min(u64::from(f.remaining) - 1);
         }
         let next = self.now + 1;
-        if self.dispatch_blocked(next).is_none() {
+        if !self.dispatch_blocked(next) {
             return 0;
         }
         if let Some(front) = self.fetch_queue.front() {
@@ -758,7 +725,6 @@ impl Core {
     /// [`quiet_span`](Core::quiet_span): exactly the counter updates that
     /// stepping each of its cycles would make.
     fn skip_quiet(&mut self, span: u64) {
-        let stall = self.dispatch_blocked(self.now + 1).expect("a quiet span blocks dispatch");
         self.now += span;
         self.stats.cycles += span;
         self.activity.cycles += span;
@@ -769,24 +735,14 @@ impl Core {
         self.activity.int_iq.gating_cycles += span;
         self.activity.fp_iq.gating_cycles += span;
         self.pool.tick_by(span);
-        self.stats.dispatch_stalls[stall] += span;
-        if self.redirect_uid.is_some() {
-            self.stats.redirect_stall_cycles += span;
-        } else if self.fetch_stall > 0 {
+        if self.redirect_uid.is_none() && self.fetch_stall > 0 {
             // The span is at most the stall, so it fits a u32.
             self.fetch_stall -= span as u32;
-            self.stats.icache_stall_cycles += span;
         }
         if self.cfg.select_policy == SelectPolicy::RoundRobin {
             self.rotation = self.rotation.wrapping_add(span as usize);
         }
-        self.stats.issue_histogram[0] += span;
-        if self.int_iq.occupancy() > 0 {
-            self.stats.int_iq_blocked_cycles += span;
-        }
         self.stats.int_iq_occupancy_sum += self.int_iq.occupancy() as u64 * span;
-        self.stats.fp_iq_occupancy_sum += self.fp_iq.occupancy() as u64 * span;
-        self.stats.rob_occupancy_sum += self.rob.len() as u64 * span;
     }
 
     /// Applies `span` frozen cycles: exactly the counter updates that
@@ -825,7 +781,6 @@ impl Core {
             return;
         }
 
-        let issued_before = self.stats.issued;
         self.writeback();
         self.commit();
         self.issue_int();
@@ -839,14 +794,7 @@ impl Core {
         if self.cfg.select_policy == SelectPolicy::RoundRobin {
             self.rotation = self.rotation.wrapping_add(1);
         }
-        let issued_now = (self.stats.issued - issued_before).min(6) as usize;
-        self.stats.issue_histogram[issued_now] += 1;
-        if issued_now == 0 && self.int_iq.occupancy() > 0 {
-            self.stats.int_iq_blocked_cycles += 1;
-        }
         self.stats.int_iq_occupancy_sum += self.int_iq.occupancy() as u64;
-        self.stats.fp_iq_occupancy_sum += self.fp_iq.occupancy() as u64;
-        self.stats.rob_occupancy_sum += self.rob.len() as u64;
     }
 
     /// Completes in-flight operations whose latency has elapsed.
@@ -905,13 +853,9 @@ impl Core {
                     break;
                 }
                 let mem_ref = entry.op.mem().expect("store has an address");
-                let access = self.mem.data_access(mem_ref.addr);
+                let _ = self.mem.data_access(mem_ref.addr);
                 self.activity.dcache_accesses += 1;
-                if access.touched_l2 {
-                    self.activity.l2_accesses += 1;
-                }
                 stores_this_cycle += 1;
-                self.stats.stores += 1;
             }
             if entry.op.class().is_mem() {
                 self.lsq_used -= 1;
@@ -922,7 +866,6 @@ impl Core {
                 log.push((entry.uid, entry.op));
             }
             self.stats.committed += 1;
-            self.activity.commits += 1;
             self.activity.rob_ops += 1;
         }
     }
@@ -972,13 +915,8 @@ impl Core {
             let latency = match op.class() {
                 OpClass::Load => {
                     let mem_ref = op.mem().expect("load has an address");
-                    let access = self.mem.data_access(mem_ref.addr);
                     self.activity.dcache_accesses += 1;
-                    if access.touched_l2 {
-                        self.activity.l2_accesses += 1;
-                    }
-                    self.stats.loads += 1;
-                    1 + access.latency
+                    1 + self.mem.data_access(mem_ref.addr)
                 }
                 class => class.latency(),
             };
@@ -1049,32 +987,25 @@ impl Core {
         }
     }
 
-    /// Why dispatch cannot take the front fetched op in cycle `now`, as an
-    /// index into [`CoreStats::dispatch_stalls`]; `None` when it can.
-    fn dispatch_blocked(&self, now: u64) -> Option<usize> {
-        let Some(front) = self.fetch_queue.front() else { return Some(3) };
-        if front.ready_at > now {
-            return Some(3);
-        }
-        let op = front.op;
-        if self.rob.is_full() {
-            return Some(0);
-        }
-        if op.class().is_mem() && self.lsq_used == self.cfg.lsq_size {
-            return Some(1);
-        }
-        let queue_ok = match op.class().domain() {
-            ExecDomain::Int => self.int_iq.can_insert(),
-            ExecDomain::Fp => self.fp_iq.can_insert(),
-        };
-        (!queue_ok).then_some(2)
+    /// Whether dispatch cannot take the front fetched op in cycle `now`:
+    /// none is queued or ready yet, or the active list, the LSQ or the
+    /// op's issue queue is full.
+    fn dispatch_blocked(&self, now: u64) -> bool {
+        let Some(front) = self.fetch_queue.front() else { return true };
+        let class = front.op.class();
+        front.ready_at > now
+            || self.rob.is_full()
+            || (class.is_mem() && self.lsq_used == self.cfg.lsq_size)
+            || !match class.domain() {
+                ExecDomain::Int => self.int_iq.can_insert(),
+                ExecDomain::Fp => self.fp_iq.can_insert(),
+            }
     }
 
     /// Renames and dispatches fetched instructions into the back end.
     fn dispatch(&mut self) {
         for _ in 0..self.cfg.dispatch_width {
-            if let Some(stall) = self.dispatch_blocked(self.now) {
-                self.stats.dispatch_stalls[stall] += 1;
+            if self.dispatch_blocked(self.now) {
                 break;
             }
             let fetched = self.fetch_queue.pop_front().expect("checked non-empty");
@@ -1127,12 +1058,10 @@ impl Core {
             return;
         }
         if self.redirect_uid.is_some() {
-            self.stats.redirect_stall_cycles += 1;
             return;
         }
         if self.fetch_stall > 0 {
             self.fetch_stall -= 1;
-            self.stats.icache_stall_cycles += 1;
             return;
         }
         if self.trace_done {
@@ -1151,14 +1080,10 @@ impl Core {
             let line = op.pc() / self.cfg.l1i.line_bytes;
             if line != self.last_fetch_line {
                 self.last_fetch_line = line;
-                let access = self.mem.fetch(op.pc());
+                let latency = self.mem.fetch(op.pc());
                 self.activity.icache_accesses += 1;
-                if access.touched_l2 {
-                    self.activity.l2_accesses += 1;
-                }
-                if access.latency > self.cfg.l1i.latency {
-                    self.fetch_stall = access.latency - self.cfg.l1i.latency;
-                }
+                // Fetch runs with no stall pending, so a hit leaves it at 0.
+                self.fetch_stall = latency - self.cfg.l1i.latency;
             }
 
             let uid = self.next_uid;
@@ -1170,7 +1095,6 @@ impl Core {
 
             let mut is_redirect = false;
             if let Some(branch) = op.branch() {
-                self.stats.branches += 1;
                 self.activity.bpred_lookups += 1;
                 if !self.bpred.predict_and_update(op.pc(), branch) {
                     is_redirect = true;
@@ -1369,29 +1293,39 @@ mod tests {
         assert!(hot_core.memory().l1d().miss_rate() < 0.1);
     }
 
-    #[test]
-    fn mispredicted_branches_stall_fetch() {
-        // Branches with pseudo-random outcomes: mispredicts must show up
-        // as redirect stalls and depress IPC.
-        let mut x = 7u64;
-        let ops: Vec<MicroOp> = (0..2000)
+    /// Every fourth op a branch, each taken as the next `taken()` says.
+    fn control_ops(mut taken: impl FnMut() -> bool) -> Vec<MicroOp> {
+        (0..2000)
             .map(|i| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 if i % 4 == 3 {
                     MicroOp::new(OpClass::Branch)
                         .with_pc(0x400_000 + (i % 64) * 4)
                         .with_src1(ArchReg::int(1))
-                        .with_branch(BranchInfo::new((x >> 62) & 1 == 1, 0x400_100))
+                        .with_branch(BranchInfo::new(taken(), 0x400_100))
                 } else {
                     MicroOp::new(OpClass::IntAlu)
                         .with_pc(0x400_000 + (i % 64) * 4)
                         .with_dest(ArchReg::int((i % 26) as u8))
                 }
             })
-            .collect();
-        let core = run_ops(ops);
-        assert!(core.stats().redirect_stall_cycles > 100);
-        assert!(core.bpred().mispredict_rate() > 0.1);
+            .collect()
+    }
+
+    #[test]
+    fn mispredicted_branches_stall_fetch() {
+        // Pseudo-random outcomes against always-taken ones: the same ops,
+        // but each mispredict holds fetch until its branch resolves, so
+        // the run takes far longer.
+        let mut x = 7u64;
+        let noisy = run_ops(control_ops(|| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 62) & 1 == 1
+        }));
+        let steady = run_ops(control_ops(|| true));
+        assert!(noisy.bpred().mispredict_rate() > 0.3);
+        assert!(steady.bpred().mispredict_rate() < 0.1, "only the predictor's warmup misses");
+        let (slow, fast) = (noisy.stats().cycles, steady.stats().cycles);
+        assert!(slow > fast + 500, "mispredicts must stall fetch: {slow} vs {fast} cycles");
     }
 
     #[test]
@@ -1531,11 +1465,12 @@ mod tests {
         while !core.is_done() {
             core.cycle(&mut trace);
         }
+        // One active-list allocation and one retirement per op.
         let sample = core.take_activity();
-        assert_eq!(sample.commits, 200);
+        assert_eq!(sample.rob_ops, 400);
         assert!(sample.cycles > 0);
         let empty = core.take_activity();
-        assert_eq!(empty.commits, 0);
+        assert_eq!(empty.rob_ops, 0);
         assert_eq!(empty.cycles, 0);
     }
 

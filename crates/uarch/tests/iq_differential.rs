@@ -92,7 +92,6 @@ mod reference {
             let pos = self.position_of_rank(insert_rank);
             self.slots[pos] = Some(entry);
             self.occupancy += 1;
-            activity.inserts += 1;
             activity.payload_accesses += 1;
             true
         }

@@ -85,12 +85,8 @@ pub struct TraceState {
     pub pc: u64,
     /// Non-branch ops remaining in the current basic block.
     pub ops_left_in_block: u64,
-    /// Integer destination-ring contents.
-    pub int_ring: [u8; DEST_REG_POOL as usize],
     /// Integer destination writes so far.
     pub int_writes: u64,
-    /// FP destination-ring contents.
-    pub fp_ring: [u8; DEST_REG_POOL as usize],
     /// FP destination writes so far.
     pub fp_writes: u64,
     /// Per-static-branch trip counters, sorted by branch PC.
@@ -135,11 +131,9 @@ pub struct TraceGenerator {
     /// Non-branch micro-ops remaining before this block's terminating branch
     /// (`u64::MAX` when the mix has no branches).
     ops_left_in_block: u64,
-    /// Ring of recently written integer destination registers.
-    int_ring: [u8; DEST_REG_POOL as usize],
+    /// Destination writes so far per register class; write `n` names
+    /// register `n % DEST_REG_POOL`.
     int_writes: u64,
-    /// Ring of recently written FP destination registers.
-    fp_ring: [u8; DEST_REG_POOL as usize],
     fp_writes: u64,
     /// Fraction of loads that produce an FP value (derived from the mix).
     fp_load_fraction: f64,
@@ -191,21 +185,12 @@ impl TraceGenerator {
         let fp_load_fraction =
             if fp_weight > 0.0 { (fp_weight / total * 2.0).min(0.8) } else { 0.0 };
 
-        let mut int_ring = [0u8; DEST_REG_POOL as usize];
-        let mut fp_ring = [0u8; DEST_REG_POOL as usize];
-        for i in 0..DEST_REG_POOL {
-            int_ring[i as usize] = i;
-            fp_ring[i as usize] = i;
-        }
-
         TraceGenerator {
             rng: Xoshiro256::new(seed),
             op_index: 0,
             pc: CODE_BASE,
             class_cdf,
-            int_ring,
             int_writes: 0,
-            fp_ring,
             fp_writes: 0,
             fp_load_fraction,
             dep_hot: Geometric::new(profile.dep_mean_hot()),
@@ -254,9 +239,7 @@ impl TraceGenerator {
             op_index: self.op_index,
             pc: self.pc,
             ops_left_in_block: self.ops_left_in_block,
-            int_ring: self.int_ring,
             int_writes: self.int_writes,
-            fp_ring: self.fp_ring,
             fp_writes: self.fp_writes,
             branch_counts,
             block_start: self.block_start,
@@ -273,9 +256,7 @@ impl TraceGenerator {
         self.op_index = state.op_index;
         self.pc = state.pc;
         self.ops_left_in_block = state.ops_left_in_block;
-        self.int_ring = state.int_ring;
         self.int_writes = state.int_writes;
-        self.fp_ring = state.fp_ring;
         self.fp_writes = state.fp_writes;
         self.branch_counts = state.branch_counts.iter().copied().collect();
         self.block_start = state.block_start;
@@ -293,14 +274,12 @@ impl TraceGenerator {
 
     fn alloc_int_dest(&mut self) -> ArchReg {
         let reg = (self.int_writes % u64::from(DEST_REG_POOL)) as u8;
-        self.int_ring[reg as usize] = reg;
         self.int_writes += 1;
         ArchReg::int(reg)
     }
 
     fn alloc_fp_dest(&mut self) -> ArchReg {
         let reg = (self.fp_writes % u64::from(DEST_REG_POOL)) as u8;
-        self.fp_ring[reg as usize] = reg;
         self.fp_writes += 1;
         ArchReg::fp(reg)
     }
@@ -478,9 +457,10 @@ impl TraceSource for TraceGenerator {
     /// `op_index` is the only generator state observable *across* a skip —
     /// it drives the phase square wave ([`PhaseModel::is_hot`]), so a jump
     /// keeps hot/cold bursts aligned with virtual time under interval
-    /// simulation. The PRNG, register rings, and branch trip counters
-    /// simply continue: the stream they produce is statistically stationary
-    /// within a phase, which is all the skipped stretch is summarizing.
+    /// simulation. The PRNG, destination-write counts, and branch trip
+    /// counters simply continue: the stream they produce is statistically
+    /// stationary within a phase, which is all the skipped stretch is
+    /// summarizing.
     ///
     /// [`PhaseModel::is_hot`]: crate::PhaseModel::is_hot
     fn skip_ops(&mut self, n: u64) {
