@@ -186,6 +186,13 @@ mod tests {
     }
 
     #[test]
+    fn help_prints_the_run_defaults() {
+        for default in [format!("[{DEFAULT_CYCLES}]"), format!("[{DEFAULT_SEED}]")] {
+            assert!(OPTIONS_HELP.contains(&default), "--help must show {default}");
+        }
+    }
+
+    #[test]
     fn rejects_bad_flags_and_values() {
         for flag in ["--frobnicate", "--no-warm-cache"] {
             assert!(BenchArgs::parse_from(&strs(&[flag])).is_err(), "{flag} is not a bench flag");

@@ -83,20 +83,18 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// How many violation details are retained; beyond this only the total is
-/// counted (one bad invariant can otherwise flood memory on a long run).
+/// How many violations are retained; later ones are dropped (one bad
+/// invariant can otherwise flood memory on a long run).
 const MAX_RETAINED: usize = 64;
 
 /// Collects violations from the individual checkers.
 #[derive(Debug, Default)]
 pub(crate) struct Sink {
     violations: Vec<Violation>,
-    total: u64,
 }
 
 impl Sink {
     pub(crate) fn report(&mut self, kind: ViolationKind, cycle: u64, detail: String) {
-        self.total += 1;
         if self.violations.len() < MAX_RETAINED {
             self.violations.push(Violation { kind, cycle, detail });
         }

@@ -437,6 +437,14 @@ mod tests {
     }
 
     #[test]
+    fn usage_prints_the_run_defaults() {
+        use powerbalance_harness::{DEFAULT_CYCLES, DEFAULT_SEED};
+        for default in [format!("[{DEFAULT_CYCLES}]"), format!("[{DEFAULT_SEED}]")] {
+            assert!(USAGE.contains(&default), "USAGE must show {default}");
+        }
+    }
+
+    #[test]
     fn parses_a_full_command_line() {
         let a = parse_run(&strs(&[
             "--bench",

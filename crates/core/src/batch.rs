@@ -299,9 +299,9 @@ impl<T: Detach + Clone> BatchSimulator<T> {
 mod tests {
     use super::*;
     use crate::experiments::{self, PolicyKind};
+    use crate::SchedulerKind;
     use crate::{Fidelity, Simulator};
     use powerbalance_isa::TraceCursor;
-    use powerbalance_sched::SchedulerKind;
     use powerbalance_thermal::ev6::FloorplanKind;
     use powerbalance_workloads::spec2000;
 

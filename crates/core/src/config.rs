@@ -1,12 +1,11 @@
 //! Top-level simulation configuration.
 
+use crate::SchedulerKind;
 use powerbalance_mitigation::MitigationConfig;
 use powerbalance_power::EnergyTables;
-use powerbalance_sched::SchedulerKind;
 use powerbalance_thermal::ev6::FloorplanKind;
 use powerbalance_thermal::PackageConfig;
 use powerbalance_uarch::CoreConfig;
-use serde::json::{Error, Value};
 use serde::{Deserialize, Serialize};
 
 /// How faithfully the simulator integrates power and heat over time.
@@ -102,7 +101,11 @@ pub const MAX_CORES: usize = 8;
 /// };
 /// assert_eq!(cfg.frequency_hz, 4.2e9);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The fidelity and multi-core fields are left off the wire at their
+/// defaults, so every single-core Exact config keeps the bytes it had
+/// before those features existed and the pinned goldens do not churn.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// The core microarchitecture.
     pub core: CoreConfig,
@@ -125,26 +128,31 @@ pub struct SimConfig {
     /// operating point). When `false` the die starts at ambient.
     pub warm_start: bool,
     /// Integration fidelity (see [`Fidelity`]).
+    #[serde(omit_default)]
     pub fidelity: Fidelity,
     /// Macro-interval length in cycles for [`Fidelity::Fast`]: one
     /// detailed sampling window is simulated per `fast_window` cycles and
     /// the rest are advanced analytically. Must be a positive multiple of
     /// `sample_interval`. Ignored under [`Fidelity::Exact`].
+    #[serde(omit_default)]
     pub fast_window: u64,
     /// Detailed warmup prefix in cycles for [`Fidelity::Fast`]: the first
     /// `fast_warmup` cycles of the run are simulated cycle-by-cycle (so
     /// the predictor, caches, and thermal state all train exactly as
     /// under [`Fidelity::Exact`]) before interval sampling engages.
     /// Ignored under [`Fidelity::Exact`].
+    #[serde(omit_default)]
     pub fast_warmup: u64,
     /// Number of cores tiled on the die (1..=8). `1` is the scalar
     /// single-core machine every golden artifact was pinned on;
     /// above 1 the floorplan is replicated with lateral RC coupling
     /// between adjacent cores and runs under
     /// [`crate::MultiCoreSimulator`].
+    #[serde(omit_default)]
     pub cores: usize,
     /// Which scheduler places workload segments onto cores. Ignored at
     /// `cores == 1` (there is nothing to place).
+    #[serde(omit_default)]
     pub scheduler: SchedulerKind,
 }
 
@@ -165,80 +173,6 @@ impl Default for SimConfig {
             cores: 1,
             scheduler: SchedulerKind::RoundRobin,
         }
-    }
-}
-
-// Manual serde: the fidelity and multi-core fields are omitted at their
-// defaults so configs written before those features existed (and every
-// single-core Exact run) keep a byte-identical wire form — the pinned
-// campaign/ablation goldens must not churn.
-impl Serialize for SimConfig {
-    fn serialize(&self) -> Value {
-        let mut fields = vec![
-            ("core".to_string(), self.core.serialize()),
-            ("floorplan".to_string(), self.floorplan.serialize()),
-            ("package".to_string(), self.package.serialize()),
-            ("energy".to_string(), self.energy.serialize()),
-            ("mitigation".to_string(), self.mitigation.serialize()),
-            ("frequency_hz".to_string(), self.frequency_hz.serialize()),
-            ("sample_interval".to_string(), self.sample_interval.serialize()),
-            ("warm_start".to_string(), self.warm_start.serialize()),
-        ];
-        if self.fidelity != Fidelity::Exact {
-            fields.push(("fidelity".to_string(), self.fidelity.serialize()));
-        }
-        if self.fast_window != DEFAULT_FAST_WINDOW {
-            fields.push(("fast_window".to_string(), self.fast_window.serialize()));
-        }
-        if self.fast_warmup != DEFAULT_FAST_WARMUP {
-            fields.push(("fast_warmup".to_string(), self.fast_warmup.serialize()));
-        }
-        if self.cores != 1 {
-            fields.push(("cores".to_string(), self.cores.serialize()));
-        }
-        if self.scheduler != SchedulerKind::RoundRobin {
-            fields.push(("scheduler".to_string(), self.scheduler.name().serialize()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl<'de> Deserialize<'de> for SimConfig {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(SimConfig {
-            core: Deserialize::deserialize(value.field("core")?)?,
-            floorplan: Deserialize::deserialize(value.field("floorplan")?)?,
-            package: Deserialize::deserialize(value.field("package")?)?,
-            energy: Deserialize::deserialize(value.field("energy")?)?,
-            mitigation: Deserialize::deserialize(value.field("mitigation")?)?,
-            frequency_hz: Deserialize::deserialize(value.field("frequency_hz")?)?,
-            sample_interval: Deserialize::deserialize(value.field("sample_interval")?)?,
-            warm_start: Deserialize::deserialize(value.field("warm_start")?)?,
-            fidelity: match value.get("fidelity") {
-                Some(v) => Deserialize::deserialize(v)?,
-                None => Fidelity::Exact,
-            },
-            fast_window: match value.get("fast_window") {
-                Some(v) => Deserialize::deserialize(v)?,
-                None => DEFAULT_FAST_WINDOW,
-            },
-            fast_warmup: match value.get("fast_warmup") {
-                Some(v) => Deserialize::deserialize(v)?,
-                None => DEFAULT_FAST_WARMUP,
-            },
-            cores: match value.get("cores") {
-                Some(v) => Deserialize::deserialize(v)?,
-                None => 1,
-            },
-            scheduler: match value.get("scheduler") {
-                Some(v) => {
-                    let name: String = Deserialize::deserialize(v)?;
-                    SchedulerKind::from_name(&name)
-                        .ok_or_else(|| Error::custom(format!("unknown scheduler '{name}'")))?
-                }
-                None => SchedulerKind::RoundRobin,
-            },
-        })
     }
 }
 
@@ -426,6 +360,32 @@ mod tests {
         assert!(
             serde::json::from_str::<SimConfig>(&json.replace("coolest-first", "hottest")).is_err()
         );
+    }
+
+    #[test]
+    fn non_default_wire_bytes_are_pinned() {
+        // Every field that is left off the wire at its default, here away
+        // from it: they follow the always-written fields in declaration
+        // order. The golden artifacts pin the default bytes.
+        let cfg = SimConfig {
+            fidelity: Fidelity::Fast,
+            fast_window: 40_000,
+            fast_warmup: 50_000,
+            cores: 4,
+            scheduler: SchedulerKind::Threshold,
+            ..SimConfig::default()
+        };
+        let default = serde::json::to_string(&SimConfig::default());
+        let head = default.strip_suffix('}').expect("a JSON object");
+        let json = serde::json::to_string(&cfg);
+        assert_eq!(
+            json,
+            format!(
+                "{head},\"fidelity\":\"Fast\",\"fast_window\":40000,\"fast_warmup\":50000,\
+                 \"cores\":4,\"scheduler\":\"threshold\"}}"
+            )
+        );
+        assert_eq!(serde::json::from_str::<SimConfig>(&json).unwrap(), cfg);
     }
 
     #[test]

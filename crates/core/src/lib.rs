@@ -45,6 +45,7 @@ mod error;
 pub mod experiments;
 mod multicore;
 mod result;
+mod sched;
 mod simulator;
 mod snapshot;
 
@@ -56,10 +57,7 @@ pub use result::{BlockTemperature, RunResult};
 pub use simulator::{RunControl, Simulator, StopCause};
 pub use snapshot::{FastEngineState, LaneState, SimulatorState, Snapshot, FORMAT_VERSION};
 
-// The scheduling vocabulary rides along with the multi-core engine so
-// callers can build task queues without a direct `powerbalance-sched`
-// dependency.
-pub use powerbalance_sched::{SchedulerKind, SegmentLen, Task, DEFAULT_MIGRATION_STALL};
+pub use sched::{CoreView, SchedulerKind, SegmentLen, Task, DEFAULT_MIGRATION_STALL};
 
 // Re-export the subsystem vocabulary users need to configure runs.
 // `spec2000` and its `TraceGenerator` ride along so downstream crates

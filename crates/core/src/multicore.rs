@@ -32,16 +32,16 @@
 //! all lanes are detailed together and skipped together and the shared
 //! thermal solve always sees one coherent die.
 //!
-//! [`SchedulerKind`]: powerbalance_sched::SchedulerKind
-//! [`SchedulerKind::Threshold`]: powerbalance_sched::SchedulerKind::Threshold
+//! [`SchedulerKind`]: crate::SchedulerKind
+//! [`SchedulerKind::Threshold`]: crate::SchedulerKind::Threshold
 
 use crate::engine::{Feed, Grid, LaneRef};
+use crate::sched::{CoreView, SchedulerKind, SegmentLen, Task, DEFAULT_MIGRATION_STALL};
 use crate::simulator::{RunControl, StopCause};
 use crate::snapshot::{encode_bits, LaneState};
 use crate::{BlockTemperature, Error, RunResult, SimConfig};
 use powerbalance_isa::{MicroOp, TraceSource};
 use powerbalance_mitigation::ThermalManager;
-use powerbalance_sched::{CoreView, SchedulerKind, SegmentLen, Task, DEFAULT_MIGRATION_STALL};
 use powerbalance_thermal::{multicore, ThermalModel};
 use powerbalance_uarch::Core;
 use serde::{Deserialize, Serialize};

@@ -1,6 +1,5 @@
 //! Run results.
 
-use serde::json::{Error, Value};
 use serde::{Deserialize, Serialize};
 
 /// Temperature statistics for one floorplan block over a run.
@@ -32,7 +31,11 @@ pub struct BlockTemperature {
 /// assert!(result.avg_temp("IntQ0").is_some());
 /// # Ok::<(), powerbalance::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The global-policy counters are left off the wire while zero, so every
+/// spatial-only run keeps the bytes it had before the policy layer
+/// existed.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunResult {
     /// Cycles simulated (including stall time).
     pub cycles: u64,
@@ -51,13 +54,17 @@ pub struct RunResult {
     /// Temporal stall events.
     pub freezes: u64,
     /// DVFS operating-point transitions (global policies only).
+    #[serde(omit_default)]
     pub opp_transitions: u64,
     /// Fetch-gate / clock-throttle duty-ladder shifts (global policies
     /// only).
+    #[serde(omit_default)]
     pub duty_shifts: u64,
     /// Cycles lost to global clock throttling.
+    #[serde(omit_default)]
     pub throttled_cycles: u64,
     /// Front-end cycles idled by fetch gating.
+    #[serde(omit_default)]
     pub fetch_gated_cycles: u64,
     /// Per-block temperature statistics.
     pub temperatures: Vec<BlockTemperature>,
@@ -69,70 +76,6 @@ pub struct RunResult {
     pub mispredict_rate: f64,
     /// L1 data-cache miss rate.
     pub l1d_miss_rate: f64,
-}
-
-// Manual serde: the global-policy counters are omitted when zero so
-// artifacts pinned before the policy layer existed (and every spatial-only
-// run) keep a byte-identical wire form.
-impl Serialize for RunResult {
-    fn serialize(&self) -> Value {
-        let mut fields = vec![
-            ("cycles".to_string(), self.cycles.serialize()),
-            ("committed".to_string(), self.committed.serialize()),
-            ("ipc".to_string(), self.ipc.serialize()),
-            ("frozen_cycles".to_string(), self.frozen_cycles.serialize()),
-            ("toggles".to_string(), self.toggles.serialize()),
-            ("alu_turnoffs".to_string(), self.alu_turnoffs.serialize()),
-            ("rf_turnoffs".to_string(), self.rf_turnoffs.serialize()),
-            ("freezes".to_string(), self.freezes.serialize()),
-        ];
-        for (name, v) in [
-            ("opp_transitions", self.opp_transitions),
-            ("duty_shifts", self.duty_shifts),
-            ("throttled_cycles", self.throttled_cycles),
-            ("fetch_gated_cycles", self.fetch_gated_cycles),
-        ] {
-            if v != 0 {
-                fields.push((name.to_string(), v.serialize()));
-            }
-        }
-        fields.push(("temperatures".to_string(), self.temperatures.serialize()));
-        fields.push(("int_issued_per_unit".to_string(), self.int_issued_per_unit.serialize()));
-        fields.push(("int_rf_reads".to_string(), self.int_rf_reads.serialize()));
-        fields.push(("mispredict_rate".to_string(), self.mispredict_rate.serialize()));
-        fields.push(("l1d_miss_rate".to_string(), self.l1d_miss_rate.serialize()));
-        Value::Object(fields)
-    }
-}
-
-impl<'de> Deserialize<'de> for RunResult {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let optional = |key: &str| -> Result<u64, Error> {
-            match value.get(key) {
-                Some(v) => Deserialize::deserialize(v),
-                None => Ok(0),
-            }
-        };
-        Ok(RunResult {
-            cycles: Deserialize::deserialize(value.field("cycles")?)?,
-            committed: Deserialize::deserialize(value.field("committed")?)?,
-            ipc: Deserialize::deserialize(value.field("ipc")?)?,
-            frozen_cycles: Deserialize::deserialize(value.field("frozen_cycles")?)?,
-            toggles: Deserialize::deserialize(value.field("toggles")?)?,
-            alu_turnoffs: Deserialize::deserialize(value.field("alu_turnoffs")?)?,
-            rf_turnoffs: Deserialize::deserialize(value.field("rf_turnoffs")?)?,
-            freezes: Deserialize::deserialize(value.field("freezes")?)?,
-            opp_transitions: optional("opp_transitions")?,
-            duty_shifts: optional("duty_shifts")?,
-            throttled_cycles: optional("throttled_cycles")?,
-            fetch_gated_cycles: optional("fetch_gated_cycles")?,
-            temperatures: Deserialize::deserialize(value.field("temperatures")?)?,
-            int_issued_per_unit: Deserialize::deserialize(value.field("int_issued_per_unit")?)?,
-            int_rf_reads: Deserialize::deserialize(value.field("int_rf_reads")?)?,
-            mispredict_rate: Deserialize::deserialize(value.field("mispredict_rate")?)?,
-            l1d_miss_rate: Deserialize::deserialize(value.field("l1d_miss_rate")?)?,
-        })
-    }
 }
 
 impl RunResult {
@@ -227,6 +170,29 @@ mod tests {
     #[test]
     fn peak_temp_is_max_over_blocks() {
         assert_eq!(result().peak_temp(), 353.5);
+    }
+
+    #[test]
+    fn nonzero_policy_counter_wire_bytes_are_pinned() {
+        let r = RunResult {
+            opp_transitions: 3,
+            duty_shifts: 5,
+            throttled_cycles: 120,
+            fetch_gated_cycles: 7,
+            temperatures: result().temperatures[..1].to_vec(),
+            ..result()
+        };
+        let json = serde::json::to_string(&r);
+        assert_eq!(
+            json,
+            "{\"cycles\":1000,\"committed\":800,\"ipc\":0.8,\"frozen_cycles\":0,\"toggles\":2,\
+             \"alu_turnoffs\":0,\"rf_turnoffs\":0,\"freezes\":0,\"opp_transitions\":3,\
+             \"duty_shifts\":5,\"throttled_cycles\":120,\"fetch_gated_cycles\":7,\
+             \"temperatures\":[{\"name\":\"IntQ0\",\"avg\":350,\"max\":351,\"last\":350.5}],\
+             \"int_issued_per_unit\":[100,80,60,40,20,10],\"int_rf_reads\":[400,200],\
+             \"mispredict_rate\":0.01,\"l1d_miss_rate\":0.02}"
+        );
+        assert_eq!(serde::json::from_str::<RunResult>(&json).unwrap(), r);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::zones::{TripPoint, TripSeverity, TripTable};
 use crate::InlineList;
 use powerbalance_uarch::DutyCycle;
-use serde::json::{Error, Value};
 use serde::{Deserialize, Serialize};
 
 /// Temperature thresholds and timing for the techniques.
@@ -330,8 +329,10 @@ impl GlobalPolicy {
 /// The temporal stall backstop is always armed; the booleans enable the
 /// paper's spatial techniques individually so every configuration in the
 /// evaluation (base, toggling, fine-grain turnoff, mapping × turnoff) is
-/// expressible.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// expressible. A `global` of [`GlobalPolicy::None`] is left off the wire,
+/// so configs without a global policy keep the bytes they had before the
+/// field existed.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MitigationConfig {
     /// Activity toggling for both issue queues (§2.1.1).
     pub activity_toggling: bool,
@@ -349,42 +350,8 @@ pub struct MitigationConfig {
     pub thresholds: Thresholds,
     /// Optional global response running alongside (or instead of) the
     /// spatial techniques (§5 comparison baselines).
+    #[serde(omit_default)]
     pub global: GlobalPolicy,
-}
-
-// Manual serde so existing campaign JSON (and the pinned golden artifacts)
-// stay byte-identical: the `global` field is omitted when it is `None` on
-// the wire, and absent `global` deserializes to `None`.
-impl Serialize for MitigationConfig {
-    fn serialize(&self) -> Value {
-        let mut fields = vec![
-            ("activity_toggling".to_string(), self.activity_toggling.serialize()),
-            ("alu_turnoff".to_string(), self.alu_turnoff.serialize()),
-            ("rf_turnoff".to_string(), self.rf_turnoff.serialize()),
-            ("rf_stale_copy".to_string(), self.rf_stale_copy.serialize()),
-            ("thresholds".to_string(), self.thresholds.serialize()),
-        ];
-        if self.global != GlobalPolicy::None {
-            fields.push(("global".to_string(), self.global.serialize()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl<'de> Deserialize<'de> for MitigationConfig {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(MitigationConfig {
-            activity_toggling: Deserialize::deserialize(value.field("activity_toggling")?)?,
-            alu_turnoff: Deserialize::deserialize(value.field("alu_turnoff")?)?,
-            rf_turnoff: Deserialize::deserialize(value.field("rf_turnoff")?)?,
-            rf_stale_copy: Deserialize::deserialize(value.field("rf_stale_copy")?)?,
-            thresholds: Deserialize::deserialize(value.field("thresholds")?)?,
-            global: match value.get("global") {
-                Some(g) => Deserialize::deserialize(g)?,
-                None => GlobalPolicy::None,
-            },
-        })
-    }
 }
 
 impl MitigationConfig {
@@ -606,6 +573,25 @@ mod tests {
         }
         assert!(cfg.validate().is_err(), "empty trip table must be rejected");
         MitigationConfig::spatial_all().validate().expect("spatial presets stay valid");
+    }
+
+    #[test]
+    fn global_policy_wire_bytes_are_pinned() {
+        let json = serde::json::to_string(&MitigationConfig::dvfs());
+        assert_eq!(
+            json,
+            "{\"activity_toggling\":false,\"alu_turnoff\":false,\"rf_turnoff\":false,\
+             \"rf_stale_copy\":false,\"thresholds\":{\"max_temp\":358,\"toggle_delta\":0.5,\
+             \"reenable_margin\":1,\"toggle_proximity\":2,\"cooling_cycles\":105000},\
+             \"global\":{\"Dvfs\":{\"ladder\":[{\"duty\":{\"on\":1,\"period\":1},\"volt_scale\":1},\
+             {\"duty\":{\"on\":7,\"period\":8},\"volt_scale\":0.95},\
+             {\"duty\":{\"on\":3,\"period\":4},\"volt_scale\":0.9},\
+             {\"duty\":{\"on\":1,\"period\":2},\"volt_scale\":0.8}],\"transition_cycles\":42000,\
+             \"trips\":[{\"severity\":\"Passive\",\"temp\":356,\"clear_temp\":355},\
+             {\"severity\":\"Critical\",\"temp\":358,\"clear_temp\":357}]}}}"
+        );
+        let back: MitigationConfig = serde::json::from_str(&json).expect("deserialize");
+        assert_eq!(back, MitigationConfig::dvfs());
     }
 
     #[test]

@@ -17,7 +17,6 @@ use crate::policy::{self, CoreView, PolicyState};
 use crate::zones::Zones;
 use crate::{MitigationConfig, Sensors};
 use powerbalance_uarch::{Core, IqActivity};
-use serde::json::{Error, Value};
 use serde::{Deserialize, Serialize};
 
 /// The register-file shutdown threshold sits this many kelvin below the
@@ -27,7 +26,10 @@ use serde::{Deserialize, Serialize};
 pub const RF_GUARD: f64 = 0.2;
 
 /// Event counters for a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+///
+/// The global counters are left off the wire while zero, so spatial-only
+/// runs keep the bytes they had before the global baselines existed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MitigationStats {
     /// Issue-queue head/tail toggles (both domains).
     pub toggles: u64,
@@ -40,52 +42,11 @@ pub struct MitigationStats {
     /// Temporal (whole-core) stall events.
     pub freezes: u64,
     /// DVFS operating-point transitions.
+    #[serde(omit_default)]
     pub opp_transitions: u64,
     /// Fetch-gate / clock-throttle duty-level changes.
+    #[serde(omit_default)]
     pub duty_shifts: u64,
-}
-
-// Manual serde so spatial-only runs (where the global counters stay zero)
-// serialize exactly as before the global baselines existed — the pinned
-// golden artifacts depend on it. The global counters appear on the wire
-// only when nonzero, and absent counters deserialize to zero.
-impl Serialize for MitigationStats {
-    fn serialize(&self) -> Value {
-        let mut fields = vec![
-            ("toggles".to_string(), self.toggles.serialize()),
-            ("int_toggles".to_string(), self.int_toggles.serialize()),
-            ("alu_turnoffs".to_string(), self.alu_turnoffs.serialize()),
-            ("rf_turnoffs".to_string(), self.rf_turnoffs.serialize()),
-            ("freezes".to_string(), self.freezes.serialize()),
-        ];
-        if self.opp_transitions != 0 {
-            fields.push(("opp_transitions".to_string(), self.opp_transitions.serialize()));
-        }
-        if self.duty_shifts != 0 {
-            fields.push(("duty_shifts".to_string(), self.duty_shifts.serialize()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl<'de> Deserialize<'de> for MitigationStats {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let optional = |key: &str| -> Result<u64, Error> {
-            match value.get(key) {
-                Some(v) => Deserialize::deserialize(v),
-                None => Ok(0),
-            }
-        };
-        Ok(MitigationStats {
-            toggles: Deserialize::deserialize(value.field("toggles")?)?,
-            int_toggles: Deserialize::deserialize(value.field("int_toggles")?)?,
-            alu_turnoffs: Deserialize::deserialize(value.field("alu_turnoffs")?)?,
-            rf_turnoffs: Deserialize::deserialize(value.field("rf_turnoffs")?)?,
-            freezes: Deserialize::deserialize(value.field("freezes")?)?,
-            opp_transitions: optional("opp_transitions")?,
-            duty_shifts: optional("duty_shifts")?,
-        })
-    }
 }
 
 /// Serializable dynamic state of a [`ThermalManager`].
@@ -315,6 +276,27 @@ mod tests {
     fn sample(m: &mut ThermalManager, core: &mut Core, temps: &[f64], now: u64) {
         let act = active_half(1);
         m.on_sample(core, temps, now, &act, &act);
+    }
+
+    #[test]
+    fn stats_wire_bytes_omit_only_zero_global_counters() {
+        let spatial = MitigationStats {
+            toggles: 1,
+            int_toggles: 2,
+            alu_turnoffs: 3,
+            rf_turnoffs: 4,
+            freezes: 5,
+            ..MitigationStats::default()
+        };
+        let global = MitigationStats { opp_transitions: 6, duty_shifts: 7, ..spatial };
+        let prefix =
+            "{\"toggles\":1,\"int_toggles\":2,\"alu_turnoffs\":3,\"rf_turnoffs\":4,\"freezes\":5";
+        for (stats, tail) in [(spatial, "}"), (global, ",\"opp_transitions\":6,\"duty_shifts\":7}")]
+        {
+            let json = serde::json::to_string(&stats);
+            assert_eq!(json, format!("{prefix}{tail}"));
+            assert_eq!(serde::json::from_str::<MitigationStats>(&json).unwrap(), stats);
+        }
     }
 
     #[test]
