@@ -15,11 +15,9 @@
 //! [`powerbalance_isa::TraceCursor`] fork under Exact fidelity, a private
 //! generator clone under Fast).
 //!
-//! Dies that remain split still amortise the thermal solve: each sampling
-//! window ends in one structure-of-arrays backward-Euler solve across all
-//! live dies ([`powerbalance_thermal::BatchThermalSolver`]), reusing a
-//! single LU factorization for K right-hand sides. Every lane runs the
-//! scalar floating-point sequence, so batched results are
+//! Each class die steps its own window on its own: its core, its power,
+//! its thermal network's `step`, its siblings' consults. Every sibling
+//! thus runs the scalar floating-point sequence, so batched results are
 //! **bit-identical** to K sequential scalar runs — a contract pinned by
 //! differential tests and the fuzzer.
 //!

@@ -17,17 +17,17 @@
 //! | [`crate::MultiCoreSimulator`] | 1 | N | 1 |
 //! | [`crate::BatchSimulator`] | 1 per equivalence class | 1 | K, split across classes |
 //!
-//! [`Grid::drive`] steps every live die through one sampling window at a
-//! time, phase by phase: cycle every busy lane; account every lane's
-//! power in one batched call per die; group dies by `(settled, dt)` and
-//! run one batched solve per group; consult each die's managers; then
-//! update statistics, retire finished work, and tick the interval clock.
-//! Within each lane the floating-point sequence is the single-core one —
-//! power → dt/settle → thermal → consult → statistics — which is what
-//! keeps every view bit-identical to the others wherever they describe
-//! the same run.
+//! [`Grid::drive`] steps the grid one sampling window at a time, and
+//! within a window takes one live die at a time through its whole sense
+//! and react sequence: cycle its busy lanes, convert each lane's activity
+//! to power, step the die's thermal network, consult its managers, then
+//! update statistics and retire finished work for the die and every die
+//! it forked. This is the single-core sequence — power → dt/settle →
+//! thermal → consult → statistics — run once per die, and no step of one
+//! die reads another's state, which is what keeps every view bit-identical
+//! to the others wherever they describe the same run.
 //!
-//! The consult is one phase for every die shape: each member decides for
+//! The consult is one step for every die shape: each member decides for
 //! each sampled lane, the members are partitioned by what they decided,
 //! the die forks once per extra partition, and each partition's
 //! representative applies its commands while its co-members adopt the
@@ -44,9 +44,7 @@ use crate::{BlockTemperature, Error, RunResult, SimConfig};
 use powerbalance_isa::TraceSource;
 use powerbalance_mitigation::{ManagerState, MitigationConfig, Sensors, ThermalManager};
 use powerbalance_power::PowerModel;
-use powerbalance_thermal::{
-    ev6, multicore, BatchThermalSolver, Floorplan, ThermalLane, ThermalModel,
-};
+use powerbalance_thermal::{ev6, multicore, Floorplan, ThermalModel};
 use powerbalance_uarch::{ActivitySample, Core, CoreState, CoreStats};
 
 /// Where a grid's lanes get their instructions, and the hooks a work
@@ -138,8 +136,6 @@ pub(crate) struct Lane {
     pub(crate) stall_left: u64,
     /// The running task, if any; solo feeds use task 0.
     pub(crate) task: Option<usize>,
-    /// Optional per-sample `(cycle, temperatures)` rows.
-    pub(crate) history: Option<Vec<(u64, Vec<f64>)>>,
     /// Differential oracle + invariant checkers. Lane 0's also watches
     /// the die's thermal solve.
     #[cfg(feature = "check")]
@@ -162,7 +158,6 @@ impl Lane {
             window_watts: vec![0.0; blocks],
             stall_left: 0,
             task: None,
-            history: None,
             #[cfg(feature = "check")]
             checker: None,
             before: CoreStats::default(),
@@ -171,7 +166,7 @@ impl Lane {
     }
 
     /// A copy of this lane with its own core, carrying the current
-    /// window's context but no checker or history.
+    /// window's context but no checker.
     fn fork(&self) -> Lane {
         Lane {
             core: self.core.clone(),
@@ -182,7 +177,6 @@ impl Lane {
             window_watts: self.window_watts.clone(),
             stall_left: self.stall_left,
             task: self.task,
-            history: None,
             #[cfg(feature = "check")]
             checker: None,
             before: self.before,
@@ -264,7 +258,7 @@ impl Lane {
 
     /// Accumulates the window's temperature statistics: averages over
     /// execution (non-stalled) samples, the peak over all of them.
-    fn account(&mut self, temps: &[f64], was_frozen: bool, now: u64) {
+    fn account(&mut self, temps: &[f64], was_frozen: bool) {
         if !was_frozen {
             for (sum, t) in self.temp_sum.iter_mut().zip(temps) {
                 *sum += t;
@@ -273,9 +267,6 @@ impl Lane {
         }
         for (max, t) in self.temp_max.iter_mut().zip(temps) {
             *max = max.max(*t);
-        }
-        if let Some(history) = &mut self.history {
-            history.push((now, temps.to_vec()));
         }
     }
 
@@ -365,21 +356,6 @@ pub(crate) struct Die {
     pub(crate) lanes: Vec<Lane>,
     /// Whether the die steps this window (set by [`Feed::dispatch`]).
     pub(crate) live: bool,
-    /// This window's thermal step, and whether the die takes part in the
-    /// batched solve currently running.
-    dt: f64,
-    settled: bool,
-    solve: bool,
-}
-
-impl ThermalLane for Die {
-    fn lane(&mut self) -> Option<(&mut ThermalModel, &[f64])> {
-        if self.solve {
-            Some((&mut self.thermal, &self.watts))
-        } else {
-            None
-        }
-    }
 }
 
 impl Die {
@@ -393,9 +369,6 @@ impl Die {
             members: Vec::new(),
             lanes: self.lanes.iter().map(Lane::fork).collect(),
             live: self.live,
-            dt: self.dt,
-            settled: self.settled,
-            solve: false,
         }
     }
 }
@@ -419,12 +392,7 @@ pub(crate) struct Grid {
     /// completed in the current macro window.
     prefix_left: u64,
     window_pos: u64,
-    solver: BatchThermalSolver,
-    /// Scratch: this die's `(activity, scale)` rows for the power phase.
-    rows: Vec<(ActivitySample, f64)>,
-    /// Scratch: distinct `(settled, dt_bits)` thermal groups.
-    groups: Vec<(bool, u64)>,
-    /// Scratch for the consult phase: each member's partition, and each
+    /// Scratch for the consult: each member's partition, and each
     /// partition's first member.
     parts: Vec<usize>,
     reps: Vec<usize>,
@@ -458,9 +426,6 @@ impl Grid {
             members: (0..mitigations.len()).collect(),
             lanes,
             live: false,
-            dt: 0.0,
-            settled: false,
-            solve: false,
         };
         Ok(Grid {
             prefix_left: match config.fidelity {
@@ -474,9 +439,6 @@ impl Grid {
             idle_watts,
             dies: vec![die],
             managers,
-            solver: BatchThermalSolver::new(),
-            rows: Vec::new(),
-            groups: Vec::new(),
             parts: Vec::new(),
             reps: Vec::new(),
         })
@@ -492,7 +454,7 @@ impl Grid {
     }
 
     /// Moves dies `take` (ascending), with their members' managers, into a
-    /// new grid on the same interval clock with its own solver. Both grids
+    /// new grid on the same interval clock. Both grids
     /// keep their dies in order and renumber their members densely, in
     /// ascending order. Returns the new grid and the old index of each of
     /// its members.
@@ -522,9 +484,6 @@ impl Grid {
             managers: given_managers,
             prefix_left: self.prefix_left,
             window_pos: self.window_pos,
-            solver: BatchThermalSolver::new(),
-            rows: Vec::new(),
-            groups: Vec::new(),
             parts: Vec::new(),
             reps: Vec::new(),
         };
@@ -584,17 +543,31 @@ impl Grid {
             let sub = interval.min(*cycles);
             let in_prefix = self.prefix_left > 0;
             let detailed = !fast || in_prefix || self.window_pos == 0;
-            if detailed {
-                *cycles -= self.cycle_lanes(feed, sub, fast);
-                self.sense(sub, fast);
-            } else {
-                *cycles -= sub;
-                self.skip(feed, sub);
+            // The budget falls by the longest advance over all dies; a
+            // skipped sub-interval advances every die by all of it.
+            let mut advanced = if detailed { 0 } else { sub };
+            // Dies forked during the pass are appended past this bound:
+            // they continue the window from their parent's state, so they
+            // are accounted with it but not stepped again.
+            for d in 0..self.dies.len() {
+                if !self.dies[d].live {
+                    continue;
+                }
+                if detailed {
+                    advanced = advanced.max(self.detail(feed, d, sub, fast));
+                } else {
+                    self.skip(feed, d, sub);
+                }
+                let first_child = self.dies.len();
+                if consult {
+                    self.consult_die(feed, d, detailed);
+                }
+                self.account(feed, d);
+                for child in first_child..self.dies.len() {
+                    self.account(feed, child);
+                }
             }
-            if consult {
-                self.consult(feed, detailed);
-            }
-            self.account(feed);
+            *cycles -= advanced;
             if fast {
                 if in_prefix {
                     // The prefix is detailed wall-to-wall; the macro-window
@@ -607,19 +580,24 @@ impl Grid {
         }
     }
 
-    /// Phase 1: runs every busy lane for up to `window` cycles (migration
-    /// stall first). Returns how far the grid clock advanced: the longest
-    /// busy lane, or the full window on a live die with no busy lane
-    /// (idle cooling).
-    fn cycle_lanes<F: Feed>(&mut self, feed: &mut F, window: u64, fast: bool) -> u64 {
-        let mut advanced = 0u64;
-        for (d, die) in self.dies.iter_mut().enumerate().filter(|(_, die)| die.live) {
-            let mut die_advanced = window;
-            let mut any_busy = false;
-            for lane in &mut die.lanes {
-                let Some(task) = lane.task else {
-                    continue;
-                };
+    /// A detailed window of die `d`: runs every busy lane for up to
+    /// `window` cycles (migration stall first), converts each lane's
+    /// activity to power (idle lanes leak), and steps the die's thermal
+    /// network by its longest lane activity, or by the window length when
+    /// idle. Returns how far the die's clock advanced: its longest busy
+    /// lane, or the full window with no busy lane (idle cooling).
+    fn detail<F: Feed>(&mut self, feed: &mut F, d: usize, window: u64, fast: bool) -> u64 {
+        let blocks = self.blocks();
+        let cores = self.config.cores;
+        let Grid { dies, power, managers, config, .. } = self;
+        let die = &mut dies[d];
+        let mut advanced = window;
+        let mut any_busy = false;
+        let mut max_cycles = 0u64;
+        for (c, (lane, watts)) in
+            die.lanes.iter_mut().zip(die.watts.chunks_exact_mut(blocks)).enumerate()
+        {
+            if let Some(task) = lane.task {
                 if fast {
                     lane.before = *lane.core.stats();
                 }
@@ -629,127 +607,80 @@ impl Grid {
                     feed.stalled(stall);
                 }
                 let ran = stall + lane.cycle(feed.trace(d, task), window - stall);
-                die_advanced = if any_busy { die_advanced.max(ran) } else { ran };
+                advanced = if any_busy { advanced.max(ran) } else { ran };
                 any_busy = true;
             }
-            advanced = advanced.max(die_advanced);
-        }
-        advanced
-    }
-
-    /// Phases 2 and 3 of a detailed window: per-lane activity → power
-    /// (idle lanes leak) → one batched solve per `(settled, dt)` group.
-    /// A die steps by its longest lane activity, or by the window length
-    /// when idle.
-    fn sense(&mut self, window: u64, fast: bool) {
-        let blocks = self.blocks();
-        let cores = self.config.cores;
-        self.groups.clear();
-        for die in self.dies.iter_mut().filter(|die| die.live) {
-            self.rows.clear();
-            let mut max_cycles = 0u64;
-            for (c, lane) in die.lanes.iter_mut().enumerate() {
-                let activity = lane.core.take_activity();
-                lane.ctx = None;
-                if activity.cycles == 0 {
-                    self.rows.push((activity, 1.0));
-                    continue;
-                }
+            let activity = lane.core.take_activity();
+            lane.ctx = None;
+            let mut scale = 1.0;
+            if activity.cycles > 0 {
                 max_cycles = max_cycles.max(activity.cycles);
                 lane.fast.window_int_iq = activity.int_iq;
                 lane.fast.window_fp_iq = activity.fp_iq;
                 lane.ctx = Some((lane.core.is_frozen(), lane.virtual_now()));
                 // DVFS scales dynamic energy by V²f; every member of a die
                 // shares the scale by the partition invariant.
-                let scale = self.managers[die.members[0] * cores + c].dynamic_power_scale();
+                scale = managers[die.members[0] * cores + c].dynamic_power_scale();
                 debug_assert!(
                     die.members
                         .iter()
-                        .all(|&m| self.managers[m * cores + c].dynamic_power_scale() == scale),
+                        .all(|&m| managers[m * cores + c].dynamic_power_scale() == scale),
                     "die members disagree on dynamic power scale"
                 );
-                self.rows.push((activity, scale));
             }
-            self.power.block_power_many_into(&self.rows, &mut die.watts);
-            if fast {
-                for (lane, watts) in die.lanes.iter_mut().zip(die.watts.chunks_exact(blocks)) {
-                    if lane.ctx.is_some() {
-                        lane.record(watts);
-                    }
-                }
-            }
-            let dt_cycles = if max_cycles == 0 { window } else { max_cycles };
-            die.dt = dt_cycles as f64 / self.config.frequency_hz;
-            // The first window of a warm-started run jumps to this
-            // workload's own steady state instead of heating from ambient.
-            die.settled = self.config.warm_start && !die.warmed;
-            die.warmed |= die.settled;
-            let key = (die.settled, die.dt.to_bits());
-            if !self.groups.contains(&key) {
-                self.groups.push(key);
+            power.block_power_scaled_into(&activity, scale, watts);
+            if fast && lane.ctx.is_some() {
+                lane.record(watts);
             }
         }
-        for &(settled, dt_bits) in &self.groups {
-            for die in &mut self.dies {
-                die.solve = die.live && die.settled == settled && die.dt.to_bits() == dt_bits;
-            }
-            if settled {
-                self.solver.settle_many(&mut self.dies);
-            } else {
-                self.solver.step_many(&mut self.dies, f64::from_bits(dt_bits));
-            }
+        let dt_cycles = if max_cycles == 0 { window } else { max_cycles };
+        let dt = dt_cycles as f64 / config.frequency_hz;
+        // The first window of a warm-started run jumps to this workload's
+        // own steady state instead of heating from ambient.
+        let settle = config.warm_start && !die.warmed;
+        if settle {
+            die.warmed = true;
+            die.thermal.settle(&die.watts);
+        } else {
+            die.thermal.step(&die.watts, dt);
         }
         #[cfg(feature = "check")]
-        for die in self.dies.iter_mut().filter(|die| die.live) {
+        {
             let now = die.lanes[0].virtual_now();
             if let Some(checker) = &mut die.lanes[0].checker {
-                checker.check_thermal(&die.thermal, &die.watts, die.dt, die.settled, now);
+                checker.check_thermal(&die.thermal, &die.watts, dt, settle, now);
             }
         }
+        advanced
     }
 
-    /// Phases 2 and 3 of a skipped sub-interval: each die holds its busy
-    /// lanes' last detailed power (idle and frozen lanes leak) and
-    /// advances in closed form; busy lanes extrapolate.
-    fn skip<F: Feed>(&mut self, feed: &mut F, sub: u64) {
+    /// A skipped sub-interval of die `d`: the die holds its busy lanes'
+    /// last detailed power (idle and frozen lanes leak) and advances in
+    /// closed form; busy lanes extrapolate.
+    fn skip<F: Feed>(&mut self, feed: &mut F, d: usize, sub: u64) {
         let blocks = self.blocks();
         let dt = sub as f64 / self.config.frequency_hz;
-        for (d, die) in self.dies.iter_mut().enumerate().filter(|(_, die)| die.live) {
-            for (lane, watts) in die.lanes.iter_mut().zip(die.watts.chunks_exact_mut(blocks)) {
-                let frozen = lane.core.is_frozen();
-                lane.ctx = lane.task.map(|_| (frozen, 0));
-                let held = if lane.task.is_some() && !frozen {
-                    &lane.window_watts
-                } else {
-                    &self.idle_watts
-                };
-                watts.copy_from_slice(held);
-            }
-            die.thermal.advance(&die.watts, dt);
-            for lane in &mut die.lanes {
-                let (Some(task), Some((frozen, _))) = (lane.task, lane.ctx) else {
-                    continue;
-                };
-                lane.skip(feed.trace(d, task), sub, frozen);
-                lane.ctx = Some((frozen, lane.virtual_now()));
-            }
-            // The closed-form advance is outside the backward-Euler
-            // residual's reach; re-base the die-level watches.
-            #[cfg(feature = "check")]
-            if let Some(checker) = &mut die.lanes[0].checker {
-                checker.resync_thermal(&die.thermal);
-            }
+        let die = &mut self.dies[d];
+        for (lane, watts) in die.lanes.iter_mut().zip(die.watts.chunks_exact_mut(blocks)) {
+            let frozen = lane.core.is_frozen();
+            lane.ctx = lane.task.map(|_| (frozen, 0));
+            let held =
+                if lane.task.is_some() && !frozen { &lane.window_watts } else { &self.idle_watts };
+            watts.copy_from_slice(held);
         }
-    }
-
-    /// Phase 4: every live die consults its managers. Forked children are
-    /// appended past the dies this pass visits, so they are not consulted
-    /// twice.
-    fn consult<F: Feed>(&mut self, feed: &mut F, detailed: bool) {
-        for d in 0..self.dies.len() {
-            if self.dies[d].live {
-                self.consult_die(feed, d, detailed);
-            }
+        die.thermal.advance(&die.watts, dt);
+        for lane in &mut die.lanes {
+            let (Some(task), Some((frozen, _))) = (lane.task, lane.ctx) else {
+                continue;
+            };
+            lane.skip(feed.trace(d, task), sub, frozen);
+            lane.ctx = Some((frozen, lane.virtual_now()));
+        }
+        // The closed-form advance is outside the backward-Euler residual's
+        // reach; re-base the die-level watches.
+        #[cfg(feature = "check")]
+        if let Some(checker) = &mut die.lanes[0].checker {
+            checker.resync_thermal(&die.thermal);
         }
     }
 
@@ -852,21 +783,20 @@ impl Grid {
         }
     }
 
-    /// Phase 5: statistics for every lane sampled this window (forked
-    /// children included — they inherited the context), then retirement.
-    fn account<F: Feed>(&mut self, feed: &mut F) {
+    /// Statistics for every lane of die `d` sampled this window (a forked
+    /// child inherited its parent's context), then retirement.
+    fn account<F: Feed>(&mut self, feed: &mut F, d: usize) {
         let blocks = self.blocks();
-        for die in self.dies.iter_mut().filter(|die| die.live) {
-            let temps = die.thermal.temperatures();
-            for (c, lane) in die.lanes.iter_mut().enumerate() {
-                if let Some((was_frozen, now)) = lane.ctx.take() {
-                    lane.account(&temps[c * blocks..(c + 1) * blocks], was_frozen, now);
-                }
-                if let Some(task) = lane.task {
-                    if lane.core.is_done() {
-                        lane.task = None;
-                        feed.retire(task);
-                    }
+        let die = &mut self.dies[d];
+        let temps = die.thermal.temperatures();
+        for (c, lane) in die.lanes.iter_mut().enumerate() {
+            if let Some((was_frozen, _)) = lane.ctx.take() {
+                lane.account(&temps[c * blocks..(c + 1) * blocks], was_frozen);
+            }
+            if let Some(task) = lane.task {
+                if lane.core.is_done() {
+                    lane.task = None;
+                    feed.retire(task);
                 }
             }
         }
@@ -1010,6 +940,7 @@ mod tests {
         BatchSimulator, Fidelity, FloorplanKind, MultiCoreSimulator, SimConfig, Simulator, TaskSet,
         TraceCursor,
     };
+    use powerbalance_isa::{MicroOp, SliceTrace, TraceSource};
     use powerbalance_workloads::{spec2000, TraceGenerator};
 
     fn trace(name: &str, seed: u64) -> TraceGenerator {
@@ -1097,6 +1028,40 @@ mod tests {
             assert_eq!(split.results(), expect, "{bench}");
             assert_eq!(split.class_count(), whole.class_count(), "{bench}");
         }
+    }
+
+    #[test]
+    fn forked_dies_step_different_dt_in_one_window() {
+        // A finite trace sized so that the cell forks, then both classes
+        // drain mid-way through the same window at different cycle
+        // counts: in that window each die steps its own `dt`.
+        let configs: Vec<SimConfig> = [PolicyKind::None, PolicyKind::FetchGate]
+            .iter()
+            .map(|k| experiments::policy(*k, FloorplanKind::IssueConstrained))
+            .collect();
+        let mut generator = trace("eon", 42);
+        let ops: Vec<MicroOp> =
+            (0..350_000).map(|_| generator.next_op().expect("generators never drain")).collect();
+        let (total, interval) = (1_000_000, configs[0].sample_interval);
+        let build = || {
+            BatchSimulator::new(configs.clone(), SliceTrace::new(ops.clone())).expect("eligible")
+        };
+        let mut whole = build();
+        let results = whole.run(total);
+        assert_eq!(whole.class_count(), 2, "the cell forks");
+        let (a, b) = (results[0].cycles, results[1].cycles);
+        assert_ne!(a, b, "the classes drain at different cycle counts");
+        assert_eq!(a / interval, b / interval, "in one window: {a} vs {b}");
+        assert!(a % interval != 0 && b % interval != 0, "both mid-window: {a} vs {b}");
+        for (config, r) in configs.iter().zip(&results) {
+            let mut sim = Simulator::new(config.clone()).expect("valid config");
+            assert_eq!(*r, sim.run(&mut SliceTrace::new(ops.clone()), total), "scalar run");
+        }
+        let mut split = build();
+        for n in chunks(total, interval) {
+            split.run(n);
+        }
+        assert_eq!(split.results(), results, "chunked run");
     }
 
     #[test]

@@ -56,7 +56,7 @@ use serde::{Deserialize, Serialize};
 /// mismatched versions outright — there is no migration machinery, by
 /// design: snapshots are caches of recomputable state, so invalidating
 /// them on a version bump is always safe.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Serializable dynamic state of a [`Simulator`] (everything except the
 /// configuration it was built from and the trace driving it).
@@ -348,16 +348,21 @@ mod tests {
     #[test]
     fn version_mismatch_is_rejected_before_shape_errors() {
         let (sim, trace, profile) = run_pair(10_000);
-        let mut snap = Snapshot::capture(&sim, &profile, &trace);
-        snap.format_version = FORMAT_VERSION + 1;
-        // resume() refuses.
-        let err = snap.resume().expect_err("future version");
-        assert!(err.to_string().contains("format version"), "{err}");
-        // And so does the parser, even when the rest of the document is
-        // garbage from this version's point of view.
-        let doc = format!("{{\"format_version\":{}}}", FORMAT_VERSION + 1);
-        let err = Snapshot::from_json(&doc).expect_err("future version");
-        assert!(err.to_string().contains("format version"), "{err}");
+        // The previous layout is refused as firmly as a future one.
+        for version in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
+            let mut snap = Snapshot::capture(&sim, &profile, &trace);
+            snap.format_version = version;
+            // resume() refuses.
+            let err = snap.resume().expect_err("other version");
+            assert!(err.to_string().contains("format version"), "{err}");
+            // And so does the parser, on a whole document and on one that
+            // is garbage from this version's point of view.
+            let err = Snapshot::from_json(&snap.to_json()).expect_err("other version");
+            assert!(err.to_string().contains(&format!("format version {version}")), "{err}");
+            let doc = format!("{{\"format_version\":{version}}}");
+            let err = Snapshot::from_json(&doc).expect_err("other version");
+            assert!(err.to_string().contains("format version"), "{err}");
+        }
     }
 
     #[test]

@@ -168,21 +168,7 @@ impl PowerModel {
     ///
     /// Panics if `out` does not have one entry per floorplan block.
     pub fn block_power_into(&self, sample: &ActivitySample, out: &mut [f64]) {
-        assert_eq!(out.len(), self.block_count, "one output entry per block");
-        // `out` doubles as the energy accumulator until the final
-        // energy-to-power conversion.
-        out.fill(0.0);
-        self.accumulate_energy(sample, out);
-
-        // Convert window energy to average power and add leakage.
-        let seconds = sample.cycles as f64 / self.frequency_hz;
-        if seconds > 0.0 {
-            for (e, &leak) in out.iter_mut().zip(&self.leakage) {
-                *e = leak + *e / seconds;
-            }
-        } else {
-            out.copy_from_slice(&self.leakage);
-        }
+        self.block_power_scaled_into(sample, 1.0, out);
     }
 
     /// [`block_power_into`](Self::block_power_into) with the *dynamic*
@@ -196,9 +182,7 @@ impl PowerModel {
     /// dynamic-power framing (see DESIGN.md §12).
     ///
     /// The model stays stateless: the scale is an explicit argument, never
-    /// stored, so the purity contract is unaffected. At `dynamic_scale ==
-    /// 1.0` callers should prefer `block_power_into`, which this function
-    /// matches bit-for-bit in that case.
+    /// stored, so the purity contract is unaffected.
     ///
     /// # Panics
     ///
@@ -210,9 +194,12 @@ impl PowerModel {
         out: &mut [f64],
     ) {
         assert_eq!(out.len(), self.block_count, "one output entry per block");
+        // `out` doubles as the energy accumulator until the final
+        // energy-to-power conversion.
         out.fill(0.0);
         self.accumulate_energy(sample, out);
 
+        // Convert window energy to average power and add leakage.
         let seconds = sample.cycles as f64 / self.frequency_hz;
         if seconds > 0.0 {
             for (e, &leak) in out.iter_mut().zip(&self.leakage) {
@@ -223,36 +210,8 @@ impl PowerModel {
         }
     }
 
-    /// Batched power accounting: converts one activity window per lane
-    /// into that lane's per-block watts, writing lane `i` to
-    /// `out[i * blocks..(i + 1) * blocks]`.
-    ///
-    /// The stepping engine collects every lane's window activity and its
-    /// dynamic-power scale, then accounts them in one call. Each lane runs
-    /// the scalar conversion — [`block_power_into`](Self::block_power_into)
-    /// at scale 1.0, the scaled variant otherwise — so lane `i` of the
-    /// output is bit-identical to the corresponding scalar call; the
-    /// batching wins locality (one pass over the energy tables per window)
-    /// without touching the purity contract. A lane whose window ran no
-    /// cycles gets pure leakage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is not one block vector per lane.
-    pub fn block_power_many_into(&self, lanes: &[(ActivitySample, f64)], out: &mut [f64]) {
-        assert_eq!(out.len(), lanes.len() * self.block_count, "one block vector per lane");
-        for ((sample, scale), out) in lanes.iter().zip(out.chunks_exact_mut(self.block_count)) {
-            if *scale == 1.0 {
-                self.block_power_into(sample, out);
-            } else {
-                self.block_power_scaled_into(sample, *scale, out);
-            }
-        }
-    }
-
     /// Accumulates the window's dynamic energy per block into `energy`
-    /// (which the caller has zeroed). Shared verbatim by the scaled and
-    /// unscaled power conversions so their accumulation order is identical.
+    /// (which the caller has zeroed).
     fn accumulate_energy(&self, sample: &ActivitySample, energy: &mut [f64]) {
         let t = &self.tables;
 

@@ -49,6 +49,6 @@ mod package;
 
 pub use floorplan::{Block, Floorplan};
 pub use linalg::LuFactors;
-pub use model::{BatchThermalSolver, ThermalLane, ThermalModel};
+pub use model::{BatchThermalSolver, ThermalModel};
 pub use network::ThermalNetwork;
 pub use package::PackageConfig;

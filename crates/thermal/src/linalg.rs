@@ -133,9 +133,8 @@ impl LuFactors {
     /// [`solve_into`](Self::solve_into) — permutation gather, forward
     /// substitution in column order, back substitution ending in the
     /// diagonal divide — so lane `lane` of `x` is **bit-identical** to
-    /// `solve_into(b_lane, x_lane)` on the de-interleaved vectors. The
-    /// batched campaign engine depends on that equivalence; it is pinned
-    /// by property tests.
+    /// `solve_into(b_lane, x_lane)` on the de-interleaved vectors, which
+    /// property tests pin.
     ///
     /// # Panics
     ///

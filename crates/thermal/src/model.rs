@@ -344,40 +344,21 @@ impl ThermalModel {
 /// share one network (same floorplan and package) under a single LU
 /// factorization.
 ///
-/// The batched campaign engine runs K sibling configurations whose thermal
-/// networks are identical by construction; factoring `(C/Δt + G)` once and
-/// solving all K right-hand sides through
+/// Factoring `(C/Δt + G)` once and solving all K right-hand sides through
 /// [`LuFactors::solve_many_into`] turns K dense solves into one
 /// factorization plus a lane-vectorized substitution. Every lane performs
 /// the scalar code's exact operation sequence, so each model's
 /// temperatures are **bit-identical** to what its own
 /// [`ThermalModel::step`]/[`ThermalModel::settle`] would have produced.
 ///
-/// The solver owns the lane-major scratch so steady-state batch loops
-/// allocate nothing per window.
+/// The solver owns the lane-major scratch, so repeated solves allocate
+/// nothing.
 #[derive(Debug, Default)]
 pub struct BatchThermalSolver {
     /// Lane-major right-hand sides: entry `node * k + lane`.
     rhs: Vec<f64>,
     /// Lane-major solutions, scattered back into each model's `temps`.
     x: Vec<f64>,
-}
-
-/// One lane of a [`BatchThermalSolver`] solve: a model plus the power
-/// vector to advance it with, or `None` to sit this solve out.
-///
-/// The selection hook lets a caller hand the solver its own lane
-/// containers (and pick a subset of them) without building a slice of
-/// references every window.
-pub trait ThermalLane {
-    /// The model and its power vector, if this lane takes part.
-    fn lane(&mut self) -> Option<(&mut ThermalModel, &[f64])>;
-}
-
-impl ThermalLane for (&mut ThermalModel, &[f64]) {
-    fn lane(&mut self) -> Option<(&mut ThermalModel, &[f64])> {
-        Some((&mut *self.0, self.1))
-    }
 }
 
 impl BatchThermalSolver {
@@ -387,21 +368,16 @@ impl BatchThermalSolver {
         BatchThermalSolver::default()
     }
 
-    /// Checks the taking-part lanes share one network shape and returns
+    /// Checks the lanes share one network shape and returns
     /// `(node_count, k)`. Full matrix equality is a debug assertion: the
     /// caller's eligibility rules (same floorplan + package) guarantee it,
     /// and the O(n²k) compare is too hot for release windows.
-    fn check_lanes<L: ThermalLane>(lanes: &mut [L]) -> (usize, usize) {
-        let mut taking_part = lanes.iter_mut().filter_map(L::lane);
-        let Some((first, first_watts)) = taking_part.next() else {
+    fn check_lanes(lanes: &[(&mut ThermalModel, &[f64])]) -> (usize, usize) {
+        let Some((first, _)) = lanes.first() else {
             return (0, 0);
         };
-        let first: &ThermalModel = first;
         let n = first.network.node_count();
-        assert_eq!(first_watts.len(), first.block_count, "one power entry per block");
-        let mut k = 1;
-        for (model, watts) in taking_part {
-            k += 1;
+        for (model, watts) in lanes {
             assert_eq!(model.network.node_count(), n, "lanes must share the network shape");
             assert_eq!(watts.len(), model.block_count, "one power entry per block");
             debug_assert_eq!(
@@ -415,30 +391,30 @@ impl BatchThermalSolver {
                 "lanes must share one capacitance vector"
             );
         }
-        (n, k)
+        (n, lanes.len())
     }
 
-    /// Advances every taking-part `(model, watts)` lane by `dt` seconds,
-    /// exactly as `model.step(watts, dt)` would, sharing the first lane's
+    /// Advances every `(model, watts)` lane by `dt` seconds, exactly as
+    /// `model.step(watts, dt)` would, sharing the first lane's
     /// factorization.
     ///
     /// # Panics
     ///
     /// Panics if `dt <= 0`, a power vector is the wrong length, or the
     /// lanes disagree on the network shape.
-    pub fn step_many<L: ThermalLane>(&mut self, lanes: &mut [L], dt: f64) {
+    pub fn step_many(&mut self, lanes: &mut [(&mut ThermalModel, &[f64])], dt: f64) {
         assert!(dt > 0.0, "dt must be positive");
         let (n, k) = Self::check_lanes(lanes);
         if k <= 1 {
             // One lane is the scalar path; keep its own cache warm.
-            if let Some((model, watts)) = lanes.iter_mut().find_map(L::lane) {
+            if let Some((model, watts)) = lanes.first_mut() {
                 model.step(watts, dt);
             }
             return;
         }
         self.rhs.resize(n * k, 0.0);
         self.x.resize(n * k, 0.0);
-        for (lane, (model, watts)) in lanes.iter_mut().filter_map(L::lane).enumerate() {
+        for (lane, (model, watts)) in lanes.iter().enumerate() {
             let c = model.network.capacitance();
             let ambient_power = model.network.ambient_power();
             for i in 0..n {
@@ -448,32 +424,30 @@ impl BatchThermalSolver {
                 self.rhs[i * k + lane] += w;
             }
         }
-        if let Some((model, _)) = lanes.iter_mut().find_map(L::lane) {
-            let lu = model.ensure_step_lu(dt);
-            lu.solve_many_into(&self.rhs, &mut self.x, k);
-        }
+        let lu = lanes[0].0.ensure_step_lu(dt);
+        lu.solve_many_into(&self.rhs, &mut self.x, k);
         self.scatter(lanes, n, k);
     }
 
-    /// Jumps every taking-part `(model, watts)` lane to its steady state,
-    /// exactly as `model.settle(watts)` would, sharing the first lane's
-    /// bare-`G` factors.
+    /// Jumps every `(model, watts)` lane to its steady state, exactly as
+    /// `model.settle(watts)` would, sharing the first lane's bare-`G`
+    /// factors.
     ///
     /// # Panics
     ///
     /// Panics if a power vector is the wrong length or the lanes disagree
     /// on the network shape.
-    pub fn settle_many<L: ThermalLane>(&mut self, lanes: &mut [L]) {
+    pub fn settle_many(&mut self, lanes: &mut [(&mut ThermalModel, &[f64])]) {
         let (n, k) = Self::check_lanes(lanes);
         if k <= 1 {
-            if let Some((model, watts)) = lanes.iter_mut().find_map(L::lane) {
+            if let Some((model, watts)) = lanes.first_mut() {
                 model.settle(watts);
             }
             return;
         }
         self.rhs.resize(n * k, 0.0);
         self.x.resize(n * k, 0.0);
-        for (lane, (model, watts)) in lanes.iter_mut().filter_map(L::lane).enumerate() {
+        for (lane, (model, watts)) in lanes.iter().enumerate() {
             for (i, p) in model.network.ambient_power().iter().enumerate() {
                 self.rhs[i * k + lane] = *p;
             }
@@ -481,17 +455,16 @@ impl BatchThermalSolver {
                 self.rhs[i * k + lane] += w;
             }
         }
-        if let Some((model, _)) = lanes.iter_mut().find_map(L::lane) {
-            model.ensure_steady_lu();
-            let lu = model.steady_lu.as_ref().expect("factored above");
-            lu.solve_many_into(&self.rhs, &mut self.x, k);
-        }
+        let model = &mut *lanes[0].0;
+        model.ensure_steady_lu();
+        let lu = model.steady_lu.as_ref().expect("factored above");
+        lu.solve_many_into(&self.rhs, &mut self.x, k);
         self.scatter(lanes, n, k);
     }
 
     /// Writes the lane-major solutions back into each model.
-    fn scatter<L: ThermalLane>(&self, lanes: &mut [L], n: usize, k: usize) {
-        for (lane, (model, _)) in lanes.iter_mut().filter_map(L::lane).enumerate() {
+    fn scatter(&self, lanes: &mut [(&mut ThermalModel, &[f64])], n: usize, k: usize) {
+        for (lane, (model, _)) in lanes.iter_mut().enumerate() {
             for i in 0..n {
                 model.temps[i] = self.x[i * k + lane];
             }

@@ -32,8 +32,6 @@ pub struct CoreStats {
     pub fp_issued_per_unit: [u64; 4],
     /// Issues to the FP multiplier.
     pub fp_mul_issued: u64,
-    /// Sum of integer issue-queue occupancy over cycles (for averages).
-    pub int_iq_occupancy_sum: u64,
     /// Cumulative reads per integer register-file copy.
     pub int_rf_reads: [u64; 2],
     /// Cycles skipped by global clock throttling (the whole pipeline sat
@@ -53,16 +51,6 @@ impl CoreStats {
             0.0
         } else {
             self.committed as f64 / self.cycles as f64
-        }
-    }
-
-    /// Mean integer issue-queue occupancy.
-    #[must_use]
-    pub fn avg_int_iq_occupancy(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.int_iq_occupancy_sum as f64 / self.cycles as f64
         }
     }
 }
@@ -742,7 +730,6 @@ impl Core {
         if self.cfg.select_policy == SelectPolicy::RoundRobin {
             self.rotation = self.rotation.wrapping_add(span as usize);
         }
-        self.stats.int_iq_occupancy_sum += self.int_iq.occupancy() as u64 * span;
     }
 
     /// Applies `span` frozen cycles: exactly the counter updates that
@@ -794,7 +781,6 @@ impl Core {
         if self.cfg.select_policy == SelectPolicy::RoundRobin {
             self.rotation = self.rotation.wrapping_add(1);
         }
-        self.stats.int_iq_occupancy_sum += self.int_iq.occupancy() as u64;
     }
 
     /// Completes in-flight operations whose latency has elapsed.

@@ -12,6 +12,7 @@
 //! ```
 
 use powerbalance::{experiments, Error, Simulator};
+use powerbalance_uarch::Core;
 use powerbalance_workloads::{MemLocality, OpMix, PhaseModel, WorkloadProfile};
 
 fn main() -> Result<(), Error> {
@@ -32,9 +33,21 @@ fn main() -> Result<(), Error> {
             .phases(PhaseModel::steady())
             .build();
 
-        let mut sim = Simulator::new(experiments::issue_queue(false))?;
+        let config = experiments::issue_queue(false);
+        let mut sim = Simulator::new(config.clone())?;
         let result = sim.run(&mut profile.trace(7), 500_000);
-        let occupancy = sim.core().stats().avg_int_iq_occupancy();
+
+        // Mean integer issue-queue occupancy, per cycle: no mitigation
+        // fires at these temperatures, so a bare core stepped over the
+        // same trace runs exactly the simulator's pipeline.
+        let mut core = Core::new(config.core).map_err(Error::Config)?;
+        let mut trace = profile.trace(7);
+        let mut occupied = 0;
+        for _ in 0..result.cycles {
+            core.cycle(&mut trace);
+            occupied += core.int_iq().occupancy();
+        }
+        let occupancy = occupied as f64 / result.cycles as f64;
         println!(
             "{:>9.1} {:>6.2} {:>9.1} {:>9.1} {:>9.1} {:>8}",
             dep,

@@ -1,4 +1,4 @@
-//! Record and display a thermal transient: watch the issue queue heat up,
+//! Display a thermal transient: watch the issue queue heat up,
 //! hit the 358 K limit, stall, cool, and repeat — and how activity toggling
 //! changes the trajectory.
 //!
@@ -13,19 +13,18 @@ use powerbalance_workloads::spec2000;
 fn main() -> Result<(), Error> {
     for (label, toggling) in [("base", false), ("activity toggling", true)] {
         let mut sim = Simulator::new(experiments::issue_queue(toggling))?;
-        sim.record_history();
         let profile = spec2000::by_name("eon").expect("known benchmark");
-        let result = sim.run(&mut profile.trace(42), 600_000);
-
-        let plan = sim.floorplan();
-        let q1 = plan.index_of("IntQ1").expect("block exists");
-        let history = sim.history().expect("recording enabled");
+        let mut trace = profile.trace(42);
+        let q1 = sim.floorplan().index_of("IntQ1").expect("block exists");
 
         println!("== {label}: IntQ1 temperature over time (eon) ==");
         println!("   each row = 30k cycles; bar spans 345..360 K; '|' marks the 358 K limit");
-        for chunk in history.chunks(3) {
-            let (cycle, temps) = chunk.last().expect("chunks are non-empty");
-            let t = temps[q1];
+        // A run continues where the last call stopped, so stepping 30k
+        // cycles at a time and reading the die in between is the same run
+        // as one 600k-cycle call.
+        for _ in 0..20 {
+            let cycles = sim.run(&mut trace, 30_000).cycles;
+            let t = sim.thermal().temperatures()[q1];
             let width = (((t - 345.0) / 15.0) * 50.0).clamp(0.0, 50.0) as usize;
             let limit = (((358.0 - 345.0) / 15.0) * 50.0) as usize;
             let mut bar: Vec<char> = vec![' '; 51];
@@ -34,8 +33,9 @@ fn main() -> Result<(), Error> {
             }
             bar[limit] = '|';
             let bar: String = bar.into_iter().collect();
-            println!("{cycle:>8} {bar} {t:6.1} K");
+            println!("{cycles:>8} {bar} {t:6.1} K");
         }
+        let result = sim.result();
         println!(
             "   IPC {:.2}, {} stalls, {} toggles\n",
             result.ipc, result.freezes, result.toggles
