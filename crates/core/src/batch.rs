@@ -27,7 +27,7 @@
 //! equals its scalar run wherever and whenever the cut falls.
 
 use crate::engine::{split_indices, Feed, Grid};
-use crate::simulator::{restore_single, RunControl, StopCause};
+use crate::simulator::{RunControl, StopCause};
 use crate::{Error, RunResult, SimConfig, SimulatorState};
 use powerbalance_isa::{Detach, TraceSource};
 use powerbalance_mitigation::{MitigationConfig, ThermalManager};
@@ -243,7 +243,7 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
                 "restore_state requires an unforked batch (call it before running)".into(),
             ));
         }
-        restore_single(&mut self.grid, state)
+        self.grid.restore(state)
     }
 
     /// The accumulated results, in sibling order (see

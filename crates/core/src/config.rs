@@ -414,4 +414,14 @@ mod tests {
         let parsed: SimConfig = serde::json::from_str(&json).unwrap();
         assert_eq!(parsed, cfg);
     }
+
+    #[test]
+    fn a_misspelled_key_is_refused_and_named() {
+        // Read as a default, the typo would run an Exact job silently.
+        let default = serde::json::to_string(&SimConfig::default());
+        let head = default.strip_suffix('}').expect("a JSON object");
+        let err = serde::json::from_str::<SimConfig>(&format!("{head},\"fidelty\":\"Fast\"}}"))
+            .expect_err("an unknown key is refused");
+        assert!(err.to_string().contains("unknown field 'fidelty' in SimConfig"), "{err}");
+    }
 }

@@ -39,13 +39,13 @@
 
 use crate::config::Fidelity;
 use crate::simulator::{RunControl, StopCause};
-use crate::snapshot::{decode_bits, encode_bits, FastEngineState, LaneState};
-use crate::{BlockTemperature, Error, RunResult, SimConfig};
+use crate::snapshot::{decode_bits, encode_bits, FastEngineState};
+use crate::{BlockTemperature, Error, RunResult, SimConfig, SimulatorState};
 use powerbalance_isa::TraceSource;
-use powerbalance_mitigation::{ManagerState, MitigationConfig, Sensors, ThermalManager};
+use powerbalance_mitigation::{MitigationConfig, Sensors, ThermalManager};
 use powerbalance_power::PowerModel;
 use powerbalance_thermal::{ev6, multicore, Floorplan, ThermalModel};
-use powerbalance_uarch::{ActivitySample, Core, CoreState, CoreStats};
+use powerbalance_uarch::{ActivitySample, Core, CoreStats};
 
 /// Where a grid's lanes get their instructions, and the hooks a work
 /// queue needs around each window.
@@ -89,34 +89,6 @@ fn scaled(basis: u64, skipped: u64, window_len: u64) -> u64 {
         return 0;
     }
     (u128::from(basis) * u128::from(skipped) / u128::from(window_len)) as u64
-}
-
-/// The per-lane part of a captured state, borrowed from either public
-/// state type ([`crate::SimulatorState`] or [`LaneState`]).
-pub(crate) struct LaneRef<'a> {
-    pub(crate) core: &'a CoreState,
-    pub(crate) manager: &'a ManagerState,
-    pub(crate) temp_sum_bits: &'a [u64],
-    pub(crate) temp_max_bits: &'a [u64],
-    pub(crate) temp_samples: u64,
-    pub(crate) window_watts_bits: &'a [u64],
-    pub(crate) fast: &'a FastEngineState,
-    pub(crate) stall_left: u64,
-}
-
-impl<'a> From<&'a LaneState> for LaneRef<'a> {
-    fn from(s: &'a LaneState) -> Self {
-        LaneRef {
-            core: &s.core,
-            manager: &s.manager,
-            temp_sum_bits: &s.temp_sum_bits,
-            temp_max_bits: &s.temp_max_bits,
-            temp_samples: s.temp_samples,
-            window_watts_bits: &s.window_watts_bits,
-            fast: &s.fast,
-            stall_left: s.stall_left,
-        }
-    }
 }
 
 /// One core of a die.
@@ -314,29 +286,16 @@ impl Lane {
         }
     }
 
-    fn state(&self, manager: &ThermalManager) -> LaneState {
-        LaneState {
-            core: self.core.snapshot(),
-            manager: manager.snapshot(),
-            temp_sum_bits: encode_bits(&self.temp_sum),
-            temp_max_bits: encode_bits(&self.temp_max),
-            temp_samples: self.temp_samples,
-            window_watts_bits: encode_bits(&self.window_watts),
-            fast: self.fast.clone(),
-            stall_left: self.stall_left,
-        }
-    }
-
     /// Adopts `state` with `core` already restored from it. Infallible:
-    /// every shape was checked before the first lane changed.
-    fn apply(&mut self, core: Core, state: &LaneRef<'_>) {
+    /// every shape was checked first.
+    fn apply(&mut self, core: Core, state: &SimulatorState) {
         self.core = core;
-        self.temp_sum = decode_bits(state.temp_sum_bits);
-        self.temp_max = decode_bits(state.temp_max_bits);
+        self.temp_sum = decode_bits(&state.temp_sum_bits);
+        self.temp_max = decode_bits(&state.temp_max_bits);
         self.temp_samples = state.temp_samples;
-        self.window_watts = decode_bits(state.window_watts_bits);
+        self.window_watts = decode_bits(&state.window_watts_bits);
         self.fast = state.fast.clone();
-        self.stall_left = state.stall_left;
+        self.stall_left = 0;
         self.task = None;
     }
 }
@@ -810,80 +769,73 @@ impl Grid {
         die.lanes[c].result(&self.core_plan, temps, self.manager(member, c))
     }
 
-    /// Lane `c` of die 0 as a captured state.
-    pub(crate) fn lane_state(&self, c: usize) -> LaneState {
+    /// Die 0's first lane, with the die's representative manager, as a
+    /// captured state.
+    pub(crate) fn state(&self) -> SimulatorState {
         let die = &self.dies[0];
-        die.lanes[c].state(self.manager(die.members[0], c))
-    }
-
-    /// The interval clock: `(prefix_left, window_pos)`.
-    pub(crate) fn clock(&self) -> (u64, u64) {
-        (self.prefix_left, self.window_pos)
-    }
-
-    /// Restores die 0 from captured lane states, node temperatures, the
-    /// warm-start latch, and the interval clock; every member of the die
-    /// adopts each lane's manager state. Lanes come back idle.
-    ///
-    /// Atomic: every shape is checked (and every core restored into a
-    /// fresh pipeline) before anything changes, so an `Err` leaves the
-    /// grid as it was.
-    pub(crate) fn restore(
-        &mut self,
-        lanes: &[LaneRef<'_>],
-        thermal_node_bits: &[u64],
-        warmed: bool,
-        clock: (u64, u64),
-    ) -> Result<(), Error> {
-        let blocks = self.blocks();
-        let cores = self.config.cores;
-        if lanes.len() != cores {
-            return Err(Error::Config(format!(
-                "state covers {} lanes, die has {cores}",
-                lanes.len()
-            )));
+        let lane = &die.lanes[0];
+        SimulatorState {
+            core: lane.core.snapshot(),
+            manager: self.manager(die.members[0], 0).snapshot(),
+            thermal_node_bits: encode_bits(die.thermal.node_temperatures()),
+            temp_sum_bits: encode_bits(&lane.temp_sum),
+            temp_max_bits: encode_bits(&lane.temp_max),
+            temp_samples: lane.temp_samples,
+            warmed: die.warmed,
+            fast_prefix_left: self.prefix_left,
+            fast_window_pos: self.window_pos,
+            window_watts_bits: encode_bits(&lane.window_watts),
+            fast: lane.fast.clone(),
         }
+    }
+
+    /// Restores a one-lane die 0 from `state`: the lane's core, statistics
+    /// and interval-engine basis, the node temperatures, the warm-start
+    /// latch and the interval clock; every member of the die adopts the
+    /// state's manager. The lane comes back idle.
+    ///
+    /// Atomic: every shape is checked (and the core restored into a fresh
+    /// pipeline) before anything changes, so an `Err` leaves the grid as
+    /// it was.
+    pub(crate) fn restore(&mut self, state: &SimulatorState) -> Result<(), Error> {
+        debug_assert_eq!(self.config.cores, 1, "a captured state covers one lane");
+        let blocks = self.blocks();
         let nodes = self.dies[0].thermal.node_temperatures().len();
-        if thermal_node_bits.len() != nodes {
+        if state.thermal_node_bits.len() != nodes {
             return Err(Error::Config(format!(
                 "thermal: state has {} node temperatures, model has {nodes} nodes",
-                thermal_node_bits.len()
+                state.thermal_node_bits.len()
             )));
         }
-        let mut restored = Vec::with_capacity(cores);
-        for (c, lane) in lanes.iter().enumerate() {
-            for (what, len) in [
-                ("temperature sums", lane.temp_sum_bits.len()),
-                ("temperature maxima", lane.temp_max_bits.len()),
-                ("fast-engine power vector", lane.window_watts_bits.len()),
-            ] {
-                if len != blocks {
-                    return Err(Error::Config(format!(
-                        "lane {c} {what} cover {len} blocks, floorplan has {blocks}"
-                    )));
-                }
+        for (what, len) in [
+            ("temperature sums", state.temp_sum_bits.len()),
+            ("temperature maxima", state.temp_max_bits.len()),
+            ("fast-engine power vector", state.window_watts_bits.len()),
+        ] {
+            if len != blocks {
+                return Err(Error::Config(format!(
+                    "{what} cover {len} blocks, floorplan has {blocks}"
+                )));
             }
-            let mut core = Core::new(self.config.core.clone())?;
-            core.restore(lane.core).map_err(|e| Error::Config(format!("lane {c} core: {e}")))?;
-            restored.push(core);
         }
+        let mut core = Core::new(self.config.core.clone())?;
+        core.restore(&state.core).map_err(|e| Error::Config(format!("core: {e}")))?;
         let die = &mut self.dies[0];
-        for (c, (core, state)) in restored.into_iter().zip(lanes).enumerate() {
-            die.lanes[c].apply(core, state);
-            for &m in &die.members {
-                self.managers[m * cores + c].restore(state.manager);
-            }
+        die.lanes[0].apply(core, state);
+        for &m in &die.members {
+            self.managers[m].restore(&state.manager);
         }
         die.thermal
-            .restore_node_temperatures(&decode_bits(thermal_node_bits))
+            .restore_node_temperatures(&decode_bits(&state.thermal_node_bits))
             .expect("node count checked above");
-        die.warmed = warmed;
-        (self.prefix_left, self.window_pos) = clock;
+        die.warmed = state.warmed;
+        self.prefix_left = state.fast_prefix_left;
+        self.window_pos = state.fast_window_pos;
         // A restored engine is a different execution: re-arm checking
         // against the restored state so the oracle does not cross-check
         // the new run against pre-restore history.
         #[cfg(feature = "check")]
-        if self.dies[0].lanes.iter().any(|l| l.checker.is_some()) {
+        if self.dies[0].lanes[0].checker.is_some() {
             self.enable_checking()?;
         }
         Ok(())
@@ -937,8 +889,8 @@ impl Grid {
 mod tests {
     use crate::experiments::{self, PolicyKind};
     use crate::{
-        BatchSimulator, Fidelity, FloorplanKind, MultiCoreSimulator, SimConfig, Simulator, TaskSet,
-        TraceCursor,
+        BatchSimulator, Fidelity, FloorplanKind, MultiCoreSimulator, SimConfig, Simulator,
+        SimulatorState, TaskSet, TraceCursor,
     };
     use powerbalance_isa::{MicroOp, SliceTrace, TraceSource};
     use powerbalance_workloads::{spec2000, TraceGenerator};
@@ -985,17 +937,31 @@ mod tests {
     fn multicore_runs_are_invariant_under_chunking() {
         let two = SimConfig { cores: 2, ..SimConfig::default() };
         for config in [two.clone(), fast(two)] {
+            let f = config.fidelity;
             let total = 100_000;
             let tasks = || TaskSet::one_per_job([trace("gzip", 3), trace("mesa", 11)]);
             let mut whole = MultiCoreSimulator::new(config.clone()).expect("valid config");
-            let expect = whole.run(&mut tasks(), total);
+            let mut whole_tasks = tasks();
+            let expect = whole.run(&mut whole_tasks, total);
             let mut split = MultiCoreSimulator::new(config.clone()).expect("valid config");
             let mut t = tasks();
             for n in chunks(total, config.sample_interval) {
                 split.run(&mut t, n);
             }
-            assert_eq!(split.result(), expect, "{:?}", config.fidelity);
-            assert_eq!(split.state(), whole.state(), "{:?}", config.fidelity);
+            assert_eq!(split.result(), expect, "{f:?}");
+            for c in 0..config.cores {
+                assert_eq!(split.core(c).snapshot(), whole.core(c).snapshot(), "{f:?} core {c}");
+                let (a, b) = (split.manager(c).snapshot(), whole.manager(c).snapshot());
+                assert_eq!(a, b, "{f:?} manager {c}");
+            }
+            let bits = |sim: &MultiCoreSimulator| -> Vec<u64> {
+                sim.thermal().node_temperatures().iter().map(|t| t.to_bits()).collect()
+            };
+            assert_eq!(bits(&split), bits(&whole), "{f:?} node temperatures");
+            // The held power, the interval clock and the scheduler word
+            // show only in what comes next: one more macro window.
+            let more = config.fast_window;
+            assert_eq!(split.run(&mut t, more), whole.run(&mut whole_tasks, more), "{f:?} more");
         }
     }
 
@@ -1064,30 +1030,74 @@ mod tests {
         assert_eq!(split.results(), results, "chunked run");
     }
 
+    /// States that `restore_state` must refuse, each derived from `good`
+    /// and named for its defect.
+    fn bad_states(good: &SimulatorState) -> Vec<(&'static str, SimulatorState)> {
+        let [mut sums, mut maxima, mut power, mut nodes, mut core] =
+            std::array::from_fn(|_| good.clone());
+        sums.temp_sum_bits.pop();
+        maxima.temp_max_bits.pop();
+        power.window_watts_bits.pop();
+        nodes.thermal_node_bits.push(0);
+        // An in-flight id past the active list, which `Core::restore`
+        // refuses (see the pipeline's restore tests).
+        let json = serde::json::to_string(&good.core);
+        let key = "\"in_flight\":[{\"rob_id\":";
+        let at = json.find(key).expect("an instruction is in flight") + key.len();
+        let digits = json[at..].bytes().take_while(u8::is_ascii_digit).count();
+        let edited = format!("{}9999{}", &json[..at], &json[at + digits..]);
+        core.core = serde::json::from_str(&edited).expect("the edit keeps the layout");
+        vec![
+            ("short temperature sums", sums),
+            ("short temperature maxima", maxima),
+            ("short power vector", power),
+            ("wrong node count", nodes),
+            ("in-flight id past the active list", core),
+        ]
+    }
+
     #[test]
     fn a_bad_scalar_state_leaves_the_simulator_untouched() {
         let mut sim = Simulator::new(fast(SimConfig::default())).expect("valid config");
         let mut t = trace("gzip", 3);
         sim.run(&mut t, 30_000);
-        let mut bad = sim.state();
-        bad.window_watts_bits.pop();
+        let bad = bad_states(&sim.state());
         sim.run(&mut t, 30_000);
         let before = sim.state();
-        assert!(sim.restore_state(&bad).is_err(), "short power vector is rejected");
-        assert_eq!(sim.state(), before, "a rejected restore changes nothing");
+        for (what, state) in &bad {
+            assert!(sim.restore_state(state).is_err(), "{what} is refused");
+            assert_eq!(sim.state(), before, "{what}: a refused restore changes nothing");
+        }
     }
 
     #[test]
-    fn a_bad_lane_state_leaves_the_die_untouched() {
-        let mut sim = MultiCoreSimulator::new(SimConfig { cores: 2, ..SimConfig::default() })
-            .expect("valid config");
-        let mut tasks = TaskSet::one_per_job([trace("gzip", 3), trace("mesa", 11)]);
-        sim.run(&mut tasks, 30_000);
-        let mut bad = sim.state();
-        bad.lanes[1].temp_sum_bits.pop();
-        sim.run(&mut tasks, 30_000);
-        let before = sim.state();
-        assert!(sim.restore_state(&bad).is_err(), "short lane-1 statistics are rejected");
-        assert_eq!(sim.state(), before, "lane 0 was not restored either");
+    fn a_bad_state_leaves_the_batch_untouched() {
+        let config = fast(SimConfig::default());
+        let mut sim = Simulator::new(config.clone()).expect("valid config");
+        sim.run(&mut trace("gzip", 3), 30_000);
+        let good = sim.state();
+        let mut batch =
+            BatchSimulator::new(vec![config.clone(), config], trace("gzip", 5)).expect("eligible");
+        let before = batch.run(30_000);
+        for (what, state) in &bad_states(&good) {
+            assert!(batch.restore_state(state).is_err(), "{what} is refused");
+            assert_eq!(batch.results(), before, "{what}: a refused restore changes nothing");
+        }
+
+        // A forked batch refuses even a state that fits.
+        let configs: Vec<SimConfig> = [PolicyKind::None, PolicyKind::FetchGate]
+            .iter()
+            .map(|k| experiments::policy(*k, FloorplanKind::IssueConstrained))
+            .collect();
+        let mut sim = Simulator::new(configs[0].clone()).expect("valid config");
+        sim.run(&mut trace("eon", 42), 30_000);
+        let fits = sim.state();
+        let mut batch =
+            BatchSimulator::new(configs, TraceCursor::new(trace("eon", 42))).expect("eligible");
+        let before = batch.run(300_000);
+        assert!(batch.class_count() > 1, "the cell forks");
+        let err = batch.restore_state(&fits).expect_err("a forked batch is refused");
+        assert!(err.to_string().contains("unforked"), "{err}");
+        assert_eq!(batch.results(), before, "a refused restore changes nothing");
     }
 }

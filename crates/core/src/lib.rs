@@ -52,10 +52,10 @@ mod snapshot;
 pub use batch::{BatchPart, BatchSimulator};
 pub use config::{Fidelity, SimConfig, DEFAULT_FAST_WINDOW};
 pub use error::Error;
-pub use multicore::{JobCore, MultiCoreResult, MultiCoreSimulator, MultiCoreState, TaskSet};
+pub use multicore::{MultiCoreResult, MultiCoreSimulator, TaskSet};
 pub use result::{BlockTemperature, RunResult};
 pub use simulator::{RunControl, Simulator, StopCause};
-pub use snapshot::{FastEngineState, LaneState, SimulatorState, Snapshot, FORMAT_VERSION};
+pub use snapshot::{FastEngineState, SimulatorState, Snapshot, FORMAT_VERSION};
 
 pub use sched::{CoreView, SchedulerKind, SegmentLen, Task, DEFAULT_MIGRATION_STALL};
 

@@ -35,24 +35,22 @@
 //! [`SchedulerKind`]: crate::SchedulerKind
 //! [`SchedulerKind::Threshold`]: crate::SchedulerKind::Threshold
 
-use crate::engine::{Feed, Grid, LaneRef};
+use crate::engine::{Feed, Grid};
 use crate::sched::{CoreView, SchedulerKind, SegmentLen, Task, DEFAULT_MIGRATION_STALL};
 use crate::simulator::{RunControl, StopCause};
-use crate::snapshot::{encode_bits, LaneState};
 use crate::{BlockTemperature, Error, RunResult, SimConfig};
 use powerbalance_isa::{MicroOp, TraceSource};
 use powerbalance_mitigation::ThermalManager;
 use powerbalance_thermal::{multicore, ThermalModel};
 use powerbalance_uarch::Core;
-use serde::{Deserialize, Serialize};
 
 /// Lifecycle of one segment in a [`TaskSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SegState {
     /// Waiting in FIFO order for the scheduler to place it.
     Pending,
-    /// Running on the given core.
-    Running(usize),
+    /// Running on a core.
+    Running,
     /// Retired: its trace drained (or its op budget was spent) and the
     /// core's pipeline emptied.
     Done,
@@ -164,44 +162,11 @@ impl<T: TraceSource> TraceSource for Segment<T> {
     }
 }
 
-/// Which core last ran a job (migration detection survives snapshots).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JobCore {
-    /// Job identity.
-    pub job: u64,
-    /// Core that last ran one of its segments.
-    pub core: usize,
-}
-
-/// Serializable dynamic state of a [`MultiCoreSimulator`].
-///
-/// Running task assignments are *not* captured: restore leaves every
-/// lane idle and the next `run` re-dispatches from the caller's
-/// [`TaskSet`] (whose traces carry their own positions). The job→core
-/// map rides along, so re-dispatching a job to the core it already ran
-/// on charges no migration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MultiCoreState {
-    /// Per-lane state, core-major.
-    pub lanes: Vec<LaneState>,
-    /// Bit patterns of every RC node temperature of the shared die.
-    pub thermal_node_bits: Vec<u64>,
-    /// Whether the warm-start settle has happened.
-    pub warmed: bool,
-    /// Die-global interval-engine warmup prefix remaining.
-    pub fast_prefix_left: u64,
-    /// Die-global macro-window phase.
-    pub fast_window_pos: u64,
-    /// Scheduler state word (see [`SchedulerKind::select`]).
-    pub sched_word: u64,
-    /// Job migrations performed.
-    pub migrations: u64,
-    /// Fetch-stall cycles charged to migrations.
-    pub migration_stall_cycles: u64,
-    /// Segments retired.
-    pub tasks_completed: u64,
-    /// Which core last ran each job.
-    pub job_cores: Vec<JobCore>,
+/// Which core last ran a job.
+#[derive(Debug)]
+struct JobCore {
+    job: u64,
+    core: usize,
 }
 
 /// Aggregate results of a multi-core run: one [`RunResult`] per core
@@ -354,7 +319,7 @@ impl<T: TraceSource> Feed for Dispatch<'_, T> {
                 break;
             }
             let job = self.tasks.segments[idx].job;
-            self.tasks.segments[idx].state = SegState::Running(c);
+            self.tasks.segments[idx].state = SegState::Running;
             let lane = &mut die.lanes[c];
             lane.task = Some(idx);
             // A lane whose previous segment drained its trace latched
@@ -491,18 +456,6 @@ impl MultiCoreSimulator {
         control: &RunControl<'_>,
         consult: bool,
     ) -> StopCause {
-        // Requeue segments marked running on a lane that does not hold
-        // them: restore leaves every lane idle, so a task set carried
-        // across a snapshot boundary re-enters the FIFO here (index order,
-        // so the original dispatch order is preserved).
-        let lanes = &self.grid.dies[0].lanes;
-        for (idx, seg) in tasks.segments.iter_mut().enumerate() {
-            if let SegState::Running(c) = seg.state {
-                if lanes.get(c).and_then(|l| l.task) != Some(idx) {
-                    seg.state = SegState::Pending;
-                }
-            }
-        }
         let mut feed = Dispatch { tasks, placement: &mut self.placement };
         self.grid.drive(&mut feed, &mut cycles, control, consult)
     }
@@ -516,50 +469,6 @@ impl MultiCoreSimulator {
             migration_stall_cycles: self.placement.migration_stall_cycles,
             tasks_completed: self.placement.tasks_completed,
         }
-    }
-
-    /// Captures the simulator's dynamic state (see [`MultiCoreState`]
-    /// for what is and is not included). Capture at a sampling-window
-    /// boundary with no segment mid-flight you cannot re-dispatch.
-    #[must_use]
-    pub fn state(&self) -> MultiCoreState {
-        let (fast_prefix_left, fast_window_pos) = self.grid.clock();
-        let die = &self.grid.dies[0];
-        MultiCoreState {
-            lanes: (0..self.cores()).map(|c| self.grid.lane_state(c)).collect(),
-            thermal_node_bits: encode_bits(die.thermal.node_temperatures()),
-            warmed: die.warmed,
-            fast_prefix_left,
-            fast_window_pos,
-            sched_word: self.placement.word,
-            migrations: self.placement.migrations,
-            migration_stall_cycles: self.placement.migration_stall_cycles,
-            tasks_completed: self.placement.tasks_completed,
-            job_cores: self.placement.job_cores.clone(),
-        }
-    }
-
-    /// Restores dynamic state captured by [`state`](Self::state) into a
-    /// simulator built from the same configuration. Lanes come back
-    /// idle; the next `run` re-dispatches from the caller's [`TaskSet`].
-    /// Every shape is checked before anything changes, so an error leaves
-    /// the simulator untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Config`] naming the first piece of state that
-    /// does not fit this simulator.
-    pub fn restore_state(&mut self, state: &MultiCoreState) -> Result<(), Error> {
-        let lanes: Vec<LaneRef<'_>> = state.lanes.iter().map(LaneRef::from).collect();
-        let clock = (state.fast_prefix_left, state.fast_window_pos);
-        self.grid.restore(&lanes, &state.thermal_node_bits, state.warmed, clock)?;
-        let placement = &mut self.placement;
-        placement.word = state.sched_word;
-        placement.migrations = state.migrations;
-        placement.migration_stall_cycles = state.migration_stall_cycles;
-        placement.tasks_completed = state.tasks_completed;
-        placement.job_cores = state.job_cores.clone();
-        Ok(())
     }
 
     /// Arms one runtime checker per lane (pipeline invariants, the
@@ -673,26 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn state_round_trip_resumes_bit_identically() {
-        let cfg = SimConfig { cores: 2, ..SimConfig::default() };
-        let budget = 40_000;
-        // Uninterrupted reference.
-        let mut reference = MultiCoreSimulator::new(cfg.clone()).expect("valid config");
-        let mut ref_tasks = TaskSet::one_per_job([trace("gzip", 3), trace("mesa", 11)]);
-        let expect = reference.run(&mut ref_tasks, 2 * budget);
-
-        // Run half, capture, restore into a fresh die, run the rest.
-        let mut first = MultiCoreSimulator::new(cfg.clone()).expect("valid config");
-        let mut tasks = TaskSet::one_per_job([trace("gzip", 3), trace("mesa", 11)]);
-        first.run(&mut tasks, budget);
-        let state = first.state();
-        let mut resumed = MultiCoreSimulator::new(cfg).expect("valid config");
-        resumed.restore_state(&state).expect("same shape");
-        let got = resumed.run(&mut tasks, budget);
-        assert_eq!(got, expect, "restored run must continue bit-identically");
-    }
-
-    #[test]
     fn fast_fidelity_covers_the_budget_on_two_cores() {
         let cfg = SimConfig {
             cores: 2,
@@ -727,19 +616,5 @@ mod tests {
         let mut tasks = TaskSet::one_per_job([trace("crafty", 5)]);
         let result = multi.run(&mut tasks, 250_000);
         assert_eq!(result.cores[0], scalar_result, "N=1 Fast must be bit-identical");
-    }
-
-    #[test]
-    fn multicore_state_json_round_trips() {
-        let cfg = SimConfig { cores: 3, ..SimConfig::default() };
-        let mut sim = MultiCoreSimulator::new(cfg).expect("valid config");
-        let mut tasks =
-            TaskSet::one_per_job([trace("gzip", 1), trace("mesa", 2), trace("crafty", 3)]);
-        sim.run(&mut tasks, 30_000);
-        let state = sim.state();
-        let json = serde::json::to_string(&state);
-        let value = serde::json::Value::parse(&json).expect("valid JSON");
-        let back: MultiCoreState = Deserialize::deserialize(&value).expect("round trip");
-        assert_eq!(back, state);
     }
 }

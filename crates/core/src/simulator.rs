@@ -1,7 +1,6 @@
 //! The top-level simulator: core + power + thermal + mitigation.
 
-use crate::engine::{Feed, Grid, LaneRef};
-use crate::snapshot::encode_bits;
+use crate::engine::{Feed, Grid};
 use crate::{Error, RunResult, SimConfig, SimulatorState};
 use powerbalance_isa::TraceSource;
 use powerbalance_mitigation::ThermalManager;
@@ -253,22 +252,7 @@ impl Simulator {
     /// Captures the simulator's dynamic state for [`crate::Snapshot`].
     #[must_use]
     pub fn state(&self) -> SimulatorState {
-        let lane = self.grid.lane_state(0);
-        let (fast_prefix_left, fast_window_pos) = self.grid.clock();
-        let die = &self.grid.dies[0];
-        SimulatorState {
-            core: lane.core,
-            manager: lane.manager,
-            thermal_node_bits: encode_bits(die.thermal.node_temperatures()),
-            temp_sum_bits: lane.temp_sum_bits,
-            temp_max_bits: lane.temp_max_bits,
-            temp_samples: lane.temp_samples,
-            warmed: die.warmed,
-            fast_prefix_left,
-            fast_window_pos,
-            window_watts_bits: lane.window_watts_bits,
-            fast: lane.fast,
-        }
+        self.grid.state()
     }
 
     /// Restores dynamic state captured by [`state`](Simulator::state).
@@ -286,7 +270,7 @@ impl Simulator {
     /// Returns [`Error::Config`] naming the first subsystem whose state
     /// does not fit this simulator.
     pub fn restore_state(&mut self, state: &SimulatorState) -> Result<(), Error> {
-        restore_single(&mut self.grid, state)
+        self.grid.restore(state)
     }
 
     /// Arms the differential oracle and runtime invariant checkers
@@ -299,8 +283,7 @@ impl Simulator {
     /// May be called mid-run (e.g. after a warm-start restore): the
     /// checkers pick up from the current architectural state. Violations
     /// accumulate silently; collect them with
-    /// [`finish_checking`](Simulator::finish_checking) or inspect
-    /// [`checker`](Simulator::checker) mid-run.
+    /// [`finish_checking`](Simulator::finish_checking).
     ///
     /// # Errors
     ///
@@ -319,37 +302,11 @@ impl Simulator {
         self.grid.finish_checking()
     }
 
-    /// The armed runtime checker, if [`enable_checking`] was called.
-    ///
-    /// [`enable_checking`]: Simulator::enable_checking
-    #[cfg(feature = "check")]
-    #[must_use]
-    pub fn checker(&self) -> Option<&powerbalance_check::RuntimeChecker> {
-        self.grid.dies[0].lanes[0].checker.as_deref()
-    }
-
     /// Snapshot of the accumulated results.
     #[must_use]
     pub fn result(&self) -> RunResult {
         self.grid.result(0, 0, 0)
     }
-}
-
-/// Restores a one-lane grid from a [`SimulatorState`]; shared by the
-/// scalar and batched views.
-pub(crate) fn restore_single(grid: &mut Grid, state: &SimulatorState) -> Result<(), Error> {
-    let lane = LaneRef {
-        core: &state.core,
-        manager: &state.manager,
-        temp_sum_bits: &state.temp_sum_bits,
-        temp_max_bits: &state.temp_max_bits,
-        temp_samples: state.temp_samples,
-        window_watts_bits: &state.window_watts_bits,
-        fast: &state.fast,
-        stall_left: 0,
-    };
-    let clock = (state.fast_prefix_left, state.fast_window_pos);
-    grid.restore(&[lane], &state.thermal_node_bits, state.warmed, clock)
 }
 
 #[cfg(test)]

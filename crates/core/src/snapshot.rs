@@ -99,9 +99,9 @@ pub struct SimulatorState {
 /// Serialized per-core state of the [`crate::Fidelity::Fast`] interval
 /// engine: the last detailed window's activity and statistics deltas
 /// (the extrapolation basis) and the extrapolated totals. The die-wide
-/// clock and the held power vector travel beside it, in
-/// [`SimulatorState`] and [`LaneState`]. A mid-window capture resumes
-/// bit-exactly because all of it round-trips.
+/// clock and the held power vector travel beside it in
+/// [`SimulatorState`]. A mid-window capture resumes bit-exactly because
+/// all of it round-trips.
 ///
 /// Under [`crate::Fidelity::Exact`] every field stays zero.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -133,29 +133,6 @@ pub struct FastEngineState {
     pub extra_throttled: u64,
     /// Extrapolated fetch-gated cycles.
     pub extra_fetch_gated: u64,
-}
-
-/// Serialized dynamic state of one lane (core) of an engine: the
-/// per-core part of [`SimulatorState`], plus the migration stall a
-/// multi-core die charges.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LaneState {
-    /// Full pipeline state.
-    pub core: CoreState,
-    /// Mitigation counters and any in-progress stall.
-    pub manager: ManagerState,
-    /// Bit patterns of the per-block temperature running sums.
-    pub temp_sum_bits: Vec<u64>,
-    /// Bit patterns of the per-block temperature maxima.
-    pub temp_max_bits: Vec<u64>,
-    /// Non-stalled samples behind `temp_sum_bits`.
-    pub temp_samples: u64,
-    /// Bit patterns of the per-block power the interval engine holds.
-    pub window_watts_bits: Vec<u64>,
-    /// Interval-engine lane state (basis + extrapolated totals).
-    pub fast: FastEngineState,
-    /// Remaining migration fetch-stall cycles.
-    pub stall_left: u64,
 }
 
 /// Encodes floats as their exact IEEE-754 bit patterns.

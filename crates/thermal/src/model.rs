@@ -349,7 +349,7 @@ impl ThermalModel {
 /// factorization plus a lane-vectorized substitution. Every lane performs
 /// the scalar code's exact operation sequence, so each model's
 /// temperatures are **bit-identical** to what its own
-/// [`ThermalModel::step`]/[`ThermalModel::settle`] would have produced.
+/// [`ThermalModel::step`] would have produced.
 ///
 /// The solver owns the lane-major scratch, so repeated solves allocate
 /// nothing.
@@ -425,39 +425,6 @@ impl BatchThermalSolver {
             }
         }
         let lu = lanes[0].0.ensure_step_lu(dt);
-        lu.solve_many_into(&self.rhs, &mut self.x, k);
-        self.scatter(lanes, n, k);
-    }
-
-    /// Jumps every `(model, watts)` lane to its steady state, exactly as
-    /// `model.settle(watts)` would, sharing the first lane's bare-`G`
-    /// factors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a power vector is the wrong length or the lanes disagree
-    /// on the network shape.
-    pub fn settle_many(&mut self, lanes: &mut [(&mut ThermalModel, &[f64])]) {
-        let (n, k) = Self::check_lanes(lanes);
-        if k <= 1 {
-            if let Some((model, watts)) = lanes.first_mut() {
-                model.settle(watts);
-            }
-            return;
-        }
-        self.rhs.resize(n * k, 0.0);
-        self.x.resize(n * k, 0.0);
-        for (lane, (model, watts)) in lanes.iter().enumerate() {
-            for (i, p) in model.network.ambient_power().iter().enumerate() {
-                self.rhs[i * k + lane] = *p;
-            }
-            for (i, w) in watts.iter().enumerate() {
-                self.rhs[i * k + lane] += w;
-            }
-        }
-        let model = &mut *lanes[0].0;
-        model.ensure_steady_lu();
-        let lu = model.steady_lu.as_ref().expect("factored above");
         lu.solve_many_into(&self.rhs, &mut self.x, k);
         self.scatter(lanes, n, k);
     }

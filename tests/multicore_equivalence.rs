@@ -11,9 +11,8 @@
 //! floorplans of the paper × both integration fidelities × the spatial
 //! and DVFS mitigation families, with budgets that make trips fire on at
 //! least one cell so the mitigation-active paths are pinned, not just
-//! the quiet ones. A final cell carries a mid-run state capture/restore
-//! across the warm-start path, the place where a lane-indexing or
-//! re-dispatch bug would silently fork the timelines.
+//! the quiet ones. A final cell runs a warmup (no consults) and then the
+//! measured run on one engine, against the scalar warmup + run.
 //!
 //! (Deliberately absent: [`SchedulerKind::Threshold`] at N = 1 — a
 //! thermal threshold may *defer* the only segment and idle-cool, which
@@ -113,10 +112,9 @@ fn one_core_matches_scalar_under_every_placing_scheduler() {
 
 #[test]
 fn one_core_warm_resume_matches_uninterrupted_scalar() {
-    // Warmup consults nothing; the run then crosses a state
-    // capture/restore boundary into a freshly built engine. The whole
-    // composite must still be bit-identical to the scalar simulator
-    // doing warmup + one uninterrupted run.
+    // Warmup consults nothing; the measured run then resumes on the same
+    // engine. The composite must be bit-identical to the scalar simulator
+    // doing the same warmup + run.
     let config = experiments::policy(PolicyKind::Spatial, FloorplanKind::IssueConstrained);
     let (warmup, cycles) = (100_000u64, 150_000u64);
 
@@ -125,14 +123,10 @@ fn one_core_warm_resume_matches_uninterrupted_scalar() {
     scalar.run_warmup(&mut scalar_trace, warmup);
     let expect = scalar.run(&mut scalar_trace, cycles);
 
-    let mut first = MultiCoreSimulator::new(config.clone()).expect("multi-core simulator builds");
+    let mut multi = MultiCoreSimulator::new(config).expect("multi-core simulator builds");
     let mut tasks = TaskSet::new([Task::unbounded(0, trace("eon", 42))]);
-    first.run_warmup(&mut tasks, warmup);
-    let state = first.state();
+    multi.run_warmup(&mut tasks, warmup);
+    let got = multi.run(&mut tasks, cycles);
 
-    let mut resumed = MultiCoreSimulator::new(config).expect("multi-core simulator builds");
-    resumed.restore_state(&state).expect("same shape restores");
-    let got = resumed.run(&mut tasks, cycles);
-
-    assert_eq!(got.cores[0], expect, "warm resume drifted from the uninterrupted scalar run");
+    assert_eq!(got.cores[0], expect, "warm resume drifted from the scalar warmup + run");
 }

@@ -3,6 +3,8 @@
 //! close), and — the part that matters — the server must keep serving
 //! afterwards. Each test ends by proving `/healthz` still answers.
 
+use powerbalance::SimConfig;
+use powerbalance_harness::CampaignSpec;
 use powerbalance_server::client::Client;
 use powerbalance_server::http::Limits;
 use powerbalance_server::service::ServiceConfig;
@@ -86,6 +88,20 @@ fn bogus_fidelity_query_gets_400() {
         0,
         "nothing reaches the queue on a bad query"
     );
+    assert_still_serving(&server);
+}
+
+#[test]
+fn a_misspelled_config_key_gets_400_naming_it() {
+    let server = start_test_server();
+    let mut c = client(&server);
+    let spec = CampaignSpec::new("typo").config("base", SimConfig::default()).benchmark("gzip");
+    let good = serde::json::to_string(&spec);
+    let bad = good.replacen("\"config\":{", "\"config\":{\"fidelty\":\"Fast\",", 1);
+    assert_ne!(bad, good, "the spec has a config object");
+    let response = c.request("POST", "/v1/campaigns", Some(&bad)).expect("a response comes back");
+    assert_eq!(response.status, 400, "a misspelled key must not run as a default");
+    assert!(response.text().contains("fidelty"), "the error names the key: {}", response.text());
     assert_still_serving(&server);
 }
 
