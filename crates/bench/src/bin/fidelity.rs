@@ -16,8 +16,8 @@
 
 use powerbalance::experiments::{self, AluPolicy};
 use powerbalance::{Fidelity, MappingPolicy, SimConfig};
-use powerbalance_bench::{DEFAULT_SEED, OPTIONS_HELP};
-use powerbalance_harness::{run_campaign, CampaignResult, CampaignSpec, RunnerOptions};
+use powerbalance_bench::BenchArgs;
+use powerbalance_harness::{run_campaign, CampaignSpec, RunFlags};
 use serde::{json, Deserialize, Serialize};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -39,7 +39,12 @@ speedup + worst-case error columns to a JSON artifact.
 OPTIONS:
   --cycles <n>      simulated cycles per job                [8000000]
   --seed <n>        workload seed                           [42]
-  --threads <n>     worker-pool size                        [all cores]
+  --threads <n>     worker-pool size     [POWERBALANCE_THREADS or all cores]
+  --warmup <n>      mitigation-free warmup cycles per job   [0]
+  --checkpoint-dir <dir>
+                    persist warmup snapshots under <dir>
+  --resume          load matching warmup snapshots from --checkpoint-dir
+  --json <path>     also write both campaigns' results as a JSON array
   --out <path>      write the JSON artifact here            [BENCH_fidelity.json]
   --benchmarks <a,b,c>
                     comma-separated benchmark list          [gzip,mesa,crafty]
@@ -63,11 +68,13 @@ struct JobError {
 }
 
 /// The on-disk artifact: one head-to-head measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct FidelityArtifact {
     schema: String,
     cycles: u64,
     seed: u64,
+    #[serde(omit_default)]
+    warmup_cycles: u64,
     benchmarks: Vec<String>,
     configs: Vec<String>,
     threads: usize,
@@ -83,70 +90,57 @@ struct FidelityArtifact {
     jobs: Vec<JobError>,
 }
 
+#[derive(Debug)]
 struct Args {
-    cycles: u64,
-    seed: u64,
-    threads: Option<usize>,
+    /// The shared campaign flags, with the 8M cycle default.
+    bench: BenchArgs,
     out: PathBuf,
     benchmarks: Vec<String>,
-    quiet: bool,
 }
 
-fn parse_args() -> Args {
+/// Parses an argument list (no program name). `--help` is reported as the
+/// error `"help"`, as [`BenchArgs::parse_from`] does.
+fn parse_from(argv: &[String]) -> Result<Args, String> {
+    let run = RunFlags { cycles: DEFAULT_FIDELITY_CYCLES, ..RunFlags::default() };
     let mut args = Args {
-        cycles: DEFAULT_FIDELITY_CYCLES,
-        seed: DEFAULT_SEED,
-        threads: None,
+        bench: BenchArgs { run, quiet: false },
         out: PathBuf::from("BENCH_fidelity.json"),
         benchmarks: DEFAULT_BENCHMARKS.iter().map(|s| s.to_string()).collect(),
-        quiet: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
-    let fail = |msg: &str| -> ! {
-        eprintln!("error: {msg}\n\n{ABOUT}");
-        std::process::exit(2);
-    };
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().unwrap_or_else(|| fail(&format!("{name} requires a value")))
-        };
+        if args.bench.run.take(flag, &mut it)? {
+            continue;
+        }
+        let mut value = || it.next().ok_or_else(|| format!("{flag} requires a value"));
         match flag.as_str() {
-            "--cycles" => {
-                args.cycles =
-                    value("--cycles").parse().unwrap_or_else(|e| fail(&format!("--cycles: {e}")));
-            }
-            "--seed" => {
-                args.seed =
-                    value("--seed").parse().unwrap_or_else(|e| fail(&format!("--seed: {e}")));
-            }
-            "--threads" => {
-                args.threads = Some(
-                    value("--threads").parse().unwrap_or_else(|e| fail(&format!("--threads: {e}"))),
-                );
-            }
-            "--out" => args.out = PathBuf::from(value("--out")),
+            "--out" => args.out = PathBuf::from(value()?),
             "--benchmarks" => {
-                args.benchmarks =
-                    value("--benchmarks").split(',').map(|s| s.trim().to_string()).collect();
+                args.benchmarks = value()?.split(',').map(|s| s.trim().to_string()).collect();
             }
-            "--quiet" => args.quiet = true,
-            "--help" | "-h" => {
-                println!("{ABOUT}\n\n(shared campaign flags: see below)\n{OPTIONS_HELP}");
-                std::process::exit(0);
-            }
-            other => fail(&format!("unknown flag '{other}'")),
+            "--quiet" => args.bench.quiet = true,
+            "--help" | "-h" => return Err("help".to_string()),
+            other => return Err(format!("unknown flag '{other}'")),
         }
     }
-    if args.cycles == 0 {
-        fail("--cycles must be positive");
-    }
-    for name in &args.benchmarks {
-        if powerbalance_workloads::spec2000::by_name(name).is_none() {
-            fail(&format!("unknown benchmark '{name}'"));
+    args.bench.run.check()?;
+    Ok(args)
+}
+
+fn parse_or_exit() -> Args {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    parse_from(&argv).unwrap_or_else(|msg| {
+        if msg == "help" {
+            println!("{ABOUT}");
+            std::process::exit(0);
         }
-    }
-    args
+        fail(&msg)
+    })
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}\n\n{ABOUT}");
+    std::process::exit(2);
 }
 
 /// The summary campaign's mitigation-active configs: one technique per
@@ -161,38 +155,34 @@ fn configs() -> Vec<(&'static str, SimConfig)> {
 }
 
 fn build_spec(args: &Args, name: &str, fidelity: Fidelity) -> CampaignSpec {
-    let mut spec = CampaignSpec::new(name).cycles(args.cycles).seed(args.seed);
+    let mut spec = args.bench.spec(name);
     for (cfg_name, cfg) in configs() {
         spec = spec.config(cfg_name, SimConfig { fidelity, ..cfg });
     }
-    for bench in &args.benchmarks {
-        spec = spec.benchmark(bench);
-    }
-    spec
-}
-
-fn run_timed(spec: &CampaignSpec, args: &Args) -> (CampaignResult, f64) {
-    let options =
-        RunnerOptions { threads: args.threads, progress: !args.quiet, ..RunnerOptions::default() };
-    let start = Instant::now();
-    let result = run_campaign(spec, &options).expect("fidelity campaign specs are valid");
-    (result, start.elapsed().as_secs_f64())
+    spec.benchmarks(&args.benchmarks)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_or_exit();
+    let run = &args.bench.run;
     eprintln!(
         "running {} configs x {} benchmarks x {} cycles at both fidelities...",
         configs().len(),
         args.benchmarks.len(),
-        args.cycles
+        run.cycles
     );
 
-    let (exact, exact_wall) =
-        run_timed(&build_spec(&args, "fidelity-exact", Fidelity::Exact), &args);
+    let timed = |name, fidelity| {
+        let start = Instant::now();
+        let result = run_campaign(&build_spec(&args, name, fidelity), &args.bench.runner_options())
+            .unwrap_or_else(|e| fail(&e.to_string()));
+        (result, start.elapsed().as_secs_f64())
+    };
+    let (exact, exact_wall) = timed("fidelity-exact", Fidelity::Exact);
     eprintln!("  exact: {exact_wall:.2}s");
-    let (fast, fast_wall) = run_timed(&build_spec(&args, "fidelity-fast", Fidelity::Fast), &args);
+    let (fast, fast_wall) = timed("fidelity-fast", Fidelity::Fast);
     eprintln!("  fast:  {fast_wall:.2}s");
+    args.bench.finish(&[&exact, &fast]);
 
     let mut jobs = Vec::new();
     for (e, f) in exact.jobs.iter().zip(&fast.jobs) {
@@ -218,8 +208,9 @@ fn main() {
     let max_of = |pick: fn(&JobError) -> f64| jobs.iter().map(pick).fold(0.0f64, f64::max);
     let artifact = FidelityArtifact {
         schema: "powerbalance-fidelity/v1".to_string(),
-        cycles: args.cycles,
-        seed: args.seed,
+        cycles: run.cycles,
+        seed: run.seed,
+        warmup_cycles: run.warmup,
         benchmarks: args.benchmarks.clone(),
         configs: configs().iter().map(|(name, _)| name.to_string()).collect(),
         threads: exact.threads,
@@ -246,4 +237,56 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("wrote {}", args.out.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn strs(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn every_flag_the_help_lists_is_accepted() {
+        let flags = ABOUT.split_whitespace().filter(|w| w.starts_with("--"));
+        for flag in flags.filter(|&f| f != "--help") {
+            let mut argv = vec![flag];
+            match flag {
+                "--quiet" => {}
+                "--resume" => argv.extend(["--checkpoint-dir", "ckpts"]),
+                "--benchmarks" => argv.push("gzip,mesa"),
+                "--json" | "--out" | "--checkpoint-dir" => argv.push("x"),
+                _ => argv.push("10000"),
+            }
+            parse_from(&strs(&argv)).unwrap_or_else(|e| panic!("{flag}: {e}"));
+        }
+        assert_eq!(parse_from(&strs(&["--help"])).expect_err("help").as_str(), "help");
+        assert!(parse_from(&strs(&["--frobnicate"])).is_err());
+    }
+
+    #[test]
+    fn defaults_hold() {
+        let args = parse_from(&[]).expect("empty is valid");
+        assert!(ABOUT.contains(&format!("[{DEFAULT_FIDELITY_CYCLES}]")));
+        assert_eq!(args.bench.run.cycles, DEFAULT_FIDELITY_CYCLES);
+        assert_eq!(args.bench.run.seed, powerbalance_bench::DEFAULT_SEED);
+        assert_eq!(args.bench.run.warmup, 0);
+        assert!(args.bench.run.json.is_none() && !args.bench.quiet);
+        assert_eq!(args.out, PathBuf::from("BENCH_fidelity.json"));
+        assert_eq!(args.benchmarks, DEFAULT_BENCHMARKS);
+    }
+
+    #[test]
+    fn shared_flags_reach_both_campaigns() {
+        let args = parse_from(&strs(&[
+            "--warmup", "10000", "--cycles", "40000", "--seed", "7", "--quiet",
+        ]))
+        .expect("valid command line");
+        for fidelity in [Fidelity::Exact, Fidelity::Fast] {
+            let spec = build_spec(&args, "t", fidelity);
+            assert_eq!((spec.cycles, spec.seed, spec.warmup_cycles), (40_000, 7, 10_000));
+        }
+        assert!(!args.bench.runner_options().progress);
+    }
 }

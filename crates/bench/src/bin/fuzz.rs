@@ -3,11 +3,11 @@
 //! Each seed derives a random-but-valid [`SimConfig`] (floorplan, queue
 //! geometry, mitigation techniques, thresholds, sampling cadence) and a
 //! random workload/trace seed, then runs a short simulation with the
-//! `check` feature's differential oracle and invariant suite armed. Any
-//! violation — or a panic anywhere in the stack — fails the seed. Failing
-//! cases are shrunk by halving the cycle budget while the failure
-//! reproduces, then written to a self-contained JSON artifact
-//! (`fuzz-seed-<seed>.json`) that `--replay` re-executes exactly.
+//! differential oracle and invariant suite armed. Any violation — or a
+//! panic anywhere in the stack — fails the seed. Failing cases are shrunk
+//! by halving the cycle budget while the failure reproduces, then written
+//! to a self-contained JSON artifact (`fuzz-seed-<seed>.json`) that
+//! `--replay` re-executes exactly.
 //!
 //! Everything is keyed off the seed: the same seed always produces the
 //! same configuration, trace, and verdict, so a failing seed from CI is

@@ -19,9 +19,9 @@
 //!   transitions matching an independent re-implementation of the manager's
 //!   hysteresis rules, and the RC thermal network satisfying its own
 //!   discretized heat equation every step;
-//! * a **facade** ([`RuntimeChecker`]) that the simulator drives behind its
-//!   `check` feature, collecting bounded [`Violation`] reports instead of
-//!   panicking so a fuzzer can shrink and replay failures.
+//! * a **facade** ([`RuntimeChecker`]) that the simulator drives once
+//!   `enable_checking` arms it, collecting bounded [`Violation`] reports
+//!   instead of panicking so a fuzzer can shrink and replay failures.
 //!
 //! The checkers deliberately depend only on the layer crates (`isa`,
 //! `uarch`, `thermal`, `mitigation`) — never on `powerbalance` itself — so
@@ -101,7 +101,7 @@ impl Sink {
     }
 }
 
-/// The combined checker the simulator drives behind its `check` feature.
+/// The combined checker the simulator drives once `enable_checking` arms it.
 ///
 /// Lifecycle per simulated cycle: [`before_cycle`](Self::before_cycle),
 /// the core's own `cycle()`, then [`after_cycle`](Self::after_cycle). Per

@@ -476,6 +476,13 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_cycle_budget_is_an_error() {
+        let args = parse_run(&strs(&["--bench", "gzip", "--cycles", "0"])).expect("parses");
+        let err = run(args).expect_err("a zero budget must not run");
+        assert!(err.contains("zero cycle budget"), "{err}");
+    }
+
+    #[test]
     fn bench_flag_repeats_into_a_campaign() {
         let a = parse_run(&strs(&["--bench", "eon", "--bench", "gzip"])).expect("valid");
         assert_eq!(a.benches, vec!["eon", "gzip"]);

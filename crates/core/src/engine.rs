@@ -110,7 +110,6 @@ pub(crate) struct Lane {
     pub(crate) task: Option<usize>,
     /// Differential oracle + invariant checkers. Lane 0's also watches
     /// the die's thermal solve.
-    #[cfg(feature = "check")]
     pub(crate) checker: Option<Box<powerbalance_check::RuntimeChecker>>,
     /// Core counters at the start of the current detailed window.
     before: CoreStats,
@@ -130,7 +129,6 @@ impl Lane {
             window_watts: vec![0.0; blocks],
             stall_left: 0,
             task: None,
-            #[cfg(feature = "check")]
             checker: None,
             before: CoreStats::default(),
             ctx: None,
@@ -149,7 +147,6 @@ impl Lane {
             window_watts: self.window_watts.clone(),
             stall_left: self.stall_left,
             task: self.task,
-            #[cfg(feature = "check")]
             checker: None,
             before: self.before,
             ctx: self.ctx,
@@ -166,7 +163,6 @@ impl Lane {
     /// step; an armed checker instead brackets every single cycle, so it
     /// observes each one.
     fn cycle<T: TraceSource>(&mut self, trace: &mut T, budget: u64) -> u64 {
-        #[cfg(feature = "check")]
         if let Some(checker) = &mut self.checker {
             let mut ran = 0u64;
             for _ in 0..budget {
@@ -603,12 +599,9 @@ impl Grid {
         } else {
             die.thermal.step(&die.watts, dt);
         }
-        #[cfg(feature = "check")]
-        {
-            let now = die.lanes[0].virtual_now();
-            if let Some(checker) = &mut die.lanes[0].checker {
-                checker.check_thermal(&die.thermal, &die.watts, dt, settle, now);
-            }
+        let now = die.lanes[0].checker.is_some().then(|| die.lanes[0].virtual_now());
+        if let (Some(checker), Some(now)) = (&mut die.lanes[0].checker, now) {
+            checker.check_thermal(&die.thermal, &die.watts, dt, settle, now);
         }
         advanced
     }
@@ -637,7 +630,6 @@ impl Grid {
         }
         // The closed-form advance is outside the backward-Euler residual's
         // reach; re-base the die-level watches.
-        #[cfg(feature = "check")]
         if let Some(checker) = &mut die.lanes[0].checker {
             checker.resync_thermal(&die.thermal);
         }
@@ -656,14 +648,11 @@ impl Grid {
     /// armed checker brackets the sample: only an unforked die with one
     /// member carries one.
     fn consult_die<F: Feed>(&mut self, feed: &mut F, d: usize, detailed: bool) {
-        #[cfg(not(feature = "check"))]
-        let _ = detailed;
         let blocks = self.blocks();
         let cores = self.config.cores;
         let Grid { dies, managers, parts, reps, .. } = self;
         parts.clear();
         reps.clear();
-        #[cfg(feature = "check")]
         if detailed {
             let die = &mut dies[d];
             for (c, lane) in die.lanes.iter_mut().enumerate() {
@@ -718,7 +707,6 @@ impl Grid {
         for p in 0..reps.len() {
             let die = &mut dies[if p == 0 { d } else { first_child + p - 1 }];
             let rep = die.members[0];
-            #[cfg(feature = "check")]
             let temps = die.thermal.temperatures();
             for (c, lane) in die.lanes.iter_mut().enumerate() {
                 if lane.ctx.is_none() {
@@ -726,7 +714,6 @@ impl Grid {
                 }
                 let manager = &mut managers[rep * cores + c];
                 manager.apply_decided(&mut lane.core);
-                #[cfg(feature = "check")]
                 if let (Some(checker), Some((_, now)), true) =
                     (&mut lane.checker, lane.ctx, detailed)
                 {
@@ -834,7 +821,6 @@ impl Grid {
         // A restored engine is a different execution: re-arm checking
         // against the restored state so the oracle does not cross-check
         // the new run against pre-restore history.
-        #[cfg(feature = "check")]
         if self.dies[0].lanes[0].checker.is_some() {
             self.enable_checking()?;
         }
@@ -845,7 +831,6 @@ impl Grid {
     /// in-order oracle, the mitigation mirror against the lane's slice)
     /// plus, on lane 0, the die's thermal residual watch and — with
     /// several lanes — the cross-core energy and symmetry invariants.
-    #[cfg(feature = "check")]
     pub(crate) fn enable_checking(&mut self) -> Result<(), Error> {
         let blocks = self.blocks();
         for die in &mut self.dies {
@@ -872,7 +857,6 @@ impl Grid {
 
     /// Closes out every armed checker and returns all retained
     /// violations, lane by lane.
-    #[cfg(feature = "check")]
     pub(crate) fn finish_checking(&mut self) -> Vec<powerbalance_check::Violation> {
         let mut all = Vec::new();
         for lane in self.dies.iter_mut().flat_map(|die| &mut die.lanes) {

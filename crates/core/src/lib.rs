@@ -74,7 +74,6 @@ pub use powerbalance_thermal::PackageConfig;
 pub use powerbalance_uarch::{CoreConfig, IqMode, MappingPolicy, SelectPolicy};
 pub use powerbalance_workloads::{spec2000, TraceGenerator};
 
-// Correctness tooling (only with the `check` feature): the violation
-// vocabulary fuzz/test drivers need to inspect and persist findings.
-#[cfg(feature = "check")]
+// Correctness tooling: the violation vocabulary fuzz/test drivers need
+// to inspect and persist findings.
 pub use powerbalance_check::{RuntimeChecker, Violation, ViolationKind};

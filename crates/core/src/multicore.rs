@@ -481,14 +481,12 @@ impl MultiCoreSimulator {
     ///
     /// Returns [`Error::Config`] if the floorplan lacks the sensor
     /// blocks the mitigation mirror needs.
-    #[cfg(feature = "check")]
     pub fn enable_checking(&mut self) -> Result<(), Error> {
         self.grid.enable_checking()
     }
 
     /// Closes out every lane's oracle and returns all retained
     /// violations across lanes. Empty when checking was never enabled.
-    #[cfg(feature = "check")]
     pub fn finish_checking(&mut self) -> Vec<powerbalance_check::Violation> {
         self.grid.finish_checking()
     }

@@ -289,7 +289,6 @@ impl Simulator {
     ///
     /// Returns [`Error::Config`] if the floorplan lacks the sensor blocks
     /// the mitigation mirror needs.
-    #[cfg(feature = "check")]
     pub fn enable_checking(&mut self) -> Result<(), Error> {
         self.grid.enable_checking()
     }
@@ -297,7 +296,6 @@ impl Simulator {
     /// Closes out the oracle (end-of-run retirement accounting, final
     /// architectural-state comparison) and returns all retained
     /// violations. Returns an empty list when checking was never enabled.
-    #[cfg(feature = "check")]
     pub fn finish_checking(&mut self) -> Vec<powerbalance_check::Violation> {
         self.grid.finish_checking()
     }

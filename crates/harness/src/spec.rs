@@ -134,8 +134,9 @@ impl CampaignSpec {
     }
 
     /// Checks the campaign is runnable: at least one config and benchmark,
-    /// every benchmark known, every config valid, and no duplicate labels
-    /// (duplicates would make JSON artifacts ambiguous).
+    /// every benchmark known, every config valid with a nonzero cycle
+    /// budget, and no duplicate labels (duplicates would make JSON
+    /// artifacts ambiguous).
     ///
     /// # Errors
     ///
@@ -156,6 +157,13 @@ impl CampaignSpec {
             nc.config
                 .validate()
                 .map_err(|e| Error::Config(format!("config '{}': {e}", nc.name)))?;
+            if self.cycles_for(i) == 0 {
+                let owner = match nc.cycles {
+                    Some(_) => format!("config '{}'", nc.name),
+                    None => format!("campaign '{}'", self.name),
+                };
+                return Err(Error::Config(format!("{owner} has a zero cycle budget")));
+            }
             if self.configs[..i].iter().any(|other| other.name == nc.name) {
                 return Err(Error::Config(format!("duplicate config name '{}'", nc.name)));
             }
@@ -216,6 +224,29 @@ mod tests {
             base().benchmark("eon").benchmark("eon").validate().is_err(),
             "duplicate benchmark"
         );
+    }
+
+    #[test]
+    fn a_zero_cycle_budget_is_refused_naming_its_owner() {
+        let base = || CampaignSpec::new("t").config("base", experiments::issue_queue(false));
+        let short = |cycles| {
+            CampaignSpec::new("t").config_with_cycles(
+                "short",
+                experiments::issue_queue(true),
+                cycles,
+            )
+        };
+        for (spec, expected) in [
+            (base().benchmark("eon").cycles(0), "campaign 't' has a zero cycle budget"),
+            (short(0).benchmark("eon"), "config 'short' has a zero cycle budget"),
+        ] {
+            match spec.validate() {
+                Err(Error::Config(msg)) => assert_eq!(msg, expected),
+                other => panic!("expected '{expected}', got {other:?}"),
+            }
+        }
+        // An override that covers a zero campaign budget leaves nothing at zero.
+        short(1_000).benchmark("eon").cycles(0).validate().expect("every config has a budget");
     }
 
     #[test]

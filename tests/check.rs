@@ -1,15 +1,16 @@
-//! Checked end-to-end runs: every experiment preset executes under the
-//! `check` feature's differential oracle and runtime invariant suite and
-//! must finish without a single violation — the spatial presets, the §5
-//! global ladders, a multi-core die, and a resume across policies. These tests are the standing
-//! proof that the production pipeline, thermal solver, and mitigation
-//! manager agree with their independent re-implementations in
-//! `powerbalance-check` (DESIGN.md §10).
+//! Checked end-to-end runs: every experiment preset executes with the
+//! differential oracle and runtime invariant suite armed (`enable_checking`)
+//! and must finish without a single violation — the spatial presets, the §5
+//! global ladders, a multi-core die, a resume across policies, and the
+//! interval engine. These tests are the standing proof that the
+//! production pipeline, thermal solver, and mitigation manager agree with
+//! their independent re-implementations in `powerbalance-check`
+//! (DESIGN.md §10).
 
 use powerbalance::experiments::{self, PolicyKind};
 use powerbalance::{
-    FloorplanKind, MappingPolicy, MultiCoreSimulator, RunResult, SimConfig, Simulator, Snapshot,
-    TaskSet, Violation,
+    Fidelity, FloorplanKind, MappingPolicy, MultiCoreSimulator, RunResult, SimConfig, Simulator,
+    Snapshot, TaskSet, Violation,
 };
 use powerbalance_workloads::spec2000;
 
@@ -162,4 +163,42 @@ fn a_transition_stall_resumed_under_spatial_is_clean() {
     resumed.run(&mut trace, 100_000);
     assert_eq!(resumed.manager().policy_state().stall_until, None, "the stall ended");
     assert_no_violations(&resumed.finish_checking(), "dvfs->spatial resume");
+}
+
+#[test]
+fn interval_engine_runs_are_clean() {
+    // The interval engine reaches the checker through hooks Exact never
+    // takes: the thermal re-base after each skipped sub-interval and the
+    // consults on skipped windows. Each technique must engage, so the
+    // mirror watches the decisions interval sampling drives.
+    use experiments::AluPolicy;
+    let fast = |config: SimConfig| SimConfig {
+        fidelity: Fidelity::Fast,
+        fast_window: 40_000,
+        fast_warmup: 20_000,
+        ..config
+    };
+    let cycles = 400_000;
+    let alu = assert_clean(
+        fast(experiments::alu(AluPolicy::FineGrainTurnoff)),
+        "crafty",
+        cycles,
+        "fast alu",
+    );
+    assert!(alu.alu_turnoffs > 0, "fast alu: no ALU turnoff");
+    let iq = assert_clean(fast(experiments::issue_queue(true)), "eon", cycles, "fast iq-toggling");
+    assert!(iq.toggles > 0, "fast iq-toggling: no toggle");
+    let dvfs = fast(experiments::policy(PolicyKind::Dvfs, FloorplanKind::IssueConstrained));
+    let result = assert_clean(dvfs.clone(), "eon", cycles, "fast dvfs");
+    assert!(result.opp_transitions > 0, "fast dvfs: no OPP transition");
+
+    let mut sim = MultiCoreSimulator::new(SimConfig { cores: 2, ..dvfs }).expect("valid config");
+    sim.enable_checking().expect("checker construction");
+    let profile = |name| spec2000::by_name(name).expect("known benchmark");
+    let mut tasks = TaskSet::one_per_job([profile("eon").trace(42), profile("gzip").trace(43)]);
+    let result = sim.run(&mut tasks, cycles);
+    assert_no_violations(&sim.finish_checking(), "fast 2-core dvfs");
+    for (c, core) in result.cores.iter().enumerate() {
+        assert!(core.opp_transitions > 0, "fast 2-core dvfs, core {c}: no OPP transition");
+    }
 }

@@ -106,6 +106,19 @@ fn a_misspelled_config_key_gets_400_naming_it() {
 }
 
 #[test]
+fn a_zero_cycle_budget_gets_400_naming_it() {
+    let server = start_test_server();
+    let mut c = client(&server);
+    let spec = CampaignSpec::new("idle").config("base", SimConfig::default()).benchmark("gzip");
+    let body = serde::json::to_string(&spec.cycles(0));
+    assert!(body.contains("\"cycles\":0"), "{body}");
+    let response = c.request("POST", "/v1/campaigns", Some(&body)).expect("a response comes back");
+    assert_eq!(response.status, 400, "a zero budget must not be admitted");
+    assert!(response.text().contains("zero cycle budget"), "{}", response.text());
+    assert_still_serving(&server);
+}
+
+#[test]
 fn oversized_body_gets_413() {
     let server = start_test_server();
     // Over the 8 KiB test limit, but small enough that the write lands in
